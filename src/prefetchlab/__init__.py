@@ -27,11 +27,9 @@ from prefetchlab.trace import (
 )
 from prefetchlab.features import (
     FeatureConfig,
-    ModelInput,
     SegmentationConfig,
     SegmentedAddress,
     TokenDictionary,
-    build_model_input,
     desegment,
     page_distance_context,
     pc_context,

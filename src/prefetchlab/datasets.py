@@ -9,7 +9,7 @@ out-of-vocabulary token.
 Cache file layout (little-endian): magic ``PFDS``, u32 version, u32 history
 length N, u32 input dim S, u32 bitmap size B, u64 sample count; then per sample
 the N*S float32 input row, the N*2 float32 context row, and the label bitmap
-packed 8 bits per byte.
+packed 8 bits per byte (bit i in byte i // 8 at bit i % 8), with no padding.
 """
 
 from __future__ import annotations
@@ -21,17 +21,21 @@ import numpy as np
 
 from prefetchlab.features import (
     FeatureConfig,
-    SegmentationConfig,
     TokenDictionary,
-    normalize_segments,
-    pc_context,
-    segment_blocks,
+    encode_contexts,
+    encode_inputs,
+    grow_dictionaries,
+    history_windows,
 )
+# Not called here. The benchmark's tracer (bench/tracing.py) wraps these names
+# in this module, so they stay importable from it.
+from prefetchlab.features import normalize_segments, pc_context, segment_blocks  # noqa: F401
 from prefetchlab.labeling import LabelConfig, label_bitmaps
-from prefetchlab.trace import AddressConfig, MemoryAccess, TraceSplit, block_addresses, page_of_block
+from prefetchlab.trace import AddressConfig, MemoryAccess, TraceSplit, block_addresses
 
 CACHE_MAGIC = b"PFDS"
 CACHE_VERSION = 1
+_HEADER = "<IIIIQ"  # version, history length, input dim, bitmap size, sample count
 
 
 @dataclass
@@ -63,14 +67,14 @@ class LabeledDataset:
     def save(self, path):
         n, hist, dim = self.inputs.shape
         bits = self.labels.shape[1]
-        packed = np.packbits(self.labels, axis=1, bitorder="little")
+        records = np.empty(n, _record_dtype(hist, dim, bits))
+        records["inputs"] = self.inputs
+        records["contexts"] = self.contexts
+        records["labels"] = np.packbits(self.labels, axis=1, bitorder="little")
         with open(path, "wb") as fh:
             fh.write(CACHE_MAGIC)
-            fh.write(struct.pack("<IIIIQ", CACHE_VERSION, hist, dim, bits, n))
-            for i in range(n):
-                fh.write(self.inputs[i].astype("<f4").tobytes())
-                fh.write(self.contexts[i].astype("<f4").tobytes())
-                fh.write(packed[i].tobytes())
+            fh.write(struct.pack(_HEADER, CACHE_VERSION, hist, dim, bits, n))
+            fh.write(records.tobytes())
 
     @classmethod
     def load(cls, path) -> "LabeledDataset":
@@ -78,26 +82,32 @@ class LabeledDataset:
             raw = fh.read()
         if raw[:4] != CACHE_MAGIC:
             raise ValueError(f"{path}: not a dataset cache file")
-        version, hist, dim, bits, n = struct.unpack_from("<IIIIQ", raw, 4)
+        offset = 4 + struct.calcsize(_HEADER)
+        if len(raw) < offset:
+            raise ValueError(f"{path}: truncated dataset cache")
+        version, hist, dim, bits, n = struct.unpack_from(_HEADER, raw, 4)
         if version != CACHE_VERSION:
             raise ValueError(f"{path}: unsupported dataset cache version {version}")
-        offset = 4 + struct.calcsize("<IIIIQ")
-        in_bytes = hist * dim * 4
-        ctx_bytes = hist * 2 * 4
-        lab_bytes = (bits + 7) // 8
-        stride = in_bytes + ctx_bytes + lab_bytes
-        if len(raw) - offset != n * stride:
+        dtype = _record_dtype(hist, dim, bits)
+        if len(raw) - offset != n * dtype.itemsize:
             raise ValueError(f"{path}: truncated dataset cache")
-        inputs = np.empty((n, hist, dim), dtype=np.float32)
-        contexts = np.empty((n, hist, 2), dtype=np.float32)
-        labels = np.empty((n, bits), dtype=bool)
-        for i in range(n):
-            base = offset + i * stride
-            inputs[i] = np.frombuffer(raw, "<f4", hist * dim, base).reshape(hist, dim)
-            contexts[i] = np.frombuffer(raw, "<f4", hist * 2, base + in_bytes).reshape(hist, 2)
-            packed = np.frombuffer(raw, np.uint8, lab_bytes, base + in_bytes + ctx_bytes)
-            labels[i] = np.unpackbits(packed, bitorder="little")[:bits].astype(bool)
-        return cls(inputs, contexts, labels, np.arange(n, dtype=np.int64))
+        records = np.frombuffer(raw, dtype, n, offset)
+        labels = np.unpackbits(records["labels"], axis=1, bitorder="little")[:, :bits]
+        return cls(
+            records["inputs"].astype(np.float32),
+            records["contexts"].astype(np.float32),
+            labels.astype(bool),
+            np.arange(n, dtype=np.int64),
+        )
+
+
+def _record_dtype(hist: int, dim: int, bits: int) -> np.dtype:
+    """One cached sample, packed with no padding (see the module docstring)."""
+    return np.dtype([
+        ("inputs", "<f4", (hist, dim)),
+        ("contexts", "<f4", (hist, 2)),
+        ("labels", "u1", ((bits + 7) // 8,)),
+    ])
 
 
 @dataclass
@@ -114,44 +124,6 @@ class DatasetBundle:
         return {name: len(d) for name, d in self.dictionaries.items()}
 
 
-def _feature_matrix(
-    blocks: np.ndarray,
-    pcs: np.ndarray,
-    feature_cfg: FeatureConfig,
-    addr_cfg: AddressConfig,
-    train_stop: int,
-) -> tuple[np.ndarray, dict[str, TokenDictionary]]:
-    """Per-access feature rows for the whole trace, (m, input_dim) float64.
-
-    Dictionary-backed modes take two passes: grow over the training range
-    [0, train_stop), freeze, then tokenize everything.
-    """
-    mode = feature_cfg.mode
-    if mode == "as":
-        seg_cfg = SegmentationConfig(feature_cfg.segment_bits)
-        return normalize_segments(segment_blocks(blocks, seg_cfg, addr_cfg), seg_cfg), {}
-    if mode == "delta":
-        jumps = np.zeros(len(blocks), dtype=np.int64)
-        jumps[1:] = blocks[1:].astype(np.int64) - blocks[:-1].astype(np.int64)
-        dictionary = TokenDictionary(feature_cfg.dictionary_capacity)
-        for v in jumps[1:train_stop]:
-            dictionary.lookup(int(v))
-        dictionary.freeze()
-        denom = dictionary.oov_token + 1
-        toks = np.array([dictionary.lookup(int(v)) for v in jumps], dtype=np.float64)
-        return (toks / denom)[:, None], {"delta": dictionary}
-    pages = page_of_block(blocks, addr_cfg)
-    dictionary = TokenDictionary(feature_cfg.dictionary_capacity)
-    for v in pages[:train_stop]:
-        dictionary.lookup(int(v))
-    dictionary.freeze()
-    denom = dictionary.oov_token + 1
-    toks = np.array([dictionary.lookup(int(v)) for v in pages], dtype=np.float64)
-    offsets = (blocks & np.uint64((1 << addr_cfg.block_index_bits) - 1)).astype(np.float64)
-    feats = np.stack([toks / denom, offsets / (1 << addr_cfg.block_index_bits)], axis=1)
-    return feats, {"page": dictionary}
-
-
 def build_datasets(
     trace: list[MemoryAccess],
     split: TraceSplit,
@@ -159,51 +131,33 @@ def build_datasets(
     label_cfg: LabelConfig,
     addr_cfg: AddressConfig,
     history_len: int,
-    hash_bits: int | None = None,
 ) -> DatasetBundle:
     """Assemble train/validation/test datasets from one trace.
 
     Trigger t's history covers accesses t-N+1..t (row 0 = t, the most recent);
     its label covers the look-forward window after t+skip. History windows may
     reach back across a split boundary (the online prefetcher sees the same
-    stream), so the first triggers of each split are not dropped.
+    stream), so the first triggers of each split are not dropped. The whole
+    trace is encoded once; each split takes its triggers' rows.
     """
-    hash_bits = feature_cfg.hash_bits if hash_bits is None else hash_bits
     blocks = block_addresses(trace, addr_cfg)
     pcs = np.fromiter((a.pc for a in trace), dtype=np.uint64, count=len(trace))
-    feats, dictionaries = _feature_matrix(
-        blocks, pcs, feature_cfg, addr_cfg, train_stop=split.train.stop
-    )
-    pc_feat = pc_context(pcs, hash_bits)
-    pages = page_of_block(blocks, addr_cfg).astype(np.int64)
+    dictionaries = grow_dictionaries(blocks, feature_cfg, addr_cfg, split.train.stop)
+    rows = encode_inputs(blocks, feature_cfg, addr_cfg, next(iter(dictionaries.values()), None))
+    triggers = np.arange(feature_cfg.warmup(history_len) - 1, len(trace), dtype=np.int64)
+    windows = history_windows(triggers, history_len)
+    inputs = rows[windows].astype(np.float32)
+    contexts = encode_contexts(pcs, blocks, windows, addr_cfg, feature_cfg.hash_bits).astype(np.float32)
+    labels, _ = label_bitmaps(blocks, triggers, label_cfg)
 
-    # delta features use the jump into each access, so the first jump needs one
-    # extra access of history
-    first_trigger = history_len - 1 + (1 if feature_cfg.mode == "delta" else 0)
-
-    def build_range(r: range) -> LabeledDataset:
-        triggers = np.arange(max(r.start, first_trigger), r.stop, dtype=np.int64)
-        if triggers.size == 0:
-            empty = LabeledDataset(
-                np.empty((0, history_len, feats.shape[1]), np.float32),
-                np.empty((0, history_len, 2), np.float32),
-                np.empty((0, label_cfg.bitmap_size), bool),
-                np.empty((0,), np.int64),
-            )
-            return empty
-        window = triggers[:, None] - np.arange(history_len)[None, :]  # recent first
-        inputs = feats[window].astype(np.float32)
-        ctx_pd = 1.0 / (np.abs(pages[window] - pages[triggers][:, None]) + 1.0)
-        contexts = np.stack(
-            [pc_feat[window], ctx_pd], axis=2
-        ).astype(np.float32)
-        labels, _ = label_bitmaps(blocks, triggers, label_cfg)
-        return LabeledDataset(inputs, contexts, labels, triggers)
+    def take(r: range) -> LabeledDataset:
+        lo, hi = np.searchsorted(triggers, [r.start, r.stop])
+        return LabeledDataset(inputs[lo:hi], contexts[lo:hi], labels[lo:hi], triggers[lo:hi])
 
     return DatasetBundle(
-        train=build_range(split.train),
-        validation=build_range(split.validation),
-        test=build_range(split.test),
+        train=take(split.train),
+        validation=take(split.validation),
+        test=take(split.test),
         dictionaries=dictionaries,
     )
 

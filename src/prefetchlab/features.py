@@ -4,6 +4,12 @@ Address segmentation slices a block address into fixed-width integer segments th
 feed the model directly, with no token dictionary. The dictionary-backed input
 modes (delta, page & offset) exist for ablation comparisons and report their
 storage cost.
+
+This module is the one place that turns accesses into model rows: the offline
+datasets (:func:`prefetchlab.datasets.build_datasets`) and the online model
+prefetcher both call :func:`encode_inputs` and :func:`encode_contexts` over
+history windows from :func:`history_windows`, so training and simulation see
+the same inputs.
 """
 
 from __future__ import annotations
@@ -14,11 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from prefetchlab.trace import AddressConfig, MemoryAccess, block_address, page_of_block
-
-
-class WindowError(Exception):
-    """A history window does not hold the expected number of accesses."""
+from prefetchlab.trace import AddressConfig, page_of_block
 
 
 class CapacityError(Exception):
@@ -163,51 +165,6 @@ def page_distance_context(page_n, page_1):
     return 1.0 / (abs(int(page_n) - int(page_1)) + 1)
 
 
-@dataclass(frozen=True)
-class ModelInput:
-    """One model sample: history rows (row 0 = most recent access) plus context pairs."""
-
-    history: np.ndarray  # (N, S) float64 in [0, 1)
-    context: np.ndarray  # (N, 2) float64: (pc fold, inverse page distance)
-
-    def __post_init__(self):
-        if self.history.shape[0] != self.context.shape[0]:
-            raise ValueError("history and context row counts differ")
-        if not (np.isfinite(self.history).all() and np.isfinite(self.context).all()):
-            raise ValueError("model input holds non-finite entries")
-
-    @property
-    def history_len(self) -> int:
-        return self.history.shape[0]
-
-
-def build_model_input(
-    window: Sequence[MemoryAccess],
-    history_len: int,
-    seg_cfg: SegmentationConfig,
-    addr_cfg: AddressConfig,
-    hash_bits: int = 16,
-) -> ModelInput:
-    """Build one sample from the last ``history_len`` accesses (oldest first in ``window``).
-
-    Internally the window is reversed so that row 0 is the most recent access; the
-    page-distance feature is measured against that access's page and is exactly 1.0
-    on row 0.
-    """
-    if len(window) != history_len:
-        raise WindowError(f"window holds {len(window)} accesses, expected {history_len}")
-    recent_first = list(reversed(window))
-    blocks = np.array([block_address(a.vaddr, addr_cfg) for a in recent_first], dtype=np.uint64)
-    segs = segment_blocks(blocks, seg_cfg, addr_cfg)
-    history = normalize_segments(segs, seg_cfg)
-    pcs = np.array([a.pc for a in recent_first], dtype=np.uint64)
-    pages = page_of_block(blocks, addr_cfg)
-    context = np.stack(
-        [pc_context(pcs, hash_bits), page_distance_context(pages, pages[0])], axis=1
-    )
-    return ModelInput(history, context)
-
-
 # ---------------------------------------------------------------------------
 # Token dictionaries (ablation input modes only)
 # ---------------------------------------------------------------------------
@@ -314,3 +271,91 @@ class FeatureConfig:
     @property
     def needs_dictionary(self) -> bool:
         return self.mode != "as"
+
+    def warmup(self, history_len: int) -> int:
+        """Accesses needed before the first full history window.
+
+        Delta rows hold the jump into each access, so the oldest row needs one
+        more access before it.
+        """
+        return history_len + (1 if self.mode == "delta" else 0)
+
+
+def _token_values(blocks: np.ndarray, cfg: FeatureConfig, addr_cfg: AddressConfig) -> np.ndarray:
+    """Per-access values a dictionary mode tokenizes: the jump into each access
+    (0 for the first, which has none) or its page."""
+    if cfg.mode == "delta":
+        jumps = np.zeros(len(blocks), dtype=np.int64)
+        jumps[1:] = blocks[1:].astype(np.int64) - blocks[:-1].astype(np.int64)
+        return jumps
+    return page_of_block(blocks, addr_cfg)
+
+
+def grow_dictionaries(
+    blocks: np.ndarray, cfg: FeatureConfig, addr_cfg: AddressConfig, train_stop: int
+) -> dict[str, TokenDictionary]:
+    """The mode's token dictionary, grown over the training range and frozen.
+
+    Delta jumps grow over accesses [1, train_stop), pages over [0, train_stop).
+    Returns {} for AS input, else {"delta": ...} or {"page": ...}.
+    """
+    if not cfg.needs_dictionary:
+        return {}
+    blocks = np.asarray(blocks, dtype=np.uint64)
+    first = 1 if cfg.mode == "delta" else 0
+    dictionary = TokenDictionary(cfg.dictionary_capacity)
+    tokenize(_token_values(blocks, cfg, addr_cfg)[first:train_stop], dictionary)
+    dictionary.freeze()
+    return {"delta" if cfg.mode == "delta" else "page": dictionary}
+
+
+def encode_inputs(
+    blocks: np.ndarray,
+    cfg: FeatureConfig,
+    addr_cfg: AddressConfig,
+    dictionary: TokenDictionary | None = None,
+) -> np.ndarray:
+    """Per-access input rows, (m, input_dim) float64, for ``blocks`` in trace order.
+
+    AS rows are the normalized segments. Dictionary modes map each value through
+    the frozen ``dictionary`` and scale the token by oov_token + 1; page_offset
+    rows add the in-page block index scaled into [0, 1). The first delta row
+    holds no real jump and only fills the slot.
+    """
+    blocks = np.asarray(blocks, dtype=np.uint64)
+    if cfg.mode == "as":
+        seg_cfg = SegmentationConfig(cfg.segment_bits)
+        return normalize_segments(segment_blocks(blocks, seg_cfg, addr_cfg), seg_cfg)
+    toks = tokenize(_token_values(blocks, cfg, addr_cfg), dictionary) / (dictionary.oov_token + 1)
+    if cfg.mode == "delta":
+        return toks[:, None]
+    index_space = 1 << addr_cfg.block_index_bits
+    offsets = (blocks & np.uint64(index_space - 1)).astype(np.float64)
+    return np.stack([toks, offsets / index_space], axis=1)
+
+
+def history_windows(triggers, history_len: int) -> np.ndarray:
+    """Access indices of each trigger's history window, shape (..., N).
+
+    Row 0 is the trigger itself (the most recent access), row j the access j
+    steps before it.
+    """
+    return np.asarray(triggers)[..., None] - np.arange(history_len)
+
+
+def encode_contexts(
+    pcs: np.ndarray,
+    blocks: np.ndarray,
+    windows: np.ndarray,
+    addr_cfg: AddressConfig,
+    hash_bits: int,
+) -> np.ndarray:
+    """Context pairs (pc fold, inverse page distance), shape (..., N, 2) float64.
+
+    ``pcs`` and ``blocks`` hold accesses in trace order and ``windows`` indexes
+    them as :func:`history_windows` does. Page distance is measured against each
+    window's row 0, so it is exactly 1.0 there.
+    """
+    pages = page_of_block(np.asarray(blocks, dtype=np.uint64), addr_cfg)
+    pd = page_distance_context(pages[windows], pages[windows[..., :1]])
+    return np.stack([pc_context(pcs, hash_bits)[windows], pd], axis=-1)

@@ -24,10 +24,10 @@ from typing import Sequence
 
 import numpy as np
 
-from prefetchlab.features import FeatureConfig, SegmentationConfig, normalize_segments, pc_context, page_distance_context, segment_blocks
+from prefetchlab.features import FeatureConfig, encode_contexts, encode_inputs, history_windows
 from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, index_to_delta, prefetch_addresses
 from prefetchlab.model import ModelParams, predict as model_predict
-from prefetchlab.trace import AddressConfig, MemoryAccess, block_address, page_of_block
+from prefetchlab.trace import AddressConfig, MemoryAccess, block_address
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,6 @@ class PrefetchRequest:
 
     block: int
     issue_cycle: int  # trigger cycle + modeled latency
-    source: str
 
 
 @dataclass(frozen=True)
@@ -342,56 +341,29 @@ class ModelPrefetcher(Prefetcher):
         self.dictionary = dictionary
         if feature_cfg.needs_dictionary and dictionary is None:
             raise ValueError(f"input mode {feature_cfg.mode!r} needs a token dictionary")
-        self._seg_cfg = SegmentationConfig(feature_cfg.segment_bits)
-        # delta inputs need one extra access of history for the leading jump
-        self._warmup = self.cfg.history_len + (1 if feature_cfg.mode == "delta" else 0)
+        self._warmup = feature_cfg.warmup(self.cfg.history_len)
         self._history: deque[tuple[int, int]] = deque(maxlen=self._warmup)  # (pc, block)
-        self.degrees: list[int] = []
+        # the window of the newest access, over the deque's oldest-first order
+        self._window = history_windows(self._warmup - 1, self.cfg.history_len)
 
     def reset(self):
         self._history.clear()
-        self.degrees = []
 
     def observe(self, access, block):
         self._history.append((access.pc, block))
 
-    def _feature_rows(self, blocks_recent_first: np.ndarray) -> np.ndarray:
-        mode = self.feature_cfg.mode
-        n = self.cfg.history_len
-        if mode == "as":
-            segs = segment_blocks(blocks_recent_first[:n], self._seg_cfg, self.addr_cfg)
-            return normalize_segments(segs, self._seg_cfg)
-        if mode == "delta":
-            jumps = blocks_recent_first[:n].astype(np.int64) - blocks_recent_first[1: n + 1].astype(np.int64)
-            denom = self.dictionary.oov_token + 1
-            toks = np.array([self.dictionary.lookup(int(j)) for j in jumps], dtype=np.float64)
-            return (toks / denom)[:, None]
-        pages = page_of_block(blocks_recent_first[:n], self.addr_cfg)
-        denom = self.dictionary.oov_token + 1
-        toks = np.array([self.dictionary.lookup(int(p)) for p in pages], dtype=np.float64)
-        offsets = (blocks_recent_first[:n] & np.uint64((1 << self.addr_cfg.block_index_bits) - 1))
-        return np.stack([toks / denom, offsets.astype(np.float64) / (1 << self.addr_cfg.block_index_bits)], axis=1)
-
     def predict(self, access, block):
         if len(self._history) < self._warmup:
             return None
-        recent_first = list(self._history)[::-1]
-        pcs = np.array([pc for pc, _ in recent_first], dtype=np.uint64)
-        blocks = np.array([b for _, b in recent_first], dtype=np.uint64)
-        history = self._feature_rows(blocks)
-        n = self.cfg.history_len
-        pages = page_of_block(blocks[:n], self.addr_cfg)
-        context = np.stack(
-            [pc_context(pcs[:n], self.feature_cfg.hash_bits),
-             page_distance_context(pages, pages[0])], axis=1,
-        )
+        pcs, blocks = np.array(self._history, dtype=np.uint64).T
+        history = encode_inputs(blocks, self.feature_cfg, self.addr_cfg, self.dictionary)[self._window]
+        context = encode_contexts(pcs, blocks, self._window, self.addr_cfg, self.feature_cfg.hash_bits)
         conf = model_predict(self.params, history, context if self.cfg.use_context else None)
         if self.top_k is not None:
             order = np.argsort(-conf, kind="stable")[: self.top_k]
             deltas = [index_to_delta(int(i), self.label_cfg.delta_bound) for i in order]
         else:
             deltas = sorted(bitmap_to_deltas(conf >= self.threshold, self.label_cfg))
-        self.degrees.append(len(deltas))
         return sorted(prefetch_addresses(block, deltas, self.addr_cfg))
 
 
@@ -447,7 +419,6 @@ def simulate(
     if prefetcher is not None:
         prefetcher.reset()
 
-    source = prefetcher.name if prefetcher is not None else "none"
     pending: deque[PrefetchRequest] = deque()  # issue cycles are non-decreasing
     pending_set: set[int] = set()
     busy_until = 0
@@ -530,7 +501,7 @@ def simulate(
                 log(access.ordinal, "prefetch_insert", pblock, None if evicted is None else evicted[0])
             else:
                 issued += 1
-                pending.append(PrefetchRequest(pblock, ready, source))
+                pending.append(PrefetchRequest(pblock, ready))
                 pending_set.add(pblock)
 
     resident_unused = cache.unused_prefetched_count()

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,57 @@ class TestDatasetCache:
         bundle.test.save(p1)
         bundle.test.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        # 2 samples, history 2, input dim 3, 10-bit labels
+        inputs = np.array([[[0.5, 0.25, 0.0], [1.0, -2.0, 0.125]],
+                           [[3.0, 0.75, 0.5], [0.0, 0.0, 1.5]]], dtype=np.float32)
+        contexts = np.array([[[0.5, 1.0], [0.25, 0.5]],
+                             [[0.0, 1.0], [0.75, 0.125]]], dtype=np.float32)
+        labels = np.zeros((2, 10), dtype=bool)
+        labels[0, [0, 3, 9]] = True
+        labels[1, [1, 8]] = True
+        ds = LabeledDataset(inputs, contexts, labels, np.arange(2))
+        expected = b"PFDS" + struct.pack("<IIIIQ", 1, 2, 3, 10, 2)
+        expected += struct.pack("<6f", 0.5, 0.25, 0.0, 1.0, -2.0, 0.125)
+        expected += struct.pack("<4f", 0.5, 1.0, 0.25, 0.5)
+        expected += bytes([0b00001001, 0b00000010])  # bits 0, 3 | bit 9 = byte 1 bit 1
+        expected += struct.pack("<6f", 3.0, 0.75, 0.5, 0.0, 0.0, 1.5)
+        expected += struct.pack("<4f", 0.0, 1.0, 0.75, 0.125)
+        expected += bytes([0b00000010, 0b00000001])  # bit 1 | bit 8 = byte 1 bit 0
+        path = tmp_path / "golden.bin"
+        ds.save(path)
+        assert path.read_bytes() == expected
+        loaded = LabeledDataset.load(path)
+        assert np.array_equal(loaded.inputs, inputs)
+        assert np.array_equal(loaded.contexts, contexts)
+        assert np.array_equal(loaded.labels, labels)
+
+    def test_empty_roundtrip(self, tmp_path):
+        ds = LabeledDataset(np.empty((0, 3, 2), np.float32), np.empty((0, 3, 2), np.float32),
+                            np.empty((0, 12), bool), np.empty(0, np.int64))
+        path = tmp_path / "empty.bin"
+        ds.save(path)
+        assert len(path.read_bytes()) == 28
+        loaded = LabeledDataset.load(path)
+        assert loaded.inputs.shape == (0, 3, 2) and loaded.labels.shape == (0, 12)
+
+    @pytest.mark.parametrize("size", [4, 14, 27])
+    def test_short_header_rejected(self, tmp_path, size):
+        p = tmp_path / "short.bin"
+        p.write_bytes((b"PFDS" + b"\x01" * 40)[:size])
+        with pytest.raises(ValueError, match="truncated dataset cache"):
+            LabeledDataset.load(p)
+
+    def test_truncated_body_rejected(self, small_setup, addr_cfg, tmp_path):
+        trace, split, label_cfg = small_setup
+        bundle = build_datasets(trace, split, FeatureConfig("as", 6), label_cfg,
+                                addr_cfg, history_len=5)
+        p = tmp_path / "cut.bin"
+        bundle.test.save(p)
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated dataset cache"):
+            LabeledDataset.load(p)
 
     def test_bad_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.bin"

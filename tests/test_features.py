@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from prefetchlab import simulator
+from prefetchlab.datasets import build_datasets
 from prefetchlab.features import (
     CapacityError,
     FeatureConfig,
     SegmentationConfig,
     TokenDictionary,
-    WindowError,
-    build_model_input,
     desegment,
     desegment_blocks,
+    encode_contexts,
+    encode_inputs,
+    grow_dictionaries,
+    history_windows,
     normalize_segments,
     page_distance_context,
     pc_context,
@@ -17,7 +21,10 @@ from prefetchlab.features import (
     segment_blocks,
     tokenize,
 )
-from prefetchlab.trace import AddressConfig
+from prefetchlab.labeling import LabelConfig
+from prefetchlab.model import ModelConfig, ModelParams
+from prefetchlab.simulator import CacheConfig, LatencyModel, ModelPrefetcher, simulate
+from prefetchlab.trace import AddressConfig, generate_trace, split_trace
 
 
 def slice_oracle(block, segment_bits, total_bits):
@@ -160,27 +167,84 @@ class TestContexts:
             assert vec[i] == pc_context(int(pc), 16)
 
 
-class TestBuildModelInput:
-    def test_same_page_pd_all_one(self, trace_from_blocks, addr_cfg):
-        trace = trace_from_blocks(list(range(100, 109)))  # blocks 100..108, pages 1
-        sample = build_model_input(trace, 9, SegmentationConfig(6), addr_cfg)
-        assert np.all(sample.context[:, 1] == 1.0)
+class TestEncoders:
+    def test_same_page_pd_all_one(self, addr_cfg):
+        blocks = np.arange(100, 109, dtype=np.uint64)  # page 1 throughout
+        pcs = np.full(9, 0x400000, dtype=np.uint64)
+        context = encode_contexts(pcs, blocks, history_windows(8, 9), addr_cfg, 16)
+        assert np.all(context[:, 1] == 1.0)
 
-    def test_default_history_shape(self, trace_from_blocks, addr_cfg):
-        trace = trace_from_blocks(list(range(9)))
-        sample = build_model_input(trace, 9, SegmentationConfig(6), addr_cfg)
-        assert sample.history.shape == (9, 10)
+    def test_default_history_shape(self, addr_cfg):
+        rows = encode_inputs(np.arange(9, dtype=np.uint64), FeatureConfig("as", 6), addr_cfg)
+        assert rows[history_windows(8, 9)].shape == (9, 10)
 
-    def test_short_window(self, trace_from_blocks, addr_cfg):
-        trace = trace_from_blocks(list(range(8)))
-        with pytest.raises(WindowError):
-            build_model_input(trace, 9, SegmentationConfig(6), addr_cfg)
+    def test_row_zero_is_most_recent(self, addr_cfg):
+        blocks = np.array([10, 20, 30, 40], dtype=np.uint64)
+        history = encode_inputs(blocks, FeatureConfig("as", 6), addr_cfg)[history_windows(3, 4)]
+        assert history[0, -1] == 40 / 64  # low segment of the newest block
+        assert history[-1, -1] == 10 / 64
 
-    def test_row_zero_is_most_recent(self, trace_from_blocks, addr_cfg):
-        trace = trace_from_blocks([10, 20, 30, 40])
-        sample = build_model_input(trace, 4, SegmentationConfig(6), addr_cfg)
-        assert sample.history[0, -1] == 40 / 64  # low segment of the newest block
-        assert sample.history[-1, -1] == 10 / 64
+    def test_dictionaries_grow_over_training_range_only(self, addr_cfg):
+        blocks = np.array([64, 65, 67, 200, 900], dtype=np.uint64)
+        delta = grow_dictionaries(blocks, FeatureConfig("delta"), addr_cfg, train_stop=3)["delta"]
+        assert delta.to_pairs() == [[1, 0], [2, 1]]  # jumps into accesses 1 and 2
+        page = grow_dictionaries(blocks, FeatureConfig("page_offset"), addr_cfg, train_stop=4)["page"]
+        assert page.to_pairs() == [[1, 0], [3, 1]]
+        assert delta.frozen and page.frozen
+        assert grow_dictionaries(blocks, FeatureConfig("as"), addr_cfg, train_stop=3) == {}
+
+
+PARITY_PATTERNS = {
+    "stride": {"name": "stride", "stride": 3},
+    "region_walks": {"name": "region_walks"},
+}
+
+
+class TestOnlineOfflineParity:
+    """The model prefetcher feeds the model the rows the offline datasets store."""
+
+    HISTORY = 5
+
+    @pytest.mark.parametrize("mode", ["as", "delta", "page_offset"])
+    @pytest.mark.parametrize("pattern", sorted(PARITY_PATTERNS))
+    def test_every_trigger_matches_its_dataset_row(self, pattern, mode, addr_cfg, monkeypatch):
+        trace = generate_trace(PARITY_PATTERNS[pattern], 600, seed=2)
+        feature_cfg = FeatureConfig(mode)
+        label_cfg = LabelConfig(look_forward=8, delta_bound=32)
+        bundle = build_datasets(trace, split_trace(trace, (0.5, 0.2, 0.3)), feature_cfg,
+                                label_cfg, addr_cfg, self.HISTORY)
+        stored = {int(t): (ds, i) for ds in (bundle.train, bundle.validation, bundle.test)
+                  for i, t in enumerate(ds.triggers)}
+
+        seen = []
+        model_predict = simulator.model_predict
+
+        class RecordingPrefetcher(ModelPrefetcher):
+            def predict(self, access, block):
+                self.ordinal = access.ordinal
+                return super().predict(access, block)
+
+        def recording_predict(params, history, context):
+            seen.append((pf.ordinal, history, context))
+            return model_predict(params, history, context)
+
+        monkeypatch.setattr(simulator, "model_predict", recording_predict)
+        model_cfg = ModelConfig(hidden_dim=8, num_heads=2, num_layers=1,
+                                output_dim=label_cfg.bitmap_size, history_len=self.HISTORY,
+                                input_dim=feature_cfg.input_dim(addr_cfg))
+        pf = RecordingPrefetcher(ModelParams.init(model_cfg, seed=0), feature_cfg, label_cfg,
+                                 addr_cfg, threshold=0.5,
+                                 dictionary=next(iter(bundle.dictionaries.values()), None))
+        report = simulate(trace, pf, CacheConfig(sets=16, ways=4), LatencyModel(), addr_cfg)
+
+        assert [o for o, _, _ in seen] == sorted(stored)
+        # warm-up: the first trigger with a prediction is the datasets' first trigger
+        assert report.cold_start_triggers == seen[0][0] == bundle.train.triggers[0]
+        for o, history, context in seen:
+            ds, i = stored[o]
+            assert history.dtype == context.dtype == np.float64
+            assert np.array_equal(history.astype(np.float32), ds.inputs[i])
+            assert np.array_equal(context.astype(np.float32), ds.contexts[i])
 
 
 class TestTokenDictionary:

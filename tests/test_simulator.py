@@ -292,8 +292,8 @@ class TestModelPrefetcher:
         pf = ModelPrefetcher(params, FeatureConfig("as", 6), LabelConfig(32, 32),
                              addr_cfg, top_k=10)
         trace = make_trace(list(range(500, 560)))
-        simulate(trace, pf, CacheConfig(sets=4, ways=2), LatencyModel(), addr_cfg)
-        assert pf.degrees and all(d == 10 for d in pf.degrees)
+        report = simulate(trace, pf, CacheConfig(sets=4, ways=2), LatencyModel(), addr_cfg)
+        assert set(report.degree_hist) == {10}
 
     def test_mode_exclusivity(self, addr_cfg):
         params = ModelParams.init(self.CFG, seed=4)
