@@ -18,7 +18,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -61,6 +60,10 @@ class StaleArtifactsError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TraceSource:
     source: str = "generate"          # "generate" | "file"
@@ -74,6 +77,8 @@ class TraceSource:
             raise ConfigError(f"trace.source must be 'generate' or 'file', got {self.source!r}")
         if self.source == "file" and not self.path:
             raise ConfigError("trace.source 'file' needs trace.path")
+        if not _is_int(self.length) or self.length < 1:
+            raise ConfigError(f"trace.length must be a positive integer, got {self.length!r}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,8 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         """Cross-field consistency; called before any stage runs."""
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if len(self.split) != 3:
             raise ConfigError(f"split must have three ratios, got {self.split}")
         if self.trigger_stream not in ("access", "miss"):
@@ -204,7 +211,9 @@ class ExperimentConfig:
                 kwargs[key] = _build(builders[key], value, key)
             elif key == "eval_modes":
                 kwargs[key] = tuple(_build(FeatureConfig, m, "eval_modes") for m in value)
-            elif key in ("split",):
+            elif key == "split":
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"split must be a list of three ratios, got {value!r}")
                 kwargs[key] = tuple(value)
             elif key in ("seed", "train", "trigger_stream"):
                 kwargs[key] = value
@@ -574,43 +583,34 @@ def stage_sweep(cfg: ExperimentConfig, run_dir) -> dict:
                                cfg.threshold.max_degree)
         trained[skip] = (params, tuned.optimal_threshold, bundle.dictionaries)
 
-    def run_combo(dp, t, thr):
-        params, threshold, dictionaries = trained[math.ceil(t / cpa) if dp else 0]
-        skip = math.ceil(t / cpa) if dp else 0
+    rows = []
+    reports = {}
+    for dp, t, skip in combos:
+        params, threshold, dictionaries = trained[skip]
         pf = ModelPrefetcher(
             params, cfg.features, replace(cfg.label, skip=skip), cfg.address,
             threshold=threshold,
             dictionary=next(iter(dictionaries.values())) if dictionaries else None,
         )
-        report = simulate(
-            trace, pf, cfg.cache, LatencyModel(t, thr), cfg.address, cfg.trigger_stream
-        )
-        return skip, threshold, report
-
-    # independent simulations fan out over threads; each gets its own prefetcher,
-    # and results are collected by key so ordering stays deterministic
-    jobs = [(dp, t, thr) for dp, t, _ in combos for thr in cfg.sweep.throughputs]
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        results = list(pool.map(lambda job: run_combo(*job), jobs))
-
-    rows = []
-    reports = {}
-    for (dp, t, thr), (skip, threshold, report) in zip(jobs, results):
-        key = f"T{t}_{thr}_{'dp' if dp else 'nodp'}"
-        reports[key] = report.to_dict()
-        rows.append({
-            "latency_cycles": t,
-            "throughput": thr,
-            "distance": int(dp),
-            "skip_accesses": skip,
-            "threshold": threshold,
-            "coverage": report.coverage,
-            "accuracy": report.accuracy,
-            "issued": report.prefetches_issued,
-            "useful": report.useful_prefetches,
-            "late": report.late_prefetches,
-            "mean_degree": report.mean_degree,
-        })
+        for thr in cfg.sweep.throughputs:
+            report = simulate(
+                trace, pf, cfg.cache, LatencyModel(t, thr), cfg.address, cfg.trigger_stream
+            )
+            key = f"T{t}_{thr}_{'dp' if dp else 'nodp'}"
+            reports[key] = report.to_dict()
+            rows.append({
+                "latency_cycles": t,
+                "throughput": thr,
+                "distance": int(dp),
+                "skip_accesses": skip,
+                "threshold": threshold,
+                "coverage": report.coverage,
+                "accuracy": report.accuracy,
+                "issued": report.prefetches_issued,
+                "useful": report.useful_prefetches,
+                "late": report.late_prefetches,
+                "mean_degree": report.mean_degree,
+            })
     _write_json(os.path.join(run_dir, "sweep_reports.json"), reports)
     with open(os.path.join(run_dir, "sweep_comparison.csv"), "w", encoding="ascii", newline="\n") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))

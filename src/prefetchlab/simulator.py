@@ -12,8 +12,13 @@ unused, still resident unused, dropped on arrival (its block got fetched some
 other way first), or still in flight at the end of the run. A demand miss on a
 block whose prefetch is still in flight is additionally tallied late.
 
-Prefetchers implement ``observe`` (called on every demand access, in order) and
-``predict`` (called only on triggers the throughput bound admits).
+Prefetchers implement three calls, all made by :func:`simulate`:
+
+- ``prepare(trace, blocks)`` once per run, right after ``reset()``, with the
+  whole trace and its block addresses. The model prefetcher encodes every
+  access here, so per-trigger work is a gather.
+- ``observe`` on every demand access, in order.
+- ``predict`` only on triggers the throughput bound admits.
 """
 
 from __future__ import annotations
@@ -145,12 +150,15 @@ class SetAssociativeCache:
 
 
 class Prefetcher:
-    """Interface: observe every access, predict on admitted triggers."""
+    """Interface: prepare once per trace, observe every access, predict on admitted triggers."""
 
     name = "base"
 
     def reset(self):
         pass
+
+    def prepare(self, trace: Sequence[MemoryAccess], blocks: Sequence[int]):
+        """Called once per simulation, after reset, with the trace about to be replayed."""
 
     def observe(self, access: MemoryAccess, block: int):
         pass
@@ -313,6 +321,11 @@ class ModelPrefetcher(Prefetcher):
     Binarizes confidences at ``threshold``, or, in top-k mode, issues exactly the
     k highest-confidence deltas. Returns None (cold start) until the history
     window has filled.
+
+    ``prepare`` encodes the whole trace once, in float64: one input row per
+    access and the context rows of every trigger that has a full window. Each
+    ``observe`` then moves a position forward, and ``predict`` gathers the
+    window ending at that position and runs the model on it.
     """
 
     name = "model"
@@ -342,23 +355,33 @@ class ModelPrefetcher(Prefetcher):
         if feature_cfg.needs_dictionary and dictionary is None:
             raise ValueError(f"input mode {feature_cfg.mode!r} needs a token dictionary")
         self._warmup = feature_cfg.warmup(self.cfg.history_len)
-        self._history: deque[tuple[int, int]] = deque(maxlen=self._warmup)  # (pc, block)
-        # the window of the newest access, over the deque's oldest-first order
-        self._window = history_windows(self._warmup - 1, self.cfg.history_len)
+        self.reset()
 
     def reset(self):
-        self._history.clear()
+        self._inputs = None    # (T, input_dim): one row per access
+        self._contexts = None  # (T - warmup + 1, N, 2): one window per trigger from warmup - 1 on
+        self._observed = 0
+
+    def prepare(self, trace, blocks):
+        blocks = np.asarray(blocks, dtype=np.uint64)
+        pcs = np.fromiter((a.pc for a in trace), dtype=np.uint64, count=len(trace))
+        self._inputs = encode_inputs(blocks, self.feature_cfg, self.addr_cfg, self.dictionary)
+        windows = history_windows(np.arange(self._warmup - 1, len(blocks)), self.cfg.history_len)
+        self._contexts = encode_contexts(pcs, blocks, windows, self.addr_cfg, self.feature_cfg.hash_bits)
 
     def observe(self, access, block):
-        self._history.append((access.pc, block))
+        self._observed += 1
 
     def predict(self, access, block):
-        if len(self._history) < self._warmup:
+        if self._inputs is None:
+            raise RuntimeError("ModelPrefetcher.predict needs prepare(trace, blocks) first; "
+                               "simulate() calls it")
+        if self._observed < self._warmup:
             return None
-        pcs, blocks = np.array(self._history, dtype=np.uint64).T
-        history = encode_inputs(blocks, self.feature_cfg, self.addr_cfg, self.dictionary)[self._window]
-        context = encode_contexts(pcs, blocks, self._window, self.addr_cfg, self.feature_cfg.hash_bits)
-        conf = model_predict(self.params, history, context if self.cfg.use_context else None)
+        trigger = self._observed - 1
+        history = self._inputs[history_windows(trigger, self.cfg.history_len)]
+        context = self._contexts[trigger - (self._warmup - 1)] if self.cfg.use_context else None
+        conf = model_predict(self.params, history, context)
         if self.top_k is not None:
             order = np.argsort(-conf, kind="stable")[: self.top_k]
             deltas = [index_to_delta(int(i), self.label_cfg.delta_bound) for i in order]
@@ -418,6 +441,7 @@ def simulate(
     cache = SetAssociativeCache(cache_cfg)
     if prefetcher is not None:
         prefetcher.reset()
+        prefetcher.prepare(trace, blocks)
 
     pending: deque[PrefetchRequest] = deque()  # issue cycles are non-decreasing
     pending_set: set[int] = set()

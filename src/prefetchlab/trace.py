@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -144,41 +145,60 @@ def read_trace(path, fmt: str = "csv") -> list[MemoryAccess]:
     Formats: ``csv`` is ``ordinal,cycle,pc_hex,vaddr_hex``; ``pc_vaddr`` is the
     two-field form ``pc_hex,vaddr_hex`` where cycle := ordinal. Ordinals are
     reassigned 0..n-1 in file order. Gzip input is detected by magic bytes.
+    pc and vaddr must fit in 64 unsigned bits.
+
+    Raises :class:`TraceParseError`, naming the file, on a malformed line, on
+    non-ASCII bytes and on a truncated or corrupt gzip stream.
     """
     if fmt not in ("csv", "pc_vaddr"):
         raise TraceParseError(f"unknown trace format {fmt!r}")
-    records = []
-    prev_cycle = None
-    with _open_maybe_gzip_read(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            ordinal = len(records)
-            try:
-                if fmt == "csv":
-                    if len(parts) != 4:
-                        raise ValueError(f"expected 4 fields, got {len(parts)}")
-                    cycle = int(parts[1])
-                    pc = int(parts[2], 16)
-                    vaddr = int(parts[3], 16)
-                else:
-                    if len(parts) != 2:
-                        raise ValueError(f"expected 2 fields, got {len(parts)}")
-                    cycle = ordinal
-                    pc = int(parts[0], 16)
-                    vaddr = int(parts[1], 16)
-            except ValueError as exc:
-                raise TraceParseError(f"{path}: parse error at line {lineno}: {exc}") from None
-            if prev_cycle is not None and cycle < prev_cycle:
-                raise TraceParseError(
-                    f"{path}: parse error at line {lineno}: cycle {cycle} decreases"
-                )
-            prev_cycle = cycle
-            records.append(MemoryAccess(ordinal, cycle, pc, vaddr))
+    try:
+        with _open_maybe_gzip_read(path) as fh:
+            records = _parse_lines(path, fh, fmt)
+    except UnicodeDecodeError as exc:
+        raise TraceParseError(f"{path}: non-ASCII bytes in trace: {exc}") from None
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise TraceParseError(f"{path}: truncated or corrupt gzip stream: {exc}") from None
     if not records:
         raise EmptyTraceError(f"{path}: trace file holds no records")
+    return records
+
+
+def _parse_lines(path, lines, fmt: str) -> list[MemoryAccess]:
+    records = []
+    prev_cycle = None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        ordinal = len(records)
+        try:
+            if fmt == "csv":
+                if len(parts) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(parts)}")
+                cycle = int(parts[1])
+                pc = int(parts[2], 16)
+                vaddr = int(parts[3], 16)
+            else:
+                if len(parts) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(parts)}")
+                cycle = ordinal
+                pc = int(parts[0], 16)
+                vaddr = int(parts[1], 16)
+        except ValueError as exc:
+            raise TraceParseError(f"{path}: parse error at line {lineno}: {exc}") from None
+        if (pc | vaddr) >> 64:  # nonzero for a negative value or one wider than 64 bits
+            field, value = ("pc", pc) if pc >> 64 else ("vaddr", vaddr)
+            raise TraceParseError(
+                f"{path}: parse error at line {lineno}: {field} {value:#x} is not a 64-bit address"
+            )
+        if prev_cycle is not None and cycle < prev_cycle:
+            raise TraceParseError(
+                f"{path}: parse error at line {lineno}: cycle {cycle} decreases"
+            )
+        prev_cycle = cycle
+        records.append(MemoryAccess(ordinal, cycle, pc, vaddr))
     return records
 
 

@@ -72,6 +72,20 @@ class TestConfig:
         other = ExperimentConfig.from_dict(dict(TINY_RAW, seed=99))
         assert config_hash(other) != config_hash(tiny_cfg)
 
+    def test_split_must_be_a_list(self):
+        with pytest.raises(ConfigError, match="split"):
+            ExperimentConfig.from_dict({"split": 3})
+
+    @pytest.mark.parametrize("seed", ["abc", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig.from_dict({"seed": seed})
+
+    @pytest.mark.parametrize("length", [-5, 0, 2.5, "100"])
+    def test_trace_length_must_be_positive_integer(self, length):
+        with pytest.raises(ConfigError, match="trace.length"):
+            ExperimentConfig.from_dict({"trace": {"length": length}})
+
     def test_file_source_requires_path(self):
         with pytest.raises(ConfigError, match="path"):
             ExperimentConfig.from_dict({"trace": {"source": "file"}})

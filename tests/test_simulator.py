@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prefetchlab import features, simulator
 from prefetchlab.features import FeatureConfig
 from prefetchlab.labeling import LabelConfig
 from prefetchlab.model import ModelConfig, ModelParams
@@ -17,7 +18,7 @@ from prefetchlab.simulator import (
     StridePrefetcher,
     simulate,
 )
-from prefetchlab.trace import AddressConfig, generate_trace
+from prefetchlab.trace import AddressConfig, generate_trace, split_trace
 from tests.conftest import make_trace
 
 
@@ -302,6 +303,58 @@ class TestModelPrefetcher:
                             addr_cfg, threshold=0.5, top_k=3)
         with pytest.raises(ValueError):
             ModelPrefetcher(params, FeatureConfig("as", 6), LabelConfig(32, 32), addr_cfg)
+
+    def top_k_prefetcher(self, addr_cfg):
+        params = ModelParams.init(self.CFG, seed=6)
+        return ModelPrefetcher(params, FeatureConfig("as", 6), LabelConfig(32, 32),
+                               addr_cfg, top_k=4)
+
+    def test_reused_prefetcher_matches_fresh(self, addr_cfg):
+        cache = CacheConfig(sets=8, ways=4)
+        runs = [
+            (generate_trace({"name": "region_walks"}, 400, seed=1), LatencyModel(20, "L")),
+            (generate_trace({"name": "stride", "stride": 3}, 300, seed=2), LatencyModel(0, "H")),
+        ]
+        reused = self.top_k_prefetcher(addr_cfg)
+        for trace, latency in runs:
+            fresh = simulate(trace, self.top_k_prefetcher(addr_cfg), cache, latency, addr_cfg)
+            again = simulate(trace, reused, cache, latency, addr_cfg)
+            assert again == fresh
+            assert fresh.prefetches_issued > 0
+
+    def test_cold_start_on_slice_not_starting_at_ordinal_zero(self, addr_cfg):
+        trace = make_trace(list(range(100, 200)))
+        test = trace[split_trace(trace, (0.4, 0.1, 0.5)).test.start:]
+        assert test[0].ordinal == 50
+        report = simulate(test, self.top_k_prefetcher(addr_cfg), CacheConfig(sets=4, ways=2),
+                          LatencyModel(), addr_cfg)
+        assert report.cold_start_triggers == self.CFG.history_len - 1
+        assert sum(report.degree_hist.values()) == len(test) - (self.CFG.history_len - 1)
+
+    def test_predict_without_prepare_raises(self, addr_cfg):
+        pf = self.top_k_prefetcher(addr_cfg)
+        trace = make_trace(list(range(100, 110)))
+        for access in trace:
+            pf.observe(access, access.vaddr >> addr_cfg.block_offset_bits)
+        with pytest.raises(RuntimeError, match="prepare"):
+            pf.predict(trace[-1], trace[-1].vaddr >> addr_cfg.block_offset_bits)
+
+    def test_one_input_encoding_per_simulate(self, addr_cfg, monkeypatch):
+        calls = []
+
+        def counting_encode_inputs(*args, **kwargs):
+            calls.append(len(args[0]))
+            return features.encode_inputs(*args, **kwargs)
+
+        # patched where the prefetcher looks the name up
+        monkeypatch.setattr(simulator, "encode_inputs", counting_encode_inputs)
+        pf = self.top_k_prefetcher(addr_cfg)
+        for length in (60, 80):
+            trace = make_trace(list(range(500, 500 + length)))
+            simulate(trace, pf, CacheConfig(sets=4, ways=2), LatencyModel(), addr_cfg)
+            simulate(trace, pf, CacheConfig(sets=4, ways=2), LatencyModel(), addr_cfg,
+                     trigger_stream="miss")
+        assert calls == [60, 60, 80, 80]
 
     def test_dictionary_required_for_delta_mode(self, addr_cfg):
         cfg = ModelConfig(hidden_dim=8, num_heads=2, num_layers=1, output_dim=64,

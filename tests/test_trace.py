@@ -73,6 +73,40 @@ class TestReadTrace:
         p.write_bytes(gzip.compress(b"0,0,0x1,0x40\n"))
         assert read_trace(p)[0].vaddr == 0x40
 
+    def test_truncated_gzip_names_file(self, tmp_path):
+        p = tmp_path / "t.csv.gz"
+        write_trace(p, generate_trace({"name": "stride", "stride": 3}, 500, seed=1))
+        data = p.read_bytes()
+        p.write_bytes(data[: len(data) // 2])
+        with pytest.raises(TraceParseError, match="t.csv.gz.*gzip"):
+            read_trace(p)
+
+    def test_non_ascii_bytes_name_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"0,0,0x1,0x40\n1,1,0x2,0x8\xc3\xa90\n")
+        with pytest.raises(TraceParseError, match="t.csv.*non-ASCII"):
+            read_trace(p)
+
+    @pytest.mark.parametrize("field", ["pc", "vaddr"])
+    def test_negative_address_names_line(self, tmp_path, field):
+        p = tmp_path / "t.csv"
+        pc, vaddr = ("-0x40", "0x80") if field == "pc" else ("0x2", "-0x40")
+        p.write_text(f"0,0,0x1,0x40\n1,1,{pc},{vaddr}\n")
+        with pytest.raises(TraceParseError, match=f"t.csv.*line 2.*{field} -0x40"):
+            read_trace(p)
+
+    @pytest.mark.parametrize("field", ["pc", "vaddr"])
+    def test_address_wider_than_64_bits_names_line(self, tmp_path, field):
+        p = tmp_path / "t.csv"
+        top = "0xffffffffffffffff"
+        wide = "0x10000000000000000"
+        pc, vaddr = (wide, top) if field == "pc" else (top, wide)
+        p.write_text(f"# header\n0,0,{top},{top}\n1,1,{pc},{vaddr}\n")
+        with pytest.raises(TraceParseError, match=f"t.csv.*line 3.*{field} {wide}"):
+            read_trace(p)
+        p.write_text(f"0,0,{top},{top}\n")
+        assert read_trace(p)[0].vaddr == (1 << 64) - 1
+
 
 class TestWriteTrace:
     def test_roundtrip_plain(self, tmp_path):
