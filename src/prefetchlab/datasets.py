@@ -94,8 +94,8 @@ class LabeledDataset:
         records = np.frombuffer(raw, dtype, n, offset)
         labels = np.unpackbits(records["labels"], axis=1, bitorder="little")[:, :bits]
         return cls(
-            records["inputs"].astype(np.float32),
-            records["contexts"].astype(np.float32),
+            records["inputs"].copy(),
+            records["contexts"].copy(),
             labels.astype(bool),
             np.arange(n, dtype=np.int64),
         )
@@ -146,8 +146,8 @@ def build_datasets(
     rows = encode_inputs(blocks, feature_cfg, addr_cfg, next(iter(dictionaries.values()), None))
     triggers = np.arange(feature_cfg.warmup(history_len) - 1, len(trace), dtype=np.int64)
     windows = history_windows(triggers, history_len)
-    inputs = rows[windows].astype(np.float32)
-    contexts = encode_contexts(pcs, blocks, windows, addr_cfg, feature_cfg.hash_bits).astype(np.float32)
+    inputs = rows[windows]
+    contexts = encode_contexts(pcs, blocks, windows, addr_cfg, feature_cfg.hash_bits)
     labels, _ = label_bitmaps(blocks, triggers, label_cfg)
 
     def take(r: range) -> LabeledDataset:

@@ -9,7 +9,7 @@ This module is the one place that turns accesses into model rows: the offline
 datasets (:func:`prefetchlab.datasets.build_datasets`) and the online model
 prefetcher both call :func:`encode_inputs` and :func:`encode_contexts` over
 history windows from :func:`history_windows`, so training and simulation see
-the same inputs.
+the same inputs: float64 math, rounded to float32 once, at the end of each encoder.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def encode_inputs(
     addr_cfg: AddressConfig,
     dictionary: TokenDictionary | None = None,
 ) -> np.ndarray:
-    """Per-access input rows, (m, input_dim) float64, for ``blocks`` in trace order.
+    """Per-access input rows, (m, input_dim) float32, for ``blocks`` in trace order.
 
     AS rows are the normalized segments. Dictionary modes map each value through
     the frozen ``dictionary`` and scale the token by oov_token + 1; page_offset
@@ -325,13 +325,15 @@ def encode_inputs(
     blocks = np.asarray(blocks, dtype=np.uint64)
     if cfg.mode == "as":
         seg_cfg = SegmentationConfig(cfg.segment_bits)
-        return normalize_segments(segment_blocks(blocks, seg_cfg, addr_cfg), seg_cfg)
-    toks = tokenize(_token_values(blocks, cfg, addr_cfg), dictionary) / (dictionary.oov_token + 1)
-    if cfg.mode == "delta":
-        return toks[:, None]
-    index_space = 1 << addr_cfg.block_index_bits
-    offsets = (blocks & np.uint64(index_space - 1)).astype(np.float64)
-    return np.stack([toks, offsets / index_space], axis=1)
+        rows = normalize_segments(segment_blocks(blocks, seg_cfg, addr_cfg), seg_cfg)
+    else:
+        toks = tokenize(_token_values(blocks, cfg, addr_cfg), dictionary) / (dictionary.oov_token + 1)
+        rows = toks[:, None]
+        if cfg.mode == "page_offset":
+            index_space = 1 << addr_cfg.block_index_bits
+            offsets = (blocks & np.uint64(index_space - 1)).astype(np.float64)
+            rows = np.stack([toks, offsets / index_space], axis=1)
+    return rows.astype(np.float32)
 
 
 def history_windows(triggers, history_len: int) -> np.ndarray:
@@ -350,7 +352,7 @@ def encode_contexts(
     addr_cfg: AddressConfig,
     hash_bits: int,
 ) -> np.ndarray:
-    """Context pairs (pc fold, inverse page distance), shape (..., N, 2) float64.
+    """Context pairs (pc fold, inverse page distance), shape (..., N, 2) float32.
 
     ``pcs`` and ``blocks`` hold accesses in trace order and ``windows`` indexes
     them as :func:`history_windows` does. Page distance is measured against each
@@ -358,4 +360,4 @@ def encode_contexts(
     """
     pages = page_of_block(np.asarray(blocks, dtype=np.uint64), addr_cfg)
     pd = page_distance_context(pages[windows], pages[windows[..., :1]])
-    return np.stack([pc_context(pcs, hash_bits)[windows], pd], axis=-1)
+    return np.stack([pc_context(pcs, hash_bits)[windows], pd], axis=-1).astype(np.float32)

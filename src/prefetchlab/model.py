@@ -154,24 +154,31 @@ class ModelParams:
         """Hex digest of the float32 serialized form (the determinism fingerprint)."""
         return hashlib.sha256(self._payload()).hexdigest()
 
-    def save(self, path):
+    def encode(self) -> bytes:
+        """Checkpoint file bytes: the payload, then its SHA-256."""
         payload = self._payload()
+        return payload + hashlib.sha256(payload).digest()
+
+    def save(self, path):
         with open(path, "wb") as fh:
-            fh.write(payload)
-            fh.write(hashlib.sha256(payload).digest())
+            fh.write(self.encode())
 
     @classmethod
     def load(cls, path, trainable: bool = False) -> "ModelParams":
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return cls.decode(fh.read(), trainable, source=path)
+
+    @classmethod
+    def decode(cls, raw: bytes, trainable: bool = False, source="checkpoint") -> "ModelParams":
+        """Inverse of :meth:`encode`; errors name ``source``."""
         payload, digest = raw[:-32], raw[-32:]
         if hashlib.sha256(payload).digest() != digest:
-            raise ValueError(f"{path}: checkpoint checksum mismatch")
+            raise ValueError(f"{source}: checkpoint checksum mismatch")
         if payload[:8] != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
+            raise ValueError(f"{source}: not a model checkpoint")
         fields = struct.unpack_from("<9I", payload, 8)
         if fields[0] != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {fields[0]}")
+            raise ValueError(f"{source}: unsupported checkpoint version {fields[0]}")
         cfg = ModelConfig(
             hidden_dim=fields[1], num_heads=fields[2], num_layers=fields[3],
             output_dim=fields[4], history_len=fields[5], input_dim=fields[6],
@@ -185,7 +192,7 @@ class ModelParams:
             offset += 4 * count
             tensors[name] = Tensor(data.astype(np.float64).reshape(shape), requires_grad=trainable)
         if offset != len(payload):
-            raise ValueError(f"{path}: checkpoint has {len(payload) - offset} trailing bytes")
+            raise ValueError(f"{source}: checkpoint has {len(payload) - offset} trailing bytes")
         return cls(cfg, tensors)
 
 

@@ -35,10 +35,13 @@ from prefetchlab.simulator import (
     ModelPrefetcher,
     NextLinePrefetcher,
     StridePrefetcher,
+    miss_timeline,
     simulate,
 )
-from prefetchlab.throttle import micro_metrics, tune_threshold
-from prefetchlab.trace import AddressConfig, generate_trace, read_trace, split_trace, write_trace
+from prefetchlab.throttle import ThresholdReport, micro_metrics, tune_threshold
+from prefetchlab.trace import (
+    AddressConfig, SplitError, check_split_ratios, generate_trace, read_trace, split_trace, write_trace
+)
 
 STAGES = ("gen", "preprocess", "train", "tune", "eval", "simulate", "sweep", "report")
 
@@ -163,8 +166,10 @@ class ExperimentConfig:
         """Cross-field consistency; called before any stage runs."""
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if len(self.split) != 3:
-            raise ConfigError(f"split must have three ratios, got {self.split}")
+        try:
+            check_split_ratios(self.split)
+        except SplitError as exc:
+            raise ConfigError(f"split: {exc}") from None
         if self.trigger_stream not in ("access", "miss"):
             raise ConfigError(f"trigger_stream must be 'access' or 'miss', got {self.trigger_stream!r}")
         try:
@@ -212,9 +217,7 @@ class ExperimentConfig:
             elif key == "eval_modes":
                 kwargs[key] = tuple(_build(FeatureConfig, m, "eval_modes") for m in value)
             elif key == "split":
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(f"split must be a list of three ratios, got {value!r}")
-                kwargs[key] = tuple(value)
+                kwargs[key] = tuple(value) if isinstance(value, list) else value
             elif key in ("seed", "train", "trigger_stream"):
                 kwargs[key] = value
             else:
@@ -238,8 +241,7 @@ def _build(cls, value: dict, where: str):
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if seed_override is not None:
         raw["seed"] = seed_override
     return ExperimentConfig.from_dict(raw)
@@ -265,6 +267,18 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _write_json(path, obj):
@@ -293,8 +307,7 @@ def _require_stage(run_dir, stage, cfg) -> dict:
     path = _manifest_path(run_dir, stage)
     if not os.path.exists(path):
         raise StageDependencyError(f"stage '{stage}' has not produced artifacts in {run_dir}")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(path)
     if manifest.get("config_hash") != config_hash(cfg):
         raise StaleArtifactsError(
             f"artifacts of stage '{stage}' were built under config {manifest.get('config_hash')!r}, "
@@ -367,35 +380,30 @@ def _load_bundle(run_dir, tag: str) -> dict[str, LabeledDataset]:
     }
 
 
-def _train_on_bundle(cfg: ExperimentConfig, fc: FeatureConfig, bundle: dict):
+def _fit(cfg: ExperimentConfig, fc: FeatureConfig, train_ds: LabeledDataset, val_ds: LabeledDataset):
+    """Train on the labeled training samples. The params come back through the
+    checkpoint codec, so every stage runs the float32 weights ``model.ckpt`` stores."""
     model_cfg = cfg.model_config(fc)
-    train_ds = bundle["train"].training_view()
-    val_ds = bundle["validation"]
+    train_ds = train_ds.training_view()
     ctx = train_ds.contexts if model_cfg.use_context else None
     vctx = val_ds.contexts if model_cfg.use_context else None
-    return train(
+    params, log = train(
         model_cfg,
         train_ds.inputs, ctx, train_ds.labels,
         val_ds.inputs, vctx, val_ds.labels,
         cfg.train_config(),
     )
-
-
-def _write_training_log(path, log):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
-        for entry in log:
-            writer.writerow([entry.epoch, repr(entry.train_loss), repr(entry.val_loss), repr(entry.learning_rate)])
+    return ModelParams.decode(params.encode()), log
 
 
 def stage_train(cfg: ExperimentConfig, run_dir) -> dict:
     manifest = _require_stage(run_dir, "preprocess", cfg)
     tag = mode_tag(cfg.features)
     bundle = _load_bundle(run_dir, tag)
-    params, log = _train_on_bundle(cfg, cfg.features, bundle)
+    params, log = _fit(cfg, cfg.features, bundle["train"], bundle["validation"])
     params.save(os.path.join(run_dir, "model.ckpt"))
-    _write_training_log(os.path.join(run_dir, "training_log.csv"), log)
+    _write_csv(os.path.join(run_dir, "training_log.csv"), ["epoch", "train_loss", "val_loss", "lr"],
+               ((e.epoch, e.train_loss, e.val_loss, e.learning_rate) for e in log))
     inputs = {p: manifest["outputs"][p] for p in _dataset_paths(tag).values()}
     return _write_manifest(run_dir, "train", cfg, inputs, ["model.ckpt", "training_log.csv"])
 
@@ -409,19 +417,21 @@ def _batched_predict(params, ds: LabeledDataset, batch: int = 512) -> np.ndarray
     return out
 
 
+def _tune(cfg: ExperimentConfig, params: ModelParams, val: LabeledDataset) -> ThresholdReport:
+    """F1-optimal threshold of ``params`` on the validation samples."""
+    conf = _batched_predict(params, val)
+    return tune_threshold(conf, val.labels, cfg.threshold.grid_step, cfg.threshold.max_degree)
+
+
 def stage_tune(cfg: ExperimentConfig, run_dir) -> dict:
     _require_stage(run_dir, "preprocess", cfg)
     train_manifest = _require_stage(run_dir, "train", cfg)
     params = ModelParams.load(os.path.join(run_dir, "model.ckpt"))
     val = _load_bundle(run_dir, mode_tag(cfg.features))["validation"]
-    conf = _batched_predict(params, val)
-    report = tune_threshold(conf, val.labels, cfg.threshold.grid_step, cfg.threshold.max_degree)
+    report = _tune(cfg, params, val)
     _write_json(os.path.join(run_dir, "threshold.json"), report.to_dict())
-    with open(os.path.join(run_dir, "threshold_grid.csv"), "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "recall", "f1"])
-        for row in report.grid:
-            writer.writerow([repr(v) for v in row])
+    _write_csv(os.path.join(run_dir, "threshold_grid.csv"), ["threshold", "precision", "recall", "f1"],
+               report.grid)
     inputs = {"model.ckpt": train_manifest["outputs"]["model.ckpt"]}
     return _write_manifest(run_dir, "tune", cfg, inputs, ["threshold.json", "threshold_grid.csv"])
 
@@ -429,8 +439,7 @@ def stage_tune(cfg: ExperimentConfig, run_dir) -> dict:
 def stage_eval(cfg: ExperimentConfig, run_dir) -> dict:
     """Input-mode ablation: train, tune, and score one model per feature mode."""
     manifest = _require_stage(run_dir, "preprocess", cfg)
-    with open(os.path.join(run_dir, "dictionaries.json")) as fh:
-        dict_report = json.load(fh)
+    dict_report = _read_json(os.path.join(run_dir, "dictionaries.json"))
     rows = []
     outputs = ["eval_metrics.json", "eval_metrics.csv"]
     inputs: dict = {}
@@ -441,18 +450,16 @@ def stage_eval(cfg: ExperimentConfig, run_dir) -> dict:
             inputs[p] = manifest["outputs"][p]
         reused_main = False
         if fc == cfg.features and os.path.exists(_manifest_path(run_dir, "train")):
+            # a shortcut only: model.ckpt holds the weights _fit would return
             _require_stage(run_dir, "train", cfg)
             params = ModelParams.load(os.path.join(run_dir, "model.ckpt"))
             reused_main = True
         else:
-            params, _ = _train_on_bundle(cfg, fc, bundle)
+            params, _ = _fit(cfg, fc, bundle["train"], bundle["validation"])
             ckpt = f"eval_model_{tag}.ckpt"
             params.save(os.path.join(run_dir, ckpt))
             outputs.append(ckpt)
-        val_conf = _batched_predict(params, bundle["validation"])
-        tuned = tune_threshold(
-            val_conf, bundle["validation"].labels, cfg.threshold.grid_step, cfg.threshold.max_degree
-        )
+        tuned = _tune(cfg, params, bundle["validation"])
         test_conf = _batched_predict(params, bundle["test"])
         precision, recall, f1 = micro_metrics(test_conf >= tuned.optimal_threshold, bundle["test"].labels)
         entries = dict_report[tag]["entries"]
@@ -467,21 +474,15 @@ def stage_eval(cfg: ExperimentConfig, run_dir) -> dict:
             "reused_main_model": reused_main,
         })
     _write_json(os.path.join(run_dir, "eval_metrics.json"), {"modes": rows})
-    with open(os.path.join(run_dir, "eval_metrics.csv"), "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(os.path.join(run_dir, "eval_metrics.csv"), list(rows[0]), (r.values() for r in rows))
     return _write_manifest(run_dir, "eval", cfg, inputs, outputs)
 
 
 def _load_primary_dictionary(cfg, run_dir) -> TokenDictionary | None:
     if not cfg.features.needs_dictionary:
         return None
-    with open(os.path.join(run_dir, "dictionaries.json")) as fh:
-        dict_report = json.load(fh)
-    pairs_by_name = dict_report[mode_tag(cfg.features)]["pairs"]
-    name = next(iter(pairs_by_name))
-    return TokenDictionary.from_pairs(pairs_by_name[name], cfg.features.dictionary_capacity)
+    pairs_by_name = _read_json(os.path.join(run_dir, "dictionaries.json"))[mode_tag(cfg.features)]["pairs"]
+    return TokenDictionary.from_pairs(next(iter(pairs_by_name.values())), cfg.features.dictionary_capacity)
 
 
 def _build_prefetcher(name, cfg: ExperimentConfig, run_dir, threshold):
@@ -514,36 +515,26 @@ def stage_simulate(cfg: ExperimentConfig, run_dir) -> dict:
         inputs["model.ckpt"] = train_manifest["outputs"]["model.ckpt"]
         if cfg.simulate.top_k is None:
             _require_stage(run_dir, "tune", cfg)
-            with open(os.path.join(run_dir, "threshold.json")) as fh:
-                threshold = json.load(fh)["optimal_threshold"]
+            threshold = _read_json(os.path.join(run_dir, "threshold.json"))["optimal_threshold"]
     reports = {}
     outputs = ["sim_reports.json", "degree_hist.csv"]
     interval = cfg.simulate.timeline_interval
     for name in cfg.simulate.prefetchers:
         pf = _build_prefetcher(name, cfg, run_dir, threshold)
-        result = simulate(
-            trace, pf, cfg.cache, cfg.latency, cfg.address, cfg.trigger_stream,
-            timeline_interval=interval,
+        events = None if interval is None else []
+        report = simulate(
+            trace, pf, cfg.cache, cfg.latency, cfg.address, cfg.trigger_stream, event_log=events
         )
-        if interval is not None:
-            report, timeline = result
-            path = f"miss_timeline_{name}.csv"
-            with open(os.path.join(run_dir, path), "w", encoding="ascii", newline="\n") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["access", "misses", "miss_rate"])
-                for row in timeline:
-                    writer.writerow([row[0], row[1], repr(row[2])])
-            outputs.append(path)
-        else:
-            report = result
         reports[name] = report.to_dict()
+        if events is not None:
+            path = f"miss_timeline_{name}.csv"
+            _write_csv(os.path.join(run_dir, path), ["access", "misses", "miss_rate"],
+                       miss_timeline(events, len(trace), interval))
+            outputs.append(path)
     _write_json(os.path.join(run_dir, "sim_reports.json"), reports)
     hist_source = "model" if "model" in reports else next(iter(reports))
-    with open(os.path.join(run_dir, "degree_hist.csv"), "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["degree", "count"])
-        for degree, count in sorted(reports[hist_source]["degree_hist"].items(), key=lambda kv: int(kv[0])):
-            writer.writerow([degree, count])
+    _write_csv(os.path.join(run_dir, "degree_hist.csv"), ["degree", "count"],
+               sorted(reports[hist_source]["degree_hist"].items(), key=lambda kv: int(kv[0])))
     return _write_manifest(run_dir, "simulate", cfg, inputs, outputs)
 
 
@@ -575,13 +566,9 @@ def stage_sweep(cfg: ExperimentConfig, run_dir) -> dict:
                 f"bound +-{cfg.label.delta_bound}); lower the sweep latencies or "
                 f"widen the bound"
             )
-        params, _ = _train_on_bundle(cfg, cfg.features, {
-            "train": bundle.train, "validation": bundle.validation, "test": bundle.test,
-        })
-        conf = _batched_predict(params, bundle.validation)
-        tuned = tune_threshold(conf, bundle.validation.labels, cfg.threshold.grid_step,
-                               cfg.threshold.max_degree)
-        trained[skip] = (params, tuned.optimal_threshold, bundle.dictionaries)
+        params, _ = _fit(cfg, cfg.features, bundle.train, bundle.validation)
+        threshold = _tune(cfg, params, bundle.validation).optimal_threshold
+        trained[skip] = (params, threshold, bundle.dictionaries)
 
     rows = []
     reports = {}
@@ -612,10 +599,7 @@ def stage_sweep(cfg: ExperimentConfig, run_dir) -> dict:
                 "mean_degree": report.mean_degree,
             })
     _write_json(os.path.join(run_dir, "sweep_reports.json"), reports)
-    with open(os.path.join(run_dir, "sweep_comparison.csv"), "w", encoding="ascii", newline="\n") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(os.path.join(run_dir, "sweep_comparison.csv"), list(rows[0]), (r.values() for r in rows))
     return _write_manifest(run_dir, "sweep", cfg, inputs, ["sweep_reports.json", "sweep_comparison.csv"])
 
 
@@ -628,8 +612,7 @@ def stage_report(cfg: ExperimentConfig, run_dir) -> dict:
     summary = {"config_hash": config_hash(cfg)}
     outputs = ["summary.json", "threshold_f1.svg", "degree_hist.svg", "coverage_accuracy.svg"]
 
-    with open(os.path.join(run_dir, "threshold.json")) as fh:
-        threshold_report = json.load(fh)
+    threshold_report = _read_json(os.path.join(run_dir, "threshold.json"))
     summary["threshold"] = {
         "optimal_threshold": threshold_report["optimal_threshold"],
         "mean_degree": threshold_report["mean_degree"],
@@ -643,8 +626,7 @@ def stage_report(cfg: ExperimentConfig, run_dir) -> dict:
         "Threshold sweep on the validation split", "threshold", "metric",
     )
 
-    with open(os.path.join(run_dir, "sim_reports.json")) as fh:
-        sim_reports = json.load(fh)
+    sim_reports = _read_json(os.path.join(run_dir, "sim_reports.json"))
     summary["simulation"] = {
         name: {k: r[k] for k in ("accuracy", "coverage", "demand_misses", "prefetches_issued",
                                  "useful_prefetches", "mean_degree")}
@@ -670,8 +652,7 @@ def stage_report(cfg: ExperimentConfig, run_dir) -> dict:
 
     if os.path.exists(_manifest_path(run_dir, "eval")):
         _require_stage(run_dir, "eval", cfg)
-        with open(os.path.join(run_dir, "eval_metrics.json")) as fh:
-            summary["input_ablation"] = json.load(fh)["modes"]
+        summary["input_ablation"] = _read_json(os.path.join(run_dir, "eval_metrics.json"))["modes"]
     if os.path.exists(_manifest_path(run_dir, "train")):
         _require_stage(run_dir, "train", cfg)
         with open(os.path.join(run_dir, "training_log.csv")) as fh:

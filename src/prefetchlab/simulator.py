@@ -322,8 +322,9 @@ class ModelPrefetcher(Prefetcher):
     k highest-confidence deltas. Returns None (cold start) until the history
     window has filled.
 
-    ``prepare`` encodes the whole trace once, in float64: one input row per
-    access and the context rows of every trigger that has a full window. Each
+    ``prepare`` encodes the whole trace once, into the float32 rows the datasets
+    store: one input row per access and the context rows of every trigger that
+    has a full window. Each
     ``observe`` then moves a position forward, and ``predict`` gathers the
     window ending at that position and runs the model on it.
     """
@@ -414,8 +415,7 @@ def simulate(
     addr_cfg: AddressConfig,
     trigger_stream: str = "access",
     event_log: list | None = None,
-    timeline_interval: int | None = None,
-) -> SimReport | tuple[SimReport, list]:
+) -> SimReport:
     """Replay a trace through the LLC with a prefetcher in the loop.
 
     ``trigger_stream`` selects whether the prefetcher triggers on every demand
@@ -425,10 +425,8 @@ def simulate(
 
     When ``event_log`` is a list, per-step state transitions are appended as
     tuples (ordinal, kind, block, evicted_block_or_None) with kind one of
-    demand_hit / demand_miss / prefetch_insert / prefetch_drop.
-
-    When ``timeline_interval`` is set, returns (report, timeline) where timeline
-    rows are (interval_end_ordinal, misses_in_interval, miss_rate).
+    demand_hit / demand_miss / prefetch_insert / prefetch_drop;
+    :func:`miss_timeline` turns such a log into per-interval miss rates.
     """
     if not trace:
         raise ValueError("trace is empty")
@@ -452,8 +450,6 @@ def simulate(
     dropped_triggers = cold_start = 0
     degree_hist: dict[int, int] = {}
     total_degree = 0
-    timeline: list[tuple[int, int, float]] = []
-    interval_misses = 0
 
     def log(ordinal, kind, block, evicted):
         if event_log is not None:
@@ -482,18 +478,12 @@ def simulate(
             log(access.ordinal, "demand_hit", block, None)
         else:
             demand_misses += 1
-            interval_misses += 1
             if block in pending_set:
                 late += 1
             evicted = cache.insert(block, prefetched=False)
             if evicted is not None and evicted[1]:
                 useless_evicted += 1
             log(access.ordinal, "demand_miss", block, None if evicted is None else evicted[0])
-
-        if timeline_interval is not None and (access.ordinal + 1) % timeline_interval == 0:
-            timeline.append((access.ordinal + 1, interval_misses,
-                             interval_misses / timeline_interval))
-            interval_misses = 0
 
         if prefetcher is None:
             continue
@@ -531,7 +521,7 @@ def simulate(
     resident_unused = cache.unused_prefetched_count()
     in_flight = len(pending)
     triggers_with_degree = sum(degree_hist.values())
-    report = SimReport(
+    return SimReport(
         demand_accesses=len(trace),
         demand_misses=demand_misses,
         baseline_misses=baseline_misses,
@@ -550,6 +540,13 @@ def simulate(
         mean_degree=(total_degree / triggers_with_degree) if triggers_with_degree else 0.0,
         degree_hist=degree_hist,
     )
-    if timeline_interval is not None:
-        return report, timeline
-    return report
+
+
+def miss_timeline(events, n_accesses: int, interval: int) -> list[tuple[int, int, float]]:
+    """Rows (interval_end_ordinal, misses_in_interval, miss_rate), one per full
+    interval of a whole-trace ``event_log``; a trailing partial interval gets no row."""
+    misses = [0] * (n_accesses // interval)
+    for ordinal, kind, _, _ in events:
+        if kind == "demand_miss" and ordinal // interval < len(misses):
+            misses[ordinal // interval] += 1
+    return [((i + 1) * interval, m, m / interval) for i, m in enumerate(misses)]

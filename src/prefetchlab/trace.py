@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -227,6 +228,16 @@ def write_trace(path, trace: Iterable[MemoryAccess]):
             raw.close()
 
 
+def check_split_ratios(ratios) -> None:
+    """The split rule: a list or tuple of three positive reals (no bools) summing to 1."""
+    if not isinstance(ratios, (list, tuple)) or len(ratios) != 3 or not all(
+        isinstance(r, numbers.Real) and not isinstance(r, bool) and r > 0 for r in ratios
+    ):
+        raise SplitError(f"ratios must be three positive fractions, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise SplitError(f"ratios must sum to 1 within 1e-9, got sum {sum(ratios)!r}")
+
+
 def split_trace(trace, ratios: tuple[float, float, float]) -> TraceSplit:
     """Split a trace (or a record count) into contiguous train/validation/test ranges.
 
@@ -234,10 +245,7 @@ def split_trace(trace, ratios: tuple[float, float, float]) -> TraceSplit:
     floating point error, matching the tolerance allowed on the ratio sum.
     """
     n = trace if isinstance(trace, int) else len(trace)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise SplitError(f"ratios must be three positive fractions, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise SplitError(f"ratios must sum to 1 within 1e-9, got sum {sum(ratios)!r}")
+    check_split_ratios(ratios)
     if n < 3:
         raise SplitError(f"trace with {n} records is too short to split")
     b1 = int(math.floor(ratios[0] * n + 1e-9))

@@ -242,9 +242,9 @@ class TestOnlineOfflineParity:
         assert report.cold_start_triggers == seen[0][0] == bundle.train.triggers[0]
         for o, history, context in seen:
             ds, i = stored[o]
-            assert history.dtype == context.dtype == np.float64
-            assert np.array_equal(history.astype(np.float32), ds.inputs[i])
-            assert np.array_equal(context.astype(np.float32), ds.contexts[i])
+            assert history.dtype == context.dtype == np.float32
+            assert np.array_equal(history, ds.inputs[i])
+            assert np.array_equal(context, ds.contexts[i])
 
 
 class TestTokenDictionary:

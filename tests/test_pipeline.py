@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from prefetchlab import cli, pipeline
+from prefetchlab.model import ModelParams
 from prefetchlab.pipeline import (
     ConfigError,
     ExperimentConfig,
@@ -73,8 +75,10 @@ class TestConfig:
         assert config_hash(other) != config_hash(tiny_cfg)
 
     def test_split_must_be_a_list(self):
-        with pytest.raises(ConfigError, match="split"):
-            ExperimentConfig.from_dict({"split": 3})
+        # and split_trace's ratio rule, checked before any stage runs
+        for split in (3, ["a", "b", "c"], [0.5, 0.5, 0.5]):
+            with pytest.raises(ConfigError, match="split"):
+                ExperimentConfig.from_dict({"split": split})
 
     @pytest.mark.parametrize("seed", ["abc", 1.5, True, None])
     def test_seed_must_be_an_integer(self, seed):
@@ -135,6 +139,27 @@ class TestStages:
         by_mode = {row["mode"]: row for row in metrics["modes"]}
         assert by_mode["as6"]["dictionary_entries"] == 0
         assert by_mode["delta"]["dictionary_entries"] > 0
+
+    def test_eval_retrain_matches_reused_checkpoint(self, tiny_cfg, full_run, tmp_path):
+        # without a train manifest eval fits the main mode itself: same weights, same row
+        for stage in ("gen", "preprocess", "eval"):
+            run_stage(stage, tiny_cfg, str(tmp_path))
+        fresh, reused = (
+            json.load(open(os.path.join(d, "eval_metrics.json")))["modes"][0]
+            for d in (str(tmp_path), full_run)
+        )
+        assert reused.pop("reused_main_model") is True
+        assert fresh.pop("reused_main_model") is False
+        assert fresh == reused
+
+    def test_fit_returns_checkpoint_weights(self, tiny_cfg, full_run):
+        bundle = pipeline._load_bundle(full_run, pipeline.mode_tag(tiny_cfg.features))
+        params, _ = pipeline._fit(tiny_cfg, tiny_cfg.features, bundle["train"], bundle["validation"])
+        saved = ModelParams.load(os.path.join(full_run, "model.ckpt"))
+        assert params.checksum() == saved.checksum()
+        for (n1, t1), (n2, t2) in zip(params.items(), saved.items()):
+            assert n1 == n2
+            assert np.array_equal(t1.data, t2.data)
 
     def test_simulate_reports_per_prefetcher(self, full_run):
         reports = json.load(open(os.path.join(full_run, "sim_reports.json")))

@@ -16,6 +16,7 @@ from prefetchlab.simulator import (
     SetAssociativeCache,
     SimReport,
     StridePrefetcher,
+    miss_timeline,
     simulate,
 )
 from prefetchlab.trace import AddressConfig, generate_trace, split_trace
@@ -181,13 +182,15 @@ class TestSimulateBasics:
         assert_conservation(report)
 
     def test_miss_timeline(self, addr_cfg):
-        # 8 distinct blocks looped: first pass misses, later passes hit
-        trace = make_trace(list(range(8)) * 4)
-        report, timeline = simulate(trace, None, CacheConfig(sets=4, ways=2),
-                                    LatencyModel(), addr_cfg, timeline_interval=8)
-        assert [row[1] for row in timeline] == [8, 0, 0, 0]
-        assert timeline[0][2] == 1.0
-        assert report.demand_misses == 8
+        # 8 distinct blocks looped: first pass misses except block 1, prefetched at
+        # access 0; later passes hit; 5 accesses past the last full interval get no row
+        trace = make_trace(list(range(8)) * 4 + list(range(100, 105)))
+        events = []
+        report = simulate(trace, ScriptedPrefetcher({0: [1]}), CacheConfig(sets=4, ways=2),
+                          LatencyModel(), addr_cfg, event_log=events)
+        timeline = miss_timeline(events, len(trace), 8)
+        assert timeline == [(8, 7, 0.875), (16, 0, 0.0), (24, 0, 0.0), (32, 0, 0.0)]
+        assert report.demand_misses == 7 + 5
 
     def test_duplicate_requests_not_counted(self, addr_cfg):
         # same block requested at two consecutive triggers; second is a duplicate

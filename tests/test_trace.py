@@ -176,10 +176,11 @@ class TestSplitTrace:
             split_trace(2, (0.4, 0.1, 0.5))
 
     def test_bad_ratios(self):
-        with pytest.raises(SplitError):
-            split_trace(10, (0.5, 0.2, 0.2))
-        with pytest.raises(SplitError):
-            split_trace(10, (0.5, -0.1, 0.6))
+        # (True, 1e-10, 1e-10) would sum to 1 within 1e-9 if bools counted as numbers
+        for ratios in [(0.5, 0.2, 0.2), (0.5, -0.1, 0.6), ("a", "b", "c"), (True, 1e-10, 1e-10),
+                       (None, 0.5, 0.5), (float("nan"), 0.5, 0.5), 3]:
+            with pytest.raises(SplitError):
+                split_trace(10, ratios)
 
     def test_partition_property(self):
         rng = np.random.default_rng(1)
