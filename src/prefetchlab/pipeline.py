@@ -32,10 +32,10 @@ from prefetchlab.simulator import (
     BestOffsetPrefetcher,
     CacheConfig,
     LatencyModel,
+    MissTimeline,
     ModelPrefetcher,
     NextLinePrefetcher,
     StridePrefetcher,
-    miss_timeline,
     simulate,
 )
 from prefetchlab.throttle import ThresholdReport, micro_metrics, tune_threshold
@@ -521,15 +521,15 @@ def stage_simulate(cfg: ExperimentConfig, run_dir) -> dict:
     interval = cfg.simulate.timeline_interval
     for name in cfg.simulate.prefetchers:
         pf = _build_prefetcher(name, cfg, run_dir, threshold)
-        events = None if interval is None else []
+        timeline = None if interval is None else MissTimeline(len(trace), interval)
         report = simulate(
-            trace, pf, cfg.cache, cfg.latency, cfg.address, cfg.trigger_stream, event_log=events
+            trace, pf, cfg.cache, cfg.latency, cfg.address, cfg.trigger_stream, event_log=timeline
         )
         reports[name] = report.to_dict()
-        if events is not None:
+        if timeline is not None:
             path = f"miss_timeline_{name}.csv"
             _write_csv(os.path.join(run_dir, path), ["access", "misses", "miss_rate"],
-                       miss_timeline(events, len(trace), interval))
+                       timeline.rows())
             outputs.append(path)
     _write_json(os.path.join(run_dir, "sim_reports.json"), reports)
     hist_source = "model" if "model" in reports else next(iter(reports))

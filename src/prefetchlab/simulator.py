@@ -32,7 +32,7 @@ import numpy as np
 from prefetchlab.features import FeatureConfig, encode_contexts, encode_inputs, history_windows
 from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, index_to_delta, prefetch_addresses
 from prefetchlab.model import ModelParams, predict as model_predict
-from prefetchlab.trace import AddressConfig, MemoryAccess, block_address
+from prefetchlab.trace import AddressConfig, MemoryAccess, block_addresses
 
 
 @dataclass(frozen=True)
@@ -108,18 +108,17 @@ class SetAssociativeCache:
 
     def __init__(self, cfg: CacheConfig):
         self.cfg = cfg
+        self._nsets = cfg.sets
+        self._ways = cfg.ways
         # per set: OrderedDict block -> unused-prefetch flag; LRU at the front
         self._sets = [OrderedDict() for _ in range(cfg.sets)]
 
-    def _set_of(self, block: int) -> OrderedDict:
-        return self._sets[block % self.cfg.sets]
-
     def contains(self, block: int) -> bool:
-        return block in self._set_of(block)
+        return block in self._sets[block % self._nsets]
 
     def access(self, block: int) -> tuple[bool, bool]:
         """Demand lookup. Returns (hit, hit cleared an unused prefetch tag)."""
-        entries = self._set_of(block)
+        entries = self._sets[block % self._nsets]
         if block in entries:
             was_unused = entries[block]
             entries[block] = False
@@ -132,11 +131,8 @@ class SetAssociativeCache:
 
         Returns (evicted block, evictee was an unused prefetch) or None.
         """
-        entries = self._set_of(block)
-        evicted = None
-        if len(entries) >= self.cfg.ways:
-            old_block, old_flag = entries.popitem(last=False)
-            evicted = (old_block, old_flag)
+        entries = self._sets[block % self._nsets]
+        evicted = entries.popitem(last=False) if len(entries) >= self._ways else None
         entries[block] = prefetched
         return evicted
 
@@ -307,7 +303,7 @@ class OraclePrefetcher(Prefetcher):
     def __init__(self, trace: Sequence[MemoryAccess], addr_cfg: AddressConfig, window: int = 128):
         self.window = window
         self.addr_cfg = addr_cfg
-        self._blocks = [block_address(a.vaddr, addr_cfg) for a in trace]
+        self._blocks = block_addresses(trace, addr_cfg).tolist()
 
     def predict(self, access, block):
         start = access.ordinal + 1
@@ -414,7 +410,7 @@ def simulate(
     latency: LatencyModel,
     addr_cfg: AddressConfig,
     trigger_stream: str = "access",
-    event_log: list | None = None,
+    event_log=None,
 ) -> SimReport:
     """Replay a trace through the LLC with a prefetcher in the loop.
 
@@ -423,23 +419,30 @@ def simulate(
     demand insertions; duplicate requests to blocks already resident or already
     in flight are dropped without being counted as issued.
 
-    When ``event_log`` is a list, per-step state transitions are appended as
-    tuples (ordinal, kind, block, evicted_block_or_None) with kind one of
+    When ``event_log`` is given (a list, or any object with ``append``), per-step
+    state transitions are appended to it as tuples
+    (ordinal, kind, block, evicted_block_or_None) with kind one of
     demand_hit / demand_miss / prefetch_insert / prefetch_drop;
-    :func:`miss_timeline` turns such a log into per-interval miss rates.
+    :class:`MissTimeline` is such a sink, counting per-interval misses.
     """
     if not trace:
         raise ValueError("trace is empty")
     if trigger_stream not in ("access", "miss"):
         raise ValueError(f"trigger_stream must be 'access' or 'miss', got {trigger_stream!r}")
 
-    blocks = [block_address(a.vaddr, addr_cfg) for a in trace]
+    blocks = block_addresses(trace, addr_cfg).tolist()
     baseline_misses = _count_baseline_misses(blocks, cache_cfg)
 
     cache = SetAssociativeCache(cache_cfg)
+    contains, lookup, insert = cache.contains, cache.access, cache.insert
     if prefetcher is not None:
         prefetcher.reset()
         prefetcher.prepare(trace, blocks)
+        observe, predict = prefetcher.observe, prefetcher.predict
+    log = None if event_log is None else event_log.append
+    latency_cycles = latency.latency_cycles
+    low_throughput = latency.throughput == "L"
+    miss_triggers = trigger_stream == "miss"
 
     pending: deque[PrefetchRequest] = deque()  # issue cycles are non-decreasing
     pending_set: set[int] = set()
@@ -451,10 +454,6 @@ def simulate(
     degree_hist: dict[int, int] = {}
     total_degree = 0
 
-    def log(ordinal, kind, block, evicted):
-        if event_log is not None:
-            event_log.append((ordinal, kind, block, evicted))
-
     for access, block in zip(trace, blocks):
         cycle = access.cycle
 
@@ -462,59 +461,63 @@ def simulate(
         while pending and pending[0].issue_cycle <= cycle:
             pblock = pending.popleft().block
             pending_set.discard(pblock)
-            if cache.contains(pblock):
+            if contains(pblock):
                 dropped_on_arrival += 1
-                log(access.ordinal, "prefetch_drop", pblock, None)
+                if log is not None:
+                    log((access.ordinal, "prefetch_drop", pblock, None))
                 continue
-            evicted = cache.insert(pblock, prefetched=True)
+            evicted = insert(pblock, True)
             if evicted is not None and evicted[1]:
                 useless_evicted += 1
-            log(access.ordinal, "prefetch_insert", pblock, None if evicted is None else evicted[0])
+            if log is not None:
+                log((access.ordinal, "prefetch_insert", pblock, None if evicted is None else evicted[0]))
 
-        hit, was_unused_prefetch = cache.access(block)
+        hit, was_unused_prefetch = lookup(block)
         if hit:
             if was_unused_prefetch:
                 useful += 1
-            log(access.ordinal, "demand_hit", block, None)
+            if log is not None:
+                log((access.ordinal, "demand_hit", block, None))
         else:
             demand_misses += 1
             if block in pending_set:
                 late += 1
-            evicted = cache.insert(block, prefetched=False)
+            evicted = insert(block, False)
             if evicted is not None and evicted[1]:
                 useless_evicted += 1
-            log(access.ordinal, "demand_miss", block, None if evicted is None else evicted[0])
+            if log is not None:
+                log((access.ordinal, "demand_miss", block, None if evicted is None else evicted[0]))
 
         if prefetcher is None:
             continue
-        prefetcher.observe(access, block)
-        if trigger_stream == "miss" and hit:
+        observe(access, block)
+        if miss_triggers and hit:
             continue
-        if latency.throughput == "L" and cycle < busy_until:
+        if low_throughput and cycle < busy_until:
             dropped_triggers += 1
             continue
-        predictions = prefetcher.predict(access, block)
-        if latency.throughput == "L":
-            busy_until = cycle + latency.latency_cycles
+        predictions = predict(access, block)
+        if low_throughput:
+            busy_until = cycle + latency_cycles
         if predictions is None:
             cold_start += 1
             continue
         degree = len(predictions)
         degree_hist[degree] = degree_hist.get(degree, 0) + 1
         total_degree += degree
-        ready = cycle + latency.latency_cycles
+        ready = cycle + latency_cycles
         for pblock in predictions:
-            if cache.contains(pblock) or pblock in pending_set:
+            if contains(pblock) or pblock in pending_set:
                 continue
-            if latency.latency_cycles == 0:
+            issued += 1
+            if latency_cycles == 0:
                 # immediate insertion: no in-flight window exists
-                issued += 1
-                evicted = cache.insert(pblock, prefetched=True)
+                evicted = insert(pblock, True)
                 if evicted is not None and evicted[1]:
                     useless_evicted += 1
-                log(access.ordinal, "prefetch_insert", pblock, None if evicted is None else evicted[0])
+                if log is not None:
+                    log((access.ordinal, "prefetch_insert", pblock, None if evicted is None else evicted[0]))
             else:
-                issued += 1
                 pending.append(PrefetchRequest(pblock, ready))
                 pending_set.add(pblock)
 
@@ -542,11 +545,22 @@ def simulate(
     )
 
 
-def miss_timeline(events, n_accesses: int, interval: int) -> list[tuple[int, int, float]]:
-    """Rows (interval_end_ordinal, misses_in_interval, miss_rate), one per full
-    interval of a whole-trace ``event_log``; a trailing partial interval gets no row."""
-    misses = [0] * (n_accesses // interval)
-    for ordinal, kind, _, _ in events:
-        if kind == "demand_miss" and ordinal // interval < len(misses):
-            misses[ordinal // interval] += 1
-    return [((i + 1) * interval, m, m / interval) for i, m in enumerate(misses)]
+class MissTimeline:
+    """An ``event_log`` sink that counts demand misses per interval as they arrive.
+
+    ``rows()`` gives (interval_end_ordinal, misses_in_interval, miss_rate), one per
+    full interval of an ``n_accesses``-long run; a trailing partial interval gets
+    no row. Only the counters are kept, never the events.
+    """
+
+    def __init__(self, n_accesses: int, interval: int):
+        self.interval = interval
+        self._misses = [0] * (n_accesses // interval)
+
+    def append(self, event):
+        ordinal, kind, _, _ = event
+        if kind == "demand_miss" and ordinal // self.interval < len(self._misses):
+            self._misses[ordinal // self.interval] += 1
+
+    def rows(self) -> list[tuple[int, int, float]]:
+        return [((i + 1) * self.interval, m, m / self.interval) for i, m in enumerate(self._misses)]

@@ -8,10 +8,13 @@ selected by a ``.gz`` suffix on write).
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
+import itertools
 import math
 import numbers
+import os
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -90,7 +93,7 @@ class AddressConfig:
         """Width of a block address (page bits + block index bits)."""
         return self.addr_bits - self.block_offset_bits
 
-    @property
+    @functools.cached_property
     def block_space(self) -> int:
         """Number of distinct block addresses."""
         return 1 << self.block_bits
@@ -203,29 +206,41 @@ def _parse_lines(path, lines, fmt: str) -> list[MemoryAccess]:
     return records
 
 
-def write_trace(path, trace: Iterable[MemoryAccess]):
-    """Write a trace as CSV; a ``.gz`` suffix selects gzip.
+WRITE_CHUNK = 4096  # records formatted and encoded per write
 
-    Gzip output pins mtime to 0 and omits the filename header field, so the
-    bytes depend only on the records (rerun determinism)."""
-    path = str(path)
-    if path.endswith(".gz"):
-        raw = open(path, "wb")
-        fh = io.TextIOWrapper(
-            gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0),
-            encoding="ascii", newline="\n",
-        )
-    else:
-        raw = None
-        fh = open(path, "w", encoding="ascii", newline="\n")
+
+def write_trace(path, trace: Iterable[MemoryAccess]):
+    """Write a trace as CSV; a ``.gz`` suffix selects gzip (level 6).
+
+    Records are formatted and encoded ``WRITE_CHUNK`` lines at a time, so the
+    whole file never sits in memory as one string. Gzip output pins mtime to 0
+    and omits the filename header field, so the bytes depend only on the records
+    (rerun determinism). The file is written beside ``path`` under a temporary
+    name and moved into place only once complete: a failed write leaves an
+    existing ``path`` untouched and no temporary file behind."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
-        fh.write("# ordinal,cycle,pc,vaddr\n")
-        for acc in trace:
-            fh.write(f"{acc.ordinal},{acc.cycle},{acc.pc:#x},{acc.vaddr:#x}\n")
-    finally:
-        fh.close()
-        if raw is not None:
-            raw.close()
+        with open(tmp, "xb") as raw:
+            if path.endswith(".gz"):
+                with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0,
+                                   compresslevel=6) as out:
+                    _write_records(out, trace)
+            else:
+                _write_records(raw, trace)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_records(out, trace: Iterable[MemoryAccess]):
+    out.write(b"# ordinal,cycle,pc,vaddr\n")
+    records = iter(trace)
+    while chunk := list(itertools.islice(records, WRITE_CHUNK)):
+        out.write("".join([f"{a.ordinal},{a.cycle},{a.pc:#x},{a.vaddr:#x}\n" for a in chunk])
+                  .encode("ascii"))
 
 
 def check_split_ratios(ratios) -> None:

@@ -15,8 +15,8 @@ from prefetchlab.simulator import (
     Prefetcher,
     SetAssociativeCache,
     SimReport,
+    MissTimeline,
     StridePrefetcher,
-    miss_timeline,
     simulate,
 )
 from prefetchlab.trace import AddressConfig, generate_trace, split_trace
@@ -185,12 +185,25 @@ class TestSimulateBasics:
         # 8 distinct blocks looped: first pass misses except block 1, prefetched at
         # access 0; later passes hit; 5 accesses past the last full interval get no row
         trace = make_trace(list(range(8)) * 4 + list(range(100, 105)))
-        events = []
+        timeline = MissTimeline(len(trace), 8)
         report = simulate(trace, ScriptedPrefetcher({0: [1]}), CacheConfig(sets=4, ways=2),
-                          LatencyModel(), addr_cfg, event_log=events)
-        timeline = miss_timeline(events, len(trace), 8)
-        assert timeline == [(8, 7, 0.875), (16, 0, 0.0), (24, 0, 0.0), (32, 0, 0.0)]
+                          LatencyModel(), addr_cfg, event_log=timeline)
+        assert timeline.rows() == [(8, 7, 0.875), (16, 0, 0.0), (24, 0, 0.0), (32, 0, 0.0)]
         assert report.demand_misses == 7 + 5
+
+    def test_miss_timeline_counts_demand_misses_of_the_full_log(self, addr_cfg):
+        trace = generate_trace({"name": "random", "region_blocks": 256, "cycle_step": 3},
+                               1000, seed=4)
+        events, timeline = [], MissTimeline(len(trace), 64)
+        args = (NextLinePrefetcher(2), CacheConfig(sets=8, ways=2), LatencyModel(10, "H"), addr_cfg)
+        simulate(trace, *args, event_log=events)
+        simulate(trace, *args, event_log=timeline)
+        kinds = {kind for _, kind, _, _ in events}
+        assert kinds == {"demand_hit", "demand_miss", "prefetch_insert", "prefetch_drop"}
+        expected = [sum(1 for o, kind, _, _ in events if kind == "demand_miss" and o // 64 == i)
+                    for i in range(len(trace) // 64)]
+        assert [m for _, m, _ in timeline.rows()] == expected
+        assert [end for end, _, _ in timeline.rows()] == [64 * (i + 1) for i in range(15)]
 
     def test_duplicate_requests_not_counted(self, addr_cfg):
         # same block requested at two consecutive triggers; second is a duplicate
@@ -198,6 +211,154 @@ class TestSimulateBasics:
         report = simulate(trace, ScriptedPrefetcher({0: [30], 1: [30]}),
                           CacheConfig(sets=2, ways=2), LatencyModel(0, "H"), addr_cfg)
         assert report.prefetches_issued == 1
+
+
+class TestGoldenReports:
+    """Reports pinned from the simulator before its per-access loop was reworked.
+
+    A seeded 5000-access region-walk trace (+1, +4 and +9 walks plus a hot
+    two-page region) under every rule prefetcher, three latency models and both
+    trigger streams; any change to the replay loop's accounting shows here.
+    """
+
+    REGIONS = [
+        {"start_page": 0x10000, "pages": 4096, "walk": [1] * 6},
+        {"start_page": 0x20000, "pages": 4096, "walk": [4] * 6},
+        {"start_page": 0x30000, "pages": 4096, "walk": [9] * 6},
+        {"start_page": 0x40000, "pages": 2, "walk": [1] * 6},
+    ]
+    PREFETCHERS = {"next_line": NextLinePrefetcher, "stride": StridePrefetcher,
+                   "best_offset": BestOffsetPrefetcher}
+    EXPECTED = {
+    ("best_offset", 0, "H", "access"): dict(
+        demand_accesses=5000, demand_misses=2668, baseline_misses=3728, prefetches_issued=3466,
+        useful_prefetches=1131, late_prefetches=0, useless_evicted=2185, resident_unused=150,
+        dropped_on_arrival=0, in_flight_at_end=0, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.3263127524523947, accuracy_defined=True, coverage=0.30337982832618027,
+        mean_degree=0.9042, degree_hist={"0": 479, "1": 4521}),
+    ("best_offset", 0, "H", "miss"): dict(
+        demand_accesses=5000, demand_misses=3109, baseline_misses=3728, prefetches_issued=2696,
+        useful_prefetches=690, late_prefetches=0, useless_evicted=1860, resident_unused=146,
+        dropped_on_arrival=0, in_flight_at_end=0, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.2559347181008902, accuracy_defined=True, coverage=0.18508583690987124,
+        mean_degree=0.8790607912512062, degree_hist={"0": 376, "1": 2733}),
+    ("best_offset", 40, "H", "access"): dict(
+        demand_accesses=5000, demand_misses=3787, baseline_misses=3728, prefetches_issued=3432,
+        useful_prefetches=4, late_prefetches=1116, useless_evicted=2158, resident_unused=148,
+        dropped_on_arrival=1101, in_flight_at_end=21, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.0011655011655011655, accuracy_defined=True, coverage=0.001072961373390558,
+        mean_degree=0.9042, degree_hist={"0": 479, "1": 4521}),
+    ("best_offset", 40, "H", "miss"): dict(
+        demand_accesses=5000, demand_misses=3787, baseline_misses=3728, prefetches_issued=3326,
+        useful_prefetches=4, late_prefetches=1082, useless_evicted=2088, resident_unused=148,
+        dropped_on_arrival=1067, in_flight_at_end=19, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.0012026458208057728, accuracy_defined=True, coverage=0.001072961373390558,
+        mean_degree=0.8999207816213362, degree_hist={"0": 379, "1": 3408}),
+    ("best_offset", 40, "L", "access"): dict(
+        demand_accesses=5000, demand_misses=3728, baseline_misses=3728, prefetches_issued=88,
+        useful_prefetches=0, late_prefetches=29, useless_evicted=25, resident_unused=34,
+        dropped_on_arrival=28, in_flight_at_end=1, dropped_triggers=4875, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=0.912, degree_hist={"0":
+        11, "1": 114}),
+    ("best_offset", 40, "L", "miss"): dict(
+        demand_accesses=5000, demand_misses=3729, baseline_misses=3728, prefetches_issued=105,
+        useful_prefetches=0, late_prefetches=34, useless_evicted=34, resident_unused=36,
+        dropped_on_arrival=34, in_flight_at_end=1, dropped_triggers=3607, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=0.9016393442622951,
+        degree_hist={"0": 12, "1": 110}),
+    ("next_line", 0, "H", "access"): dict(
+        demand_accesses=5000, demand_misses=2586, baseline_misses=3728, prefetches_issued=3811,
+        useful_prefetches=1242, late_prefetches=0, useless_evicted=2483, resident_unused=86,
+        dropped_on_arrival=0, in_flight_at_end=0, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.3258987142482288, accuracy_defined=True, coverage=0.3331545064377682,
+        mean_degree=1.0, degree_hist={"1": 5000}),
+    ("next_line", 0, "H", "miss"): dict(
+        demand_accesses=5000, demand_misses=3182, baseline_misses=3728, prefetches_issued=3182,
+        useful_prefetches=646, late_prefetches=0, useless_evicted=2450, resident_unused=86,
+        dropped_on_arrival=0, in_flight_at_end=0, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.20301697045883094, accuracy_defined=True, coverage=0.1732832618025751,
+        mean_degree=1.0, degree_hist={"1": 3182}),
+    ("next_line", 40, "H", "access"): dict(
+        demand_accesses=5000, demand_misses=3824, baseline_misses=3728, prefetches_issued=3801,
+        useful_prefetches=10, late_prefetches=1238, useless_evicted=2476, resident_unused=86,
+        dropped_on_arrival=1210, in_flight_at_end=19, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.002630886608787161, accuracy_defined=True, coverage=0.002682403433476395,
+        mean_degree=1.0, degree_hist={"1": 5000}),
+    ("next_line", 40, "H", "miss"): dict(
+        demand_accesses=5000, demand_misses=3824, baseline_misses=3728, prefetches_issued=3708,
+        useful_prefetches=10, late_prefetches=1172, useless_evicted=2449, resident_unused=86,
+        dropped_on_arrival=1144, in_flight_at_end=19, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.002696871628910464, accuracy_defined=True, coverage=0.002682403433476395,
+        mean_degree=1.0, degree_hist={"1": 3824}),
+    ("next_line", 40, "L", "access"): dict(
+        demand_accesses=5000, demand_misses=3729, baseline_misses=3728, prefetches_issued=87,
+        useful_prefetches=0, late_prefetches=24, useless_evicted=22, resident_unused=41,
+        dropped_on_arrival=23, in_flight_at_end=1, dropped_triggers=4875, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=1.0, degree_hist={"1":
+        125}),
+    ("next_line", 40, "L", "miss"): dict(
+        demand_accesses=5000, demand_misses=3729, baseline_misses=3728, prefetches_issued=113,
+        useful_prefetches=0, late_prefetches=38, useless_evicted=39, resident_unused=35,
+        dropped_on_arrival=38, in_flight_at_end=1, dropped_triggers=3607, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=1.0, degree_hist={"1":
+        122}),
+    ("stride", 0, "H", "access"): dict(
+        demand_accesses=5000, demand_misses=1606, baseline_misses=3728, prefetches_issued=2673,
+        useful_prefetches=2122, late_prefetches=0, useless_evicted=527, resident_unused=24,
+        dropped_on_arrival=0, in_flight_at_end=0, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.7938645716423495, accuracy_defined=True, coverage=0.569206008583691,
+        mean_degree=0.714, degree_hist={"0": 1430, "1": 3570}),
+    ("stride", 0, "H", "miss"): dict(
+        demand_accesses=5000, demand_misses=2692, baseline_misses=3728, prefetches_issued=1554,
+        useful_prefetches=1036, late_prefetches=0, useless_evicted=494, resident_unused=24,
+        dropped_on_arrival=0, in_flight_at_end=0, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.6666666666666666, accuracy_defined=True, coverage=0.2778969957081545,
+        mean_degree=0.5958395245170877, degree_hist={"0": 1088, "1": 1604}),
+    ("stride", 40, "H", "access"): dict(
+        demand_accesses=5000, demand_misses=3728, baseline_misses=3728, prefetches_issued=2667,
+        useful_prefetches=0, late_prefetches=2122, useless_evicted=518, resident_unused=24,
+        dropped_on_arrival=2112, in_flight_at_end=13, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=0.714, degree_hist={"0":
+        1430, "1": 3570}),
+    ("stride", 40, "H", "miss"): dict(
+        demand_accesses=5000, demand_misses=3728, baseline_misses=3728, prefetches_issued=2590,
+        useful_prefetches=0, late_prefetches=2072, useless_evicted=491, resident_unused=24,
+        dropped_on_arrival=2062, in_flight_at_end=13, dropped_triggers=0, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=0.7081545064377682,
+        degree_hist={"0": 1088, "1": 2640}),
+    ("stride", 40, "L", "access"): dict(
+        demand_accesses=5000, demand_misses=3728, baseline_misses=3728, prefetches_issued=63,
+        useful_prefetches=0, late_prefetches=50, useless_evicted=0, resident_unused=13,
+        dropped_on_arrival=49, in_flight_at_end=1, dropped_triggers=4875, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=0.712, degree_hist={"0":
+        36, "1": 89}),
+    ("stride", 40, "L", "miss"): dict(
+        demand_accesses=5000, demand_misses=3728, baseline_misses=3728, prefetches_issued=68,
+        useful_prefetches=0, late_prefetches=59, useless_evicted=0, resident_unused=9,
+        dropped_on_arrival=59, in_flight_at_end=0, dropped_triggers=3606, cold_start_triggers=0,
+        accuracy=0.0, accuracy_defined=True, coverage=0.0, mean_degree=0.6147540983606558,
+        degree_hist={"0": 47, "1": 75}),
+    }
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace({"name": "region_walks", "regions": self.REGIONS}, 5000, seed=7)
+
+    @pytest.mark.parametrize("key", sorted(EXPECTED), ids=lambda key: "-".join(map(str, key)))
+    def test_report_matches_pinned(self, trace, addr_cfg, key):
+        name, cycles, throughput, stream = key
+        report = simulate(trace, self.PREFETCHERS[name](), CacheConfig(sets=32, ways=8),
+                          LatencyModel(cycles, throughput), addr_cfg, stream)
+        assert report.to_dict() == self.EXPECTED[key]
+        assert_conservation(report)
+
+    @pytest.mark.parametrize("name", sorted(PREFETCHERS))
+    def test_event_log_does_not_change_report(self, trace, addr_cfg, name):
+        args = (CacheConfig(sets=32, ways=8), LatencyModel(40, "L"), addr_cfg, "miss")
+        events = []
+        logged = simulate(trace, self.PREFETCHERS[name](), *args, event_log=events)
+        assert events
+        assert logged == simulate(trace, self.PREFETCHERS[name](), *args)
 
 
 class TestPerfectOracleCoverage:

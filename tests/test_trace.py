@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prefetchlab.trace import (
+    WRITE_CHUNK,
     EmptyTraceError,
     MemoryAccess,
     PatternError,
@@ -127,6 +128,46 @@ class TestWriteTrace:
         write_trace(p1, trace)
         write_trace(p2, trace)
         assert p1.read_bytes() == p2.read_bytes()
+
+    RECORDS = [
+        MemoryAccess(0, 0, 0x400000, 0x1000),
+        MemoryAccess(1, 25, 0x400040, 0x7F0000001040),
+        MemoryAccess(2, 50, 0x0, 0xFFFFFFFFFFFFFFC0),
+    ]
+    TEXT = (b"# ordinal,cycle,pc,vaddr\n"
+            b"0,0,0x400000,0x1000\n"
+            b"1,25,0x400040,0x7f0000001040\n"
+            b"2,50,0x0,0xffffffffffffffc0\n")
+
+    def test_pinned_format(self, tmp_path):
+        gz, plain = tmp_path / "t.csv.gz", tmp_path / "t.csv"
+        write_trace(gz, self.RECORDS)
+        write_trace(plain, self.RECORDS)
+        data = gz.read_bytes()
+        assert gzip.decompress(data) == self.TEXT
+        assert data[:3] == b"\x1f\x8b\x08"
+        assert data[3] == 0  # FLG: no FNAME (nor any other optional field)
+        assert data[4:8] == b"\x00\x00\x00\x00"  # MTIME 0
+        assert plain.read_bytes() == self.TEXT
+
+    @pytest.mark.parametrize("name", ["t.csv.gz", "t.csv"])
+    def test_roundtrip_past_one_chunk(self, tmp_path, name):
+        trace = generate_trace({"name": "random"}, WRITE_CHUNK + 1, seed=4)
+        p = tmp_path / name
+        write_trace(p, trace)
+        assert read_trace(p) == trace
+
+    @pytest.mark.parametrize("name", ["t.csv.gz", "t.csv"])
+    def test_failed_write_keeps_existing_file(self, tmp_path, name):
+        p = tmp_path / name
+        write_trace(p, self.RECORDS)
+        before = p.read_bytes()
+        good = generate_trace({"name": "stride"}, WRITE_CHUNK + 10, seed=5)
+        bad = good[:WRITE_CHUNK + 5] + [MemoryAccess(WRITE_CHUNK + 5, 0, None, 0x40)]
+        with pytest.raises(TypeError):
+            write_trace(p, bad)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == [name]
 
 
 class TestBlockAddress:
