@@ -6,8 +6,6 @@ so a correct pipeline drives micro-F1 toward 1. Takes ~20 s.
 Run:  python demos/04_train_attention_predictor.py
 """
 
-import numpy as np
-
 from prefetchlab import AddressConfig, ModelConfig, TrainConfig, generate_trace, train
 from prefetchlab.datasets import build_datasets
 from prefetchlab.features import FeatureConfig
@@ -38,8 +36,7 @@ for entry in log:
     print(f"  epoch {entry.epoch:2d}  train {entry.train_loss:.5f}  "
           f"val {entry.val_loss:.5f}  lr {entry.learning_rate:g}")
 
-conf = np.vstack([predict(params, bundle.test.inputs[i:i + 512], bundle.test.contexts[i:i + 512])
-                  for i in range(0, len(bundle.test), 512)])
+conf = predict(params, bundle.test.inputs, bundle.test.contexts)
 precision, recall, f1 = micro_metrics(conf >= 0.5, bundle.test.labels)
 print(f"\nheld-out micro metrics at threshold 0.5: "
       f"precision={precision:.4f} recall={recall:.4f} F1={f1:.4f}")

@@ -7,8 +7,6 @@ future-fed oracle. Takes ~40 s.
 Run:  python demos/06_cache_simulation_baselines.py
 """
 
-import numpy as np
-
 from prefetchlab import (
     AddressConfig,
     BestOffsetPrefetcher,
@@ -47,9 +45,7 @@ params, _ = train(model_cfg, view.inputs, view.contexts, view.labels,
                   bundle.validation.inputs, bundle.validation.contexts,
                   bundle.validation.labels,
                   TrainConfig(max_epochs=10, batch_size=256, seed=5, patience=3))
-conf = np.vstack([predict(params, bundle.validation.inputs[i:i + 512],
-                          bundle.validation.contexts[i:i + 512])
-                  for i in range(0, len(bundle.validation), 512)])
+conf = predict(params, bundle.validation.inputs, bundle.validation.contexts)
 tuned = tune_threshold(conf, bundle.validation.labels)
 print(f"tuned threshold {tuned.optimal_threshold:.2f}, "
       f"validation mean degree {tuned.mean_degree:.1f}\n")

@@ -10,8 +10,6 @@ Run:  python demos/07_distance_prefetch_sweep.py
 
 import math
 
-import numpy as np
-
 from prefetchlab import AddressConfig, CacheConfig, LatencyModel, ModelConfig, ModelPrefetcher, TrainConfig, generate_trace, simulate, train
 from prefetchlab.datasets import build_datasets, mean_cycles_per_access
 from prefetchlab.features import FeatureConfig
@@ -41,9 +39,7 @@ def build_model(skip, seed=9):
     view = bundle.train.training_view()
     params, _ = train(model_cfg, view.inputs, view.contexts, view.labels,
                       cfg=TrainConfig(max_epochs=6, batch_size=256, seed=seed, patience=None))
-    conf = np.vstack([predict(params, bundle.validation.inputs[i:i + 512],
-                              bundle.validation.contexts[i:i + 512])
-                      for i in range(0, len(bundle.validation), 512)])
+    conf = predict(params, bundle.validation.inputs, bundle.validation.contexts)
     tuned = tune_threshold(conf, bundle.validation.labels, grid_step=0.05)
     return params, tuned.optimal_threshold, label_cfg
 

@@ -24,6 +24,7 @@ from prefetchlab import autodiff as ad
 from prefetchlab.autodiff import Tensor
 
 BCE_EPS = 1e-7
+PREDICT_BATCH = 512  # samples per forward pass when predict gets a batch
 CHECKPOINT_MAGIC = b"PFLCKPT1"
 CHECKPOINT_VERSION = 1
 
@@ -301,8 +302,15 @@ def forward(
 
 
 def predict(params: ModelParams, inputs, contexts=None) -> np.ndarray:
-    """Forward pass returning plain confidence arrays (no graph kept)."""
-    return forward(params, inputs, contexts).data
+    """Forward pass returning plain confidence arrays (no graph kept). A batch of
+    samples runs through ``forward`` PREDICT_BATCH at a time; one unbatched sample as is."""
+    if np.ndim(inputs) != 3:
+        return forward(params, inputs, contexts).data
+    out = np.empty((len(inputs), params.cfg.output_dim))
+    for lo in range(0, len(inputs), PREDICT_BATCH):
+        hi = lo + PREDICT_BATCH
+        out[lo:hi] = forward(params, inputs[lo:hi], None if contexts is None else contexts[lo:hi]).data
+    return out
 
 
 def bce_loss(pred: Tensor, labels: np.ndarray) -> Tensor:

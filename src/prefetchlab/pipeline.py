@@ -4,9 +4,10 @@ Every stage reads its configuration plus upstream artifacts from a run
 directory, writes its outputs and a manifest (config hash, input/output hashes,
 package version), and is deterministic given config + seed, so rerunning a
 stage reproduces byte-identical artifacts. Run directories are content-addressed
-by config hash; a manifest whose hash disagrees with the current config makes
-downstream stages fail with a staleness error instead of silently mixing
-experiments.
+by config hash. A stage takes each upstream artifact through ``_Run.read``,
+which fails with a staleness error when the producing manifest was built under
+another config or the file no longer matches the hash that manifest recorded,
+instead of silently mixing experiments. Outputs land atomically, manifest last.
 
 Stages: gen, preprocess, train, tune, eval, simulate, sweep, report.
 """
@@ -19,8 +20,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, replace
-
-import numpy as np
 
 from prefetchlab import __version__ as PACKAGE_VERSION
 from prefetchlab import plots
@@ -178,16 +177,21 @@ class ExperimentConfig:
             self.train_config()
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
+        lists = {"sweep.latencies": self.sweep.latencies, "sweep.throughputs": self.sweep.throughputs,
+                 "sweep.distance": self.sweep.distance, "simulate.prefetchers": self.simulate.prefetchers}
+        for where, values in lists.items():
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"{where} must be a list, got {values!r}")
         for t in self.sweep.latencies:
-            if t < 0:
-                raise ConfigError("sweep latencies must be >= 0")
+            if not isinstance(t, (int, float)) or isinstance(t, bool) or not t >= 0:
+                raise ConfigError(f"sweep latencies must be numbers >= 0, got {t!r}")
         for thr in self.sweep.throughputs:
             if thr not in ("L", "H"):
                 raise ConfigError(f"sweep throughput {thr!r} not in ('L', 'H')")
-        known = {"model", "next_line", "stride", "best_offset"}
+        known = ("best_offset", "model", "next_line", "stride")
         for name in self.simulate.prefetchers:
             if name not in known:
-                raise ConfigError(f"unknown prefetcher {name!r} (known: {sorted(known)})")
+                raise ConfigError(f"unknown prefetcher {name!r} (known: {list(known)})")
         return self
 
     def to_dict(self) -> dict:
@@ -197,7 +201,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        raw = dict(raw)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
         builders = {
             "address": AddressConfig,
             "features": FeatureConfig,
@@ -241,8 +246,11 @@ def _build(cls, value: dict, where: str):
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    raw = _read_json(path)
-    if seed_override is not None:
+    try:
+        raw = _read_json(path)
+    except ValueError as exc:  # malformed JSON, or bytes that are not text
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = seed_override
     return ExperimentConfig.from_dict(raw)
 
@@ -257,7 +265,7 @@ def mode_tag(fc: FeatureConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Manifests and artifact plumbing
+# The run directory
 # ---------------------------------------------------------------------------
 
 
@@ -287,43 +295,80 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _manifest_path(run_dir, stage) -> str:
-    return os.path.join(run_dir, f"manifest_{stage}.json")
+class _Run:
+    """One stage's route into a run directory: checked reads, atomic writes, one manifest.
+
+    ``read`` is the only way a stage takes an upstream artifact. It checks the
+    producing stage's manifest against the current config, re-hashes the file
+    against the hash that manifest recorded, and records the hash as an input.
+    ``out`` hands out a partial path beside each output; ``finish`` hashes the
+    outputs, moves them into place and writes the manifest last, so a manifest
+    always describes a finished stage.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, run_dir, stage: str):
+        self.cfg, self.dir, self.stage = cfg, run_dir, stage
+        self.config_hash = config_hash(cfg)
+        self.inputs: dict[str, str] = {}
+        self.partials: dict[str, str] = {}  # output name -> partial path
+
+    def path(self, name: str) -> str:
+        return os.path.join(self.dir, name)
+
+    def has(self, stage: str) -> bool:
+        """Whether ``stage`` has a manifest here, i.e. finished in this run directory."""
+        return os.path.exists(self.path(f"manifest_{stage}.json"))
+
+    def read(self, stage: str, name: str) -> str:
+        """Path of artifact ``name`` once it matches the hash ``stage`` recorded for it."""
+        if not self.has(stage):
+            raise StageDependencyError(f"stage '{stage}' has not produced artifacts in {self.dir}")
+        manifest = _read_json(self.path(f"manifest_{stage}.json"))
+        if manifest.get("config_hash") != self.config_hash:
+            raise StaleArtifactsError(f"artifacts of stage '{stage}' were built under config "
+                                      f"{manifest.get('config_hash')!r}, current config is {self.config_hash!r}")
+        recorded = manifest["outputs"].get(name)
+        path = self.path(name)
+        if recorded is None or not os.path.exists(path):
+            raise StageDependencyError(f"{name} of stage '{stage}' is missing in {self.dir}")
+        digest = _sha256_file(path)
+        if digest != recorded:
+            raise StaleArtifactsError(f"{name} no longer matches the hash stage '{stage}' recorded")
+        self.inputs[name] = digest
+        return path
+
+    def trace(self):
+        source = self.cfg.trace
+        if source.source == "file":
+            self.inputs[source.path] = _sha256_file(source.path)
+            return read_trace(source.path, source.format)
+        return read_trace(self.read("gen", "trace.csv.gz"))
+
+    def dataset(self, fc: FeatureConfig, part: str) -> LabeledDataset:
+        return LabeledDataset.load(self.read("preprocess", _dataset_name(fc, part)))
+
+    def out(self, name: str) -> str:
+        """Partial path for output ``name``; it keeps the name's suffix (``.gz`` selects gzip)."""
+        self.partials[name] = self.path(f".partial.{name}")
+        return self.partials[name]
+
+    def finish(self) -> dict:
+        """Land every output, then the manifest that lists them."""
+        manifest = {
+            "stage": self.stage,
+            "config_hash": self.config_hash,
+            "package_version": PACKAGE_VERSION,
+            "inputs": self.inputs,
+            "outputs": {name: _sha256_file(p) for name, p in self.partials.items()},
+        }
+        _write_json(self.out(f"manifest_{self.stage}.json"), manifest)
+        for name, partial in self.partials.items():  # insertion order: the manifest lands last
+            os.replace(partial, self.path(name))
+        return manifest
 
 
-def _write_manifest(run_dir, stage, cfg, inputs: dict, outputs: list[str]) -> dict:
-    manifest = {
-        "stage": stage,
-        "config_hash": config_hash(cfg),
-        "package_version": PACKAGE_VERSION,
-        "inputs": inputs,
-        "outputs": {name: _sha256_file(os.path.join(run_dir, name)) for name in sorted(outputs)},
-    }
-    _write_json(_manifest_path(run_dir, stage), manifest)
-    return manifest
-
-
-def _require_stage(run_dir, stage, cfg) -> dict:
-    path = _manifest_path(run_dir, stage)
-    if not os.path.exists(path):
-        raise StageDependencyError(f"stage '{stage}' has not produced artifacts in {run_dir}")
-    manifest = _read_json(path)
-    if manifest.get("config_hash") != config_hash(cfg):
-        raise StaleArtifactsError(
-            f"artifacts of stage '{stage}' were built under config {manifest.get('config_hash')!r}, "
-            f"current config is {config_hash(cfg)!r}"
-        )
-    return manifest
-
-
-def _load_trace(cfg: ExperimentConfig, run_dir, inputs: dict):
-    if cfg.trace.source == "file":
-        inputs[cfg.trace.path] = _sha256_file(cfg.trace.path)
-        return read_trace(cfg.trace.path, cfg.trace.format)
-    _require_stage(run_dir, "gen", cfg)
-    path = os.path.join(run_dir, "trace.csv.gz")
-    inputs["trace.csv.gz"] = _sha256_file(path)
-    return read_trace(path)
+def _dataset_name(fc: FeatureConfig, part: str) -> str:
+    return f"dataset_{mode_tag(fc)}_{part}.bin"
 
 
 # ---------------------------------------------------------------------------
@@ -331,53 +376,38 @@ def _load_trace(cfg: ExperimentConfig, run_dir, inputs: dict):
 # ---------------------------------------------------------------------------
 
 
-def stage_gen(cfg: ExperimentConfig, run_dir) -> dict:
+def stage_gen(run: _Run) -> None:
+    cfg = run.cfg
     if cfg.trace.source != "generate":
         raise ConfigError("gen stage needs trace.source == 'generate'")
-    trace = generate_trace(cfg.trace.pattern, cfg.trace.length, cfg.seed, cfg.address)
-    write_trace(os.path.join(run_dir, "trace.csv.gz"), trace)
-    return _write_manifest(run_dir, "gen", cfg, {}, ["trace.csv.gz"])
+    write_trace(run.out("trace.csv.gz"),
+                generate_trace(cfg.trace.pattern, cfg.trace.length, cfg.seed, cfg.address))
 
 
-def _dataset_paths(tag: str) -> dict:
-    return {part: f"dataset_{tag}_{part}.bin" for part in ("train", "validation", "test")}
-
-
-def stage_preprocess(cfg: ExperimentConfig, run_dir) -> dict:
-    inputs: dict = {}
-    trace = _load_trace(cfg, run_dir, inputs)
+def stage_preprocess(run: _Run) -> None:
+    cfg = run.cfg
+    trace = run.trace()
     split = split_trace(trace, cfg.split)
-    outputs = ["split.json", "dictionaries.json", "preprocess_meta.json"]
     dict_report = {}
     for fc in cfg.all_feature_modes():
-        tag = mode_tag(fc)
         bundle = build_datasets(
             trace, split, fc, cfg.label, cfg.address, cfg.model.history_len
         )
-        for part, path in _dataset_paths(tag).items():
-            getattr(bundle, part).save(os.path.join(run_dir, path))
-            outputs.append(path)
-        dict_report[tag] = {
+        for part in ("train", "validation", "test"):
+            getattr(bundle, part).save(run.out(_dataset_name(fc, part)))
+        dict_report[mode_tag(fc)] = {
             "entries": bundle.dictionary_sizes(),
             "pairs": {name: d.to_pairs() for name, d in bundle.dictionaries.items()},
         }
-    _write_json(os.path.join(run_dir, "split.json"), split.as_dict())
-    _write_json(os.path.join(run_dir, "dictionaries.json"), dict_report)
+    _write_json(run.out("split.json"), split.as_dict())
+    _write_json(run.out("dictionaries.json"), dict_report)
     _write_json(
-        os.path.join(run_dir, "preprocess_meta.json"),
+        run.out("preprocess_meta.json"),
         {
             "records": len(trace),
             "mean_cycles_per_access_train": mean_cycles_per_access(trace, split.train),
         },
     )
-    return _write_manifest(run_dir, "preprocess", cfg, inputs, outputs)
-
-
-def _load_bundle(run_dir, tag: str) -> dict[str, LabeledDataset]:
-    return {
-        part: LabeledDataset.load(os.path.join(run_dir, path))
-        for part, path in _dataset_paths(tag).items()
-    }
 
 
 def _fit(cfg: ExperimentConfig, fc: FeatureConfig, train_ds: LabeledDataset, val_ds: LabeledDataset):
@@ -396,72 +426,49 @@ def _fit(cfg: ExperimentConfig, fc: FeatureConfig, train_ds: LabeledDataset, val
     return ModelParams.decode(params.encode()), log
 
 
-def stage_train(cfg: ExperimentConfig, run_dir) -> dict:
-    manifest = _require_stage(run_dir, "preprocess", cfg)
-    tag = mode_tag(cfg.features)
-    bundle = _load_bundle(run_dir, tag)
-    params, log = _fit(cfg, cfg.features, bundle["train"], bundle["validation"])
-    params.save(os.path.join(run_dir, "model.ckpt"))
-    _write_csv(os.path.join(run_dir, "training_log.csv"), ["epoch", "train_loss", "val_loss", "lr"],
+def stage_train(run: _Run) -> None:
+    cfg = run.cfg
+    params, log = _fit(cfg, cfg.features, run.dataset(cfg.features, "train"),
+                       run.dataset(cfg.features, "validation"))
+    params.save(run.out("model.ckpt"))
+    _write_csv(run.out("training_log.csv"), ["epoch", "train_loss", "val_loss", "lr"],
                ((e.epoch, e.train_loss, e.val_loss, e.learning_rate) for e in log))
-    inputs = {p: manifest["outputs"][p] for p in _dataset_paths(tag).values()}
-    return _write_manifest(run_dir, "train", cfg, inputs, ["model.ckpt", "training_log.csv"])
-
-
-def _batched_predict(params, ds: LabeledDataset, batch: int = 512) -> np.ndarray:
-    out = np.empty((len(ds), params.cfg.output_dim))
-    ctx = ds.contexts if params.cfg.use_context else None
-    for lo in range(0, len(ds), batch):
-        hi = min(lo + batch, len(ds))
-        out[lo:hi] = predict(params, ds.inputs[lo:hi], None if ctx is None else ctx[lo:hi])
-    return out
 
 
 def _tune(cfg: ExperimentConfig, params: ModelParams, val: LabeledDataset) -> ThresholdReport:
     """F1-optimal threshold of ``params`` on the validation samples."""
-    conf = _batched_predict(params, val)
+    conf = predict(params, val.inputs, val.contexts)
     return tune_threshold(conf, val.labels, cfg.threshold.grid_step, cfg.threshold.max_degree)
 
 
-def stage_tune(cfg: ExperimentConfig, run_dir) -> dict:
-    _require_stage(run_dir, "preprocess", cfg)
-    train_manifest = _require_stage(run_dir, "train", cfg)
-    params = ModelParams.load(os.path.join(run_dir, "model.ckpt"))
-    val = _load_bundle(run_dir, mode_tag(cfg.features))["validation"]
-    report = _tune(cfg, params, val)
-    _write_json(os.path.join(run_dir, "threshold.json"), report.to_dict())
-    _write_csv(os.path.join(run_dir, "threshold_grid.csv"), ["threshold", "precision", "recall", "f1"],
+def stage_tune(run: _Run) -> None:
+    cfg = run.cfg
+    params = ModelParams.load(run.read("train", "model.ckpt"))
+    report = _tune(cfg, params, run.dataset(cfg.features, "validation"))
+    _write_json(run.out("threshold.json"), report.to_dict())
+    _write_csv(run.out("threshold_grid.csv"), ["threshold", "precision", "recall", "f1"],
                report.grid)
-    inputs = {"model.ckpt": train_manifest["outputs"]["model.ckpt"]}
-    return _write_manifest(run_dir, "tune", cfg, inputs, ["threshold.json", "threshold_grid.csv"])
 
 
-def stage_eval(cfg: ExperimentConfig, run_dir) -> dict:
+def stage_eval(run: _Run) -> None:
     """Input-mode ablation: train, tune, and score one model per feature mode."""
-    manifest = _require_stage(run_dir, "preprocess", cfg)
-    dict_report = _read_json(os.path.join(run_dir, "dictionaries.json"))
+    cfg = run.cfg
+    dict_report = _read_json(run.read("preprocess", "dictionaries.json"))
     rows = []
-    outputs = ["eval_metrics.json", "eval_metrics.csv"]
-    inputs: dict = {}
     for fc in cfg.all_feature_modes():
         tag = mode_tag(fc)
-        bundle = _load_bundle(run_dir, tag)
-        for p in _dataset_paths(tag).values():
-            inputs[p] = manifest["outputs"][p]
-        reused_main = False
-        if fc == cfg.features and os.path.exists(_manifest_path(run_dir, "train")):
-            # a shortcut only: model.ckpt holds the weights _fit would return
-            _require_stage(run_dir, "train", cfg)
-            params = ModelParams.load(os.path.join(run_dir, "model.ckpt"))
-            reused_main = True
+        val = run.dataset(fc, "validation")
+        # a shortcut only: model.ckpt holds the weights _fit would return
+        reused_main = fc == cfg.features and run.has("train")
+        if reused_main:
+            params = ModelParams.load(run.read("train", "model.ckpt"))
         else:
-            params, _ = _fit(cfg, fc, bundle["train"], bundle["validation"])
-            ckpt = f"eval_model_{tag}.ckpt"
-            params.save(os.path.join(run_dir, ckpt))
-            outputs.append(ckpt)
-        tuned = _tune(cfg, params, bundle["validation"])
-        test_conf = _batched_predict(params, bundle["test"])
-        precision, recall, f1 = micro_metrics(test_conf >= tuned.optimal_threshold, bundle["test"].labels)
+            params, _ = _fit(cfg, fc, run.dataset(fc, "train"), val)
+            params.save(run.out(f"eval_model_{tag}.ckpt"))
+        tuned = _tune(cfg, params, val)
+        test = run.dataset(fc, "test")
+        test_conf = predict(params, test.inputs, test.contexts)
+        precision, recall, f1 = micro_metrics(test_conf >= tuned.optimal_threshold, test.labels)
         entries = dict_report[tag]["entries"]
         rows.append({
             "mode": tag,
@@ -473,20 +480,12 @@ def stage_eval(cfg: ExperimentConfig, run_dir) -> dict:
             "f1": f1,
             "reused_main_model": reused_main,
         })
-    _write_json(os.path.join(run_dir, "eval_metrics.json"), {"modes": rows})
-    _write_csv(os.path.join(run_dir, "eval_metrics.csv"), list(rows[0]), (r.values() for r in rows))
-    return _write_manifest(run_dir, "eval", cfg, inputs, outputs)
+    _write_json(run.out("eval_metrics.json"), {"modes": rows})
+    _write_csv(run.out("eval_metrics.csv"), list(rows[0]), (r.values() for r in rows))
 
 
-def _load_primary_dictionary(cfg, run_dir) -> TokenDictionary | None:
-    if not cfg.features.needs_dictionary:
-        return None
-    pairs_by_name = _read_json(os.path.join(run_dir, "dictionaries.json"))[mode_tag(cfg.features)]["pairs"]
-    return TokenDictionary.from_pairs(next(iter(pairs_by_name.values())), cfg.features.dictionary_capacity)
-
-
-def _build_prefetcher(name, cfg: ExperimentConfig, run_dir, threshold):
-    sim = cfg.simulate
+def _build_prefetcher(name, run: _Run):
+    cfg, sim = run.cfg, run.cfg.simulate
     if name == "next_line":
         return NextLinePrefetcher(sim.next_line_degree, cfg.address)
     if name == "stride":
@@ -497,52 +496,47 @@ def _build_prefetcher(name, cfg: ExperimentConfig, run_dir, threshold):
             score_threshold=sim.best_offset_score_threshold,
             addr_cfg=cfg.address,
         )
-    params = ModelParams.load(os.path.join(run_dir, "model.ckpt"))
+    dictionary = None
+    if cfg.features.needs_dictionary:
+        pairs = _read_json(run.read("preprocess", "dictionaries.json"))[mode_tag(cfg.features)]["pairs"]
+        dictionary = TokenDictionary.from_pairs(next(iter(pairs.values())), cfg.features.dictionary_capacity)
+    params = ModelParams.load(run.read("train", "model.ckpt"))
+    threshold = None
+    if sim.top_k is None:
+        threshold = _read_json(run.read("tune", "threshold.json"))["optimal_threshold"]
     return ModelPrefetcher(
         params, cfg.features, cfg.label, cfg.address,
-        threshold=None if sim.top_k is not None else threshold,
-        top_k=sim.top_k,
-        dictionary=_load_primary_dictionary(cfg, run_dir),
+        threshold=threshold, top_k=sim.top_k, dictionary=dictionary,
     )
 
 
-def stage_simulate(cfg: ExperimentConfig, run_dir) -> dict:
-    inputs: dict = {}
-    trace = _load_trace(cfg, run_dir, inputs)
-    threshold = 0.5
-    if "model" in cfg.simulate.prefetchers:
-        train_manifest = _require_stage(run_dir, "train", cfg)
-        inputs["model.ckpt"] = train_manifest["outputs"]["model.ckpt"]
-        if cfg.simulate.top_k is None:
-            _require_stage(run_dir, "tune", cfg)
-            threshold = _read_json(os.path.join(run_dir, "threshold.json"))["optimal_threshold"]
+def stage_simulate(run: _Run) -> None:
+    cfg = run.cfg
+    trace = run.trace()
+    # built up front, so a missing or stale upstream artifact stops the stage before any simulation
+    prefetchers = [(name, _build_prefetcher(name, run)) for name in cfg.simulate.prefetchers]
     reports = {}
-    outputs = ["sim_reports.json", "degree_hist.csv"]
     interval = cfg.simulate.timeline_interval
-    for name in cfg.simulate.prefetchers:
-        pf = _build_prefetcher(name, cfg, run_dir, threshold)
+    for name, pf in prefetchers:
         timeline = None if interval is None else MissTimeline(len(trace), interval)
         report = simulate(
             trace, pf, cfg.cache, cfg.latency, cfg.address, cfg.trigger_stream, event_log=timeline
         )
         reports[name] = report.to_dict()
         if timeline is not None:
-            path = f"miss_timeline_{name}.csv"
-            _write_csv(os.path.join(run_dir, path), ["access", "misses", "miss_rate"],
+            _write_csv(run.out(f"miss_timeline_{name}.csv"), ["access", "misses", "miss_rate"],
                        timeline.rows())
-            outputs.append(path)
-    _write_json(os.path.join(run_dir, "sim_reports.json"), reports)
+    _write_json(run.out("sim_reports.json"), reports)
     hist_source = "model" if "model" in reports else next(iter(reports))
-    _write_csv(os.path.join(run_dir, "degree_hist.csv"), ["degree", "count"],
+    _write_csv(run.out("degree_hist.csv"), ["degree", "count"],
                sorted(reports[hist_source]["degree_hist"].items(), key=lambda kv: int(kv[0])))
-    return _write_manifest(run_dir, "simulate", cfg, inputs, outputs)
 
 
-def stage_sweep(cfg: ExperimentConfig, run_dir) -> dict:
+def stage_sweep(run: _Run) -> None:
     """Latency sweep: retrain with distance labels per unique skip, simulate every
     (latency, throughput, distance) combination."""
-    inputs: dict = {}
-    trace = _load_trace(cfg, run_dir, inputs)
+    cfg = run.cfg
+    trace = run.trace()
     split = split_trace(trace, cfg.split)
     cpa = mean_cycles_per_access(trace, split.train)
 
@@ -598,35 +592,29 @@ def stage_sweep(cfg: ExperimentConfig, run_dir) -> dict:
                 "late": report.late_prefetches,
                 "mean_degree": report.mean_degree,
             })
-    _write_json(os.path.join(run_dir, "sweep_reports.json"), reports)
-    _write_csv(os.path.join(run_dir, "sweep_comparison.csv"), list(rows[0]), (r.values() for r in rows))
-    return _write_manifest(run_dir, "sweep", cfg, inputs, ["sweep_reports.json", "sweep_comparison.csv"])
+    _write_json(run.out("sweep_reports.json"), reports)
+    _write_csv(run.out("sweep_comparison.csv"), list(rows[0]), (r.values() for r in rows))
 
 
-def stage_report(cfg: ExperimentConfig, run_dir) -> dict:
+def stage_report(run: _Run) -> None:
     """Aggregate stage artifacts into one summary plus SVG plots.
 
     Reads only artifacts written by earlier stages, never the raw trace."""
-    _require_stage(run_dir, "tune", cfg)
-    _require_stage(run_dir, "simulate", cfg)
-    summary = {"config_hash": config_hash(cfg)}
-    outputs = ["summary.json", "threshold_f1.svg", "degree_hist.svg", "coverage_accuracy.svg"]
-
-    threshold_report = _read_json(os.path.join(run_dir, "threshold.json"))
-    summary["threshold"] = {
-        "optimal_threshold": threshold_report["optimal_threshold"],
-        "mean_degree": threshold_report["mean_degree"],
+    threshold_report = _read_json(run.read("tune", "threshold.json"))
+    sim_reports = _read_json(run.read("simulate", "sim_reports.json"))
+    summary = {
+        "config_hash": run.config_hash,
+        "threshold": {k: threshold_report[k] for k in ("optimal_threshold", "mean_degree")},
     }
     grid = threshold_report["grid"]
     plots.svg_line_chart(
         {"micro F1": [(row[0], row[3]) for row in grid],
          "precision": [(row[0], row[1]) for row in grid],
          "recall": [(row[0], row[2]) for row in grid]},
-        os.path.join(run_dir, "threshold_f1.svg"),
+        run.out("threshold_f1.svg"),
         "Threshold sweep on the validation split", "threshold", "metric",
     )
 
-    sim_reports = _read_json(os.path.join(run_dir, "sim_reports.json"))
     summary["simulation"] = {
         name: {k: r[k] for k in ("accuracy", "coverage", "demand_misses", "prefetches_issued",
                                  "useful_prefetches", "mean_degree")}
@@ -637,7 +625,7 @@ def stage_report(cfg: ExperimentConfig, run_dir) -> dict:
         names,
         {"accuracy": [sim_reports[n]["accuracy"] for n in names],
          "coverage": [sim_reports[n]["coverage"] for n in names]},
-        os.path.join(run_dir, "coverage_accuracy.svg"),
+        run.out("coverage_accuracy.svg"),
         "Prefetch accuracy and coverage", "value",
     )
     hist_source = "model" if "model" in sim_reports else names[0]
@@ -646,21 +634,18 @@ def stage_report(cfg: ExperimentConfig, run_dir) -> dict:
     plots.svg_bar_chart(
         [str(d) for d in degrees],
         {"triggers": [hist[d] for d in degrees]},
-        os.path.join(run_dir, "degree_hist.svg"),
+        run.out("degree_hist.svg"),
         f"Prefetch degree histogram ({hist_source})", "trigger count",
     )
 
-    if os.path.exists(_manifest_path(run_dir, "eval")):
-        _require_stage(run_dir, "eval", cfg)
-        summary["input_ablation"] = _read_json(os.path.join(run_dir, "eval_metrics.json"))["modes"]
-    if os.path.exists(_manifest_path(run_dir, "train")):
-        _require_stage(run_dir, "train", cfg)
-        with open(os.path.join(run_dir, "training_log.csv")) as fh:
+    if run.has("eval"):
+        summary["input_ablation"] = _read_json(run.read("eval", "eval_metrics.json"))["modes"]
+    if run.has("train"):
+        with open(run.read("train", "training_log.csv")) as fh:
             final = list(csv.DictReader(fh))[-1]
         summary["training"] = {k: float(v) for k, v in final.items()}
-    if os.path.exists(_manifest_path(run_dir, "sweep")):
-        _require_stage(run_dir, "sweep", cfg)
-        with open(os.path.join(run_dir, "sweep_comparison.csv")) as fh:
+    if run.has("sweep"):
+        with open(run.read("sweep", "sweep_comparison.csv")) as fh:
             sweep_rows = list(csv.DictReader(fh))
         summary["sweep"] = sweep_rows
         series: dict[str, list] = {}
@@ -670,13 +655,11 @@ def stage_report(cfg: ExperimentConfig, run_dir) -> dict:
         for pts in series.values():
             pts.sort()
         plots.svg_line_chart(
-            series, os.path.join(run_dir, "sweep.svg"),
+            series, run.out("sweep.svg"),
             "Coverage vs induced latency", "induced latency (cycles)", "coverage",
         )
-        outputs.append("sweep.svg")
 
-    _write_json(os.path.join(run_dir, "summary.json"), summary)
-    return _write_manifest(run_dir, "report", cfg, {}, outputs)
+    _write_json(run.out("summary.json"), summary)
 
 
 _STAGE_FUNCS = {
@@ -692,9 +675,18 @@ _STAGE_FUNCS = {
 
 
 def run_stage(stage: str, cfg: ExperimentConfig, run_dir) -> dict:
-    """Validate config, run one stage, and return its manifest."""
+    """Validate config, run one stage through one ``_Run``, and return its manifest."""
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r} (stages: {', '.join(STAGES)})")
     cfg.validate()
     os.makedirs(run_dir, exist_ok=True)
-    return _STAGE_FUNCS[stage](cfg, run_dir)
+    run = _Run(cfg, run_dir, stage)
+    if run.has(stage):  # from here on, no manifest claims this stage's outputs
+        os.remove(run.path(f"manifest_{stage}.json"))
+    try:
+        _STAGE_FUNCS[stage](run)
+        return run.finish()
+    finally:  # after a failure, earlier outputs stay as they were
+        for partial in run.partials.values():
+            if os.path.exists(partial):
+                os.remove(partial)

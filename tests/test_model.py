@@ -11,12 +11,14 @@ from prefetchlab.model import (
     ModelConfig,
     ModelParams,
     NumericError,
+    PREDICT_BATCH,
     TrainConfig,
     TrainingError,
     attention,
     bce_loss,
     estimate_latency,
     feed_forward,
+    forward,
     gradient_check,
     multi_head_attention,
     predict,
@@ -163,6 +165,19 @@ class TestForward:
         params = ModelParams.init(TINY, seed=3)
         x, c, _ = tiny_batch(2)
         assert not np.array_equal(predict(params, x, c), predict(params, x, c * 0.5))
+
+    def test_batches_match_per_chunk_forward(self):
+        params = ModelParams.init(TINY, seed=4)
+        x, c, _ = tiny_batch(PREDICT_BATCH + 7, seed=4)
+        out = predict(params, x, c)
+        assert out.shape == (PREDICT_BATCH + 7, 16)
+        assert np.array_equal(out[:PREDICT_BATCH], forward(params, x[:PREDICT_BATCH], c[:PREDICT_BATCH]).data)
+        assert np.array_equal(out[PREDICT_BATCH:], forward(params, x[PREDICT_BATCH:], c[PREDICT_BATCH:]).data)
+
+    def test_empty_batch_gives_empty_rows(self):
+        params = ModelParams.init(TINY, seed=0)
+        out = predict(params, np.zeros((0, 4, 5)), np.zeros((0, 4, 2)))
+        assert out.shape == (0, 16)
 
     def test_bad_shapes_rejected(self):
         params = ModelParams.init(TINY, seed=0)

@@ -1,10 +1,12 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from prefetchlab import cli, pipeline
+from prefetchlab.datasets import LabeledDataset
 from prefetchlab.model import ModelParams
 from prefetchlab.pipeline import (
     ConfigError,
@@ -12,6 +14,7 @@ from prefetchlab.pipeline import (
     StageDependencyError,
     StaleArtifactsError,
     config_hash,
+    load_config,
     run_stage,
 )
 
@@ -94,6 +97,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="path"):
             ExperimentConfig.from_dict({"trace": {"source": "file"}})
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"seed": 1, "trace": {', "JSON"),
+        ("[]", "mapping"),
+        ('"x"', "mapping"),
+        ('{"sweep": {"latencies": ["a"]}}', "latencies"),
+        ('{"sweep": {"latencies": 5}}', "latencies"),
+        ('{"simulate": {"prefetchers": "model"}}', "simulate.prefetchers"),
+    ])
+    def test_load_config_raises_config_error(self, tmp_path, text, match):
+        path = tmp_path / "exp.json"
+        path.write_text(text)
+        for seed in (None, 3):
+            with pytest.raises(ConfigError, match=match):
+                load_config(str(path), seed_override=seed)
+
 
 class TestStages:
     def test_all_manifests_written(self, full_run):
@@ -105,15 +123,80 @@ class TestStages:
             for name, digest in manifest["outputs"].items():
                 assert os.path.exists(os.path.join(full_run, name))
                 assert len(digest) == 64
+        assert not [name for name in os.listdir(full_run) if name.startswith(".partial.")]
+
+    def test_manifest_inputs_are_the_files_read(self, full_run):
+        split = ["dataset_as6_train.bin", "dataset_as6_validation.bin"]
+        want = {
+            "gen": set(),
+            "preprocess": {"trace.csv.gz"},
+            "train": set(split),
+            "tune": {"model.ckpt", "dataset_as6_validation.bin"},
+            "eval": {"dictionaries.json", "model.ckpt", "dataset_as6_validation.bin",
+                     "dataset_as6_test.bin", "dataset_delta_train.bin",
+                     "dataset_delta_validation.bin", "dataset_delta_test.bin"},
+            "simulate": {"trace.csv.gz", "model.ckpt", "threshold.json"},
+            "sweep": {"trace.csv.gz"},
+            "report": {"threshold.json", "sim_reports.json", "eval_metrics.json",
+                       "training_log.csv", "sweep_comparison.csv"},
+        }
+        for stage, names in want.items():
+            manifest = json.load(open(os.path.join(full_run, f"manifest_{stage}.json")))
+            assert set(manifest["inputs"]) == names, stage
+            for name in names:
+                assert len(manifest["inputs"][name]) == 64
 
     def test_missing_dependency(self, tiny_cfg, tmp_path):
         with pytest.raises(StageDependencyError):
             run_stage("train", tiny_cfg, str(tmp_path))
 
-    def test_stale_config_detected(self, full_run):
+    def test_stale_config_detected(self, full_run, tmp_path):
+        # on a copy: a stage removes its own old manifest before it starts
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
         other = ExperimentConfig.from_dict(dict(TINY_RAW, seed=12345))
         with pytest.raises(StaleArtifactsError):
-            run_stage("train", other, full_run)
+            run_stage("train", other, clone)
+        assert not os.path.exists(os.path.join(clone, "manifest_train.json"))
+
+    @pytest.mark.parametrize("name, stage", [
+        ("trace.csv.gz", "preprocess"),
+        ("dataset_as6_validation.bin", "tune"),
+        ("model.ckpt", "tune"),
+        ("threshold.json", "simulate"),
+        ("dictionaries.json", "eval"),
+    ])
+    def test_corrupt_artifact_refused(self, tiny_cfg, full_run, tmp_path, name, stage):
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        path = os.path.join(clone, name)
+        data = bytearray(open(path, "rb").read())
+        data[len(data) // 2] ^= 0x01
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(StaleArtifactsError, match=name):
+            run_stage(stage, tiny_cfg, clone)
+
+    def test_failed_stage_leaves_earlier_outputs(self, tiny_cfg, full_run, tmp_path, monkeypatch):
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        before = {n: open(os.path.join(clone, n), "rb").read()
+                  for n in ("sim_reports.json", "miss_timeline_model.csv")}
+        real, calls = pipeline.simulate, []
+
+        def fail_second(*args, **kwargs):  # the first prefetcher's timeline is written by then
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("simulated crash")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate", fail_second)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_stage("simulate", tiny_cfg, clone)
+        assert len(calls) == 2
+        assert not os.path.exists(os.path.join(clone, "manifest_simulate.json"))
+        assert not [n for n in os.listdir(clone) if n.startswith(".partial.")]
+        for n, data in before.items():
+            assert open(os.path.join(clone, n), "rb").read() == data
 
     def test_gen_requires_generate_source(self, tmp_path, tiny_cfg):
         cfg = ExperimentConfig.from_dict(
@@ -153,8 +236,9 @@ class TestStages:
         assert fresh == reused
 
     def test_fit_returns_checkpoint_weights(self, tiny_cfg, full_run):
-        bundle = pipeline._load_bundle(full_run, pipeline.mode_tag(tiny_cfg.features))
-        params, _ = pipeline._fit(tiny_cfg, tiny_cfg.features, bundle["train"], bundle["validation"])
+        train_ds, val_ds = (LabeledDataset.load(os.path.join(full_run, f"dataset_as6_{part}.bin"))
+                            for part in ("train", "validation"))
+        params, _ = pipeline._fit(tiny_cfg, tiny_cfg.features, train_ds, val_ds)
         saved = ModelParams.load(os.path.join(full_run, "model.ckpt"))
         assert params.checksum() == saved.checksum()
         for (n1, t1), (n2, t2) in zip(params.items(), saved.items()):
