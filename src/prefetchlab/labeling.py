@@ -106,23 +106,21 @@ def label_bitmaps(
     """Vectorized label construction over many triggers.
 
     Returns (labels, truncated): labels is (n, bitmap_size) bool, truncated flags
-    triggers whose window ran past the end of the trace.
+    triggers whose window ran past the end of the trace. The loop runs over the
+    ``look_forward`` window offsets, setting one bit per trigger at each offset.
     """
     blocks = np.asarray(blocks, dtype=np.uint64).astype(np.int64)
+    triggers = np.asarray(triggers, dtype=np.int64)
     n_trace = blocks.shape[0]
     bound = cfg.delta_bound
     labels = np.zeros((len(triggers), cfg.bitmap_size), dtype=bool)
-    truncated = np.zeros(len(triggers), dtype=bool)
-    for row, t in enumerate(triggers):
-        t = int(t)
-        start = t + cfg.skip + 1
-        stop = min(start + cfg.look_forward, n_trace)
-        truncated[row] = t + cfg.skip + cfg.look_forward >= n_trace
-        if start >= n_trace:
-            continue
-        d = blocks[start:stop] - blocks[t]
-        d = d[(d != 0) & (d >= -bound) & (d <= bound)]
-        if d.size:
-            idx = np.where(d < 0, d + bound, d + bound - 1)
-            labels[row, np.unique(idx)] = True
+    truncated = triggers + cfg.skip + cfg.look_forward >= n_trace
+    rows = np.arange(len(triggers))
+    for offset in range(cfg.skip + 1, cfg.skip + cfg.look_forward + 1):
+        live = triggers + offset < n_trace
+        t = triggers[live]
+        d = blocks[t + offset] - blocks[t]
+        keep = (d != 0) & (d >= -bound) & (d <= bound)
+        d = d[keep]
+        labels[rows[live][keep], np.where(d < 0, d + bound, d + bound - 1)] = True
     return labels, truncated

@@ -220,6 +220,8 @@ class ExperimentConfig:
             if key in builders:
                 kwargs[key] = _build(builders[key], value, key)
             elif key == "eval_modes":
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"eval_modes must be a list, got {value!r}")
                 kwargs[key] = tuple(_build(FeatureConfig, m, "eval_modes") for m in value)
             elif key == "split":
                 kwargs[key] = tuple(value) if isinstance(value, list) else value
@@ -323,7 +325,11 @@ class _Run:
         """Path of artifact ``name`` once it matches the hash ``stage`` recorded for it."""
         if not self.has(stage):
             raise StageDependencyError(f"stage '{stage}' has not produced artifacts in {self.dir}")
-        manifest = _read_json(self.path(f"manifest_{stage}.json"))
+        manifest_name = f"manifest_{stage}.json"
+        try:
+            manifest = _read_json(self.path(manifest_name))
+        except ValueError as exc:  # malformed JSON, or bytes that are not text
+            raise StaleArtifactsError(f"{manifest_name} is not valid JSON: {exc}") from None
         if manifest.get("config_hash") != self.config_hash:
             raise StaleArtifactsError(f"artifacts of stage '{stage}' were built under config "
                                       f"{manifest.get('config_hash')!r}, current config is {self.config_hash!r}")

@@ -23,6 +23,7 @@ Prefetchers implement three calls, all made by :func:`simulate`:
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -176,7 +177,8 @@ class NextLinePrefetcher(Prefetcher):
         self.addr_cfg = addr_cfg or AddressConfig()
 
     def predict(self, access, block):
-        return sorted(prefetch_addresses(block, range(1, self.degree + 1), self.addr_cfg))
+        stop = min(block + self.degree, self.addr_cfg.block_space - 1)
+        return list(range(block + 1, stop + 1))
 
 
 class StridePrefetcher(Prefetcher):
@@ -221,10 +223,10 @@ class StridePrefetcher(Prefetcher):
         entry = self._table.get(access.pc)
         if entry is None or entry[2] < self.confirm or entry[1] == 0:
             return []
-        stride = entry[1]
-        return sorted(
-            prefetch_addresses(block, [stride * j for j in range(1, self.degree + 1)], self.addr_cfg)
-        )
+        stride, space = entry[1], self.addr_cfg.block_space
+        targets = [block + stride * j for j in range(1, self.degree + 1)]
+        targets = [t for t in targets if 0 <= t < space]
+        return targets if stride > 0 else targets[::-1]
 
 
 DEFAULT_OFFSETS = [d for k in range(1, 9) for d in (k, -k)] + [12, -12, 16, -16, 24, -24, 32, -32]
@@ -292,7 +294,8 @@ class BestOffsetPrefetcher(Prefetcher):
     def predict(self, access, block):
         if self.active_offset is None:
             return []
-        return sorted(prefetch_addresses(block, [self.active_offset], self.addr_cfg))
+        target = block + self.active_offset
+        return [target] if 0 <= target < self.addr_cfg.block_space else []
 
 
 class OraclePrefetcher(Prefetcher):
@@ -392,14 +395,20 @@ class ModelPrefetcher(Prefetcher):
 # ---------------------------------------------------------------------------
 
 
-def _count_baseline_misses(blocks, cfg: CacheConfig) -> int:
+@functools.lru_cache(maxsize=1)
+def _baseline_misses(cfg: CacheConfig, block_bytes: bytes) -> int:
+    """Demand misses with no prefetcher. Memoized on the blocks' bytes, so the
+    repeated simulations of one trace and cache (one per prefetcher, one per
+    sweep job) replay the baseline once; a hit is an exact content match."""
     cache = SetAssociativeCache(cfg)
     misses = 0
-    for b in blocks:
-        hit, _ = cache.access(b)
-        if not hit:
-            misses += 1
-            cache.insert(b, prefetched=False)
+    blocks = np.frombuffer(block_bytes, dtype=np.uint64)
+    for start in range(0, len(blocks), 4096):  # a chunk at a time: no second whole-trace list
+        for b in blocks[start:start + 4096].tolist():
+            hit, _ = cache.access(b)
+            if not hit:
+                misses += 1
+                cache.insert(b, prefetched=False)
     return misses
 
 
@@ -430,8 +439,9 @@ def simulate(
     if trigger_stream not in ("access", "miss"):
         raise ValueError(f"trigger_stream must be 'access' or 'miss', got {trigger_stream!r}")
 
-    blocks = block_addresses(trace, addr_cfg).tolist()
-    baseline_misses = _count_baseline_misses(blocks, cache_cfg)
+    block_array = block_addresses(trace, addr_cfg)
+    blocks = block_array.tolist()
+    baseline_misses = _baseline_misses(cache_cfg, block_array.tobytes())
 
     cache = SetAssociativeCache(cache_cfg)
     contains, lookup, insert = cache.contains, cache.access, cache.insert

@@ -17,7 +17,7 @@ import numbers
 import os
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,14 +44,17 @@ class PatternError(Exception):
     """Unknown synthetic pattern name or bad pattern parameters."""
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
-    """One trace record.
+class MemoryAccess(NamedTuple):
+    """One trace record: an immutable tuple ``(ordinal, cycle, pc, vaddr)``.
 
     ordinal: record index, strictly increasing from 0 within a trace.
     cycle:   simulated time in cycles, non-decreasing with ordinal.
     pc:      64-bit instruction address.
     vaddr:   64-bit virtual byte address.
+
+    A tuple rather than a dataclass because a trace holds one record per
+    access: it is cheaper to build and to store, and compares equal to the
+    plain tuple of its fields.
     """
 
     ordinal: int
@@ -175,7 +178,7 @@ def _parse_lines(path, lines, fmt: str) -> list[MemoryAccess]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
+        parts = line.split(",")  # int() strips the whitespace around each field
         ordinal = len(records)
         try:
             if fmt == "csv":
@@ -210,7 +213,7 @@ WRITE_CHUNK = 4096  # records formatted and encoded per write
 
 
 def write_trace(path, trace: Iterable[MemoryAccess]):
-    """Write a trace as CSV; a ``.gz`` suffix selects gzip (level 6).
+    """Write a trace as CSV; a ``.gz`` suffix selects gzip (level 3).
 
     Records are formatted and encoded ``WRITE_CHUNK`` lines at a time, so the
     whole file never sits in memory as one string. Gzip output pins mtime to 0
@@ -224,7 +227,7 @@ def write_trace(path, trace: Iterable[MemoryAccess]):
         with open(tmp, "xb") as raw:
             if path.endswith(".gz"):
                 with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0,
-                                   compresslevel=6) as out:
+                                   compresslevel=3) as out:
                     _write_records(out, trace)
             else:
                 _write_records(raw, trace)
@@ -239,8 +242,7 @@ def _write_records(out, trace: Iterable[MemoryAccess]):
     out.write(b"# ordinal,cycle,pc,vaddr\n")
     records = iter(trace)
     while chunk := list(itertools.islice(records, WRITE_CHUNK)):
-        out.write("".join([f"{a.ordinal},{a.cycle},{a.pc:#x},{a.vaddr:#x}\n" for a in chunk])
-                  .encode("ascii"))
+        out.write("".join(["%d,%d,%#x,%#x\n" % a for a in chunk]).encode("ascii"))
 
 
 def check_split_ratios(ratios) -> None:
@@ -276,11 +278,9 @@ DEFAULT_PC = 0x400000
 
 
 def _emit(blocks, pcs, cycle_step, cfg: AddressConfig) -> list[MemoryAccess]:
-    mask = cfg.block_space - 1
-    out = []
-    for i, (b, pc) in enumerate(zip(blocks, pcs)):
-        out.append(MemoryAccess(i, i * cycle_step, pc, (b & mask) << cfg.block_offset_bits))
-    return out
+    mask, shift = cfg.block_space - 1, cfg.block_offset_bits
+    vaddrs = [(b & mask) << shift for b in blocks]
+    return list(map(MemoryAccess, itertools.count(), itertools.count(0, cycle_step), pcs, vaddrs))
 
 
 def _gen_stride(spec, length, rng, cfg):

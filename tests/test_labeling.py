@@ -12,7 +12,7 @@ from prefetchlab.labeling import (
     prefetch_addresses,
     window_truncated,
 )
-from prefetchlab.trace import block_address
+from prefetchlab.trace import block_address, block_addresses, generate_trace
 
 
 def collect_oracle(trace, trigger, cfg, addr_cfg):
@@ -168,6 +168,25 @@ class TestLabelBitmaps:
             expect = deltas_to_bitmap(collect_future_deltas(trace, int(t), cfg, addr_cfg), cfg)
             assert np.array_equal(labels[row], expect)
             assert truncated[row] == window_truncated(300, int(t), cfg)
+
+    @pytest.mark.parametrize("pattern", [{"name": "random", "region_blocks": 300},
+                                         {"name": "region_walks"}])
+    @pytest.mark.parametrize("skip", [0, 5])
+    def test_matches_per_trigger_loop(self, addr_cfg, pattern, skip):
+        trace = generate_trace(pattern, 400, seed=7)
+        blocks = block_addresses(trace, addr_cfg)
+        cfg = LabelConfig(look_forward=24, delta_bound=128, skip=skip)
+        # unsorted, repeated, and reaching the last access: truncated and empty windows
+        triggers = np.concatenate([np.arange(0, 400, 3), [399, 0, 380, 398]])
+        labels, truncated = label_bitmaps(blocks, triggers, cfg)
+        signed = blocks.astype(np.int64)
+        for row, t in enumerate(triggers):
+            d = signed[t + skip + 1: t + skip + 1 + cfg.look_forward] - signed[t]
+            d = d[(d != 0) & (np.abs(d) <= cfg.delta_bound)]
+            assert np.array_equal(labels[row], deltas_to_bitmap(set(d.tolist()), cfg))
+            assert truncated[row] == (t + skip + cfg.look_forward >= len(blocks))
+        assert truncated.any() and not truncated.all()
+        assert labels.any()
 
     def test_skip_zero_equals_plain(self, trace_from_blocks, addr_cfg):
         rng = np.random.default_rng(3)

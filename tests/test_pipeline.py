@@ -104,6 +104,7 @@ class TestConfig:
         ('{"sweep": {"latencies": ["a"]}}', "latencies"),
         ('{"sweep": {"latencies": 5}}', "latencies"),
         ('{"simulate": {"prefetchers": "model"}}', "simulate.prefetchers"),
+        ('{"eval_modes": 5}', "eval_modes"),
     ])
     def test_load_config_raises_config_error(self, tmp_path, text, match):
         path = tmp_path / "exp.json"
@@ -175,6 +176,14 @@ class TestStages:
         open(path, "wb").write(bytes(data))
         with pytest.raises(StaleArtifactsError, match=name):
             run_stage(stage, tiny_cfg, clone)
+
+    def test_malformed_manifest_refused(self, tiny_cfg, full_run, tmp_path):
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        with open(os.path.join(clone, "manifest_train.json"), "w") as fh:
+            fh.write("{not json")
+        with pytest.raises(StaleArtifactsError, match="manifest_train.json"):
+            run_stage("tune", tiny_cfg, clone)
 
     def test_failed_stage_leaves_earlier_outputs(self, tiny_cfg, full_run, tmp_path, monkeypatch):
         clone = str(tmp_path / "clone")

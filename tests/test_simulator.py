@@ -3,7 +3,7 @@ import pytest
 
 from prefetchlab import features, simulator
 from prefetchlab.features import FeatureConfig
-from prefetchlab.labeling import LabelConfig
+from prefetchlab.labeling import LabelConfig, prefetch_addresses
 from prefetchlab.model import ModelConfig, ModelParams
 from prefetchlab.simulator import (
     BestOffsetPrefetcher,
@@ -19,7 +19,7 @@ from prefetchlab.simulator import (
     StridePrefetcher,
     simulate,
 )
-from prefetchlab.trace import AddressConfig, generate_trace, split_trace
+from prefetchlab.trace import AddressConfig, MemoryAccess, generate_trace, split_trace
 from tests.conftest import make_trace
 
 
@@ -117,6 +117,19 @@ class TestSimulateBasics:
         for pf in (NextLinePrefetcher(1), StridePrefetcher(), BestOffsetPrefetcher()):
             report = simulate(trace, pf, cache, LatencyModel(), addr_cfg)
             assert report.baseline_misses == base
+
+    def test_baseline_counted_per_trace_content_and_cache(self, addr_cfg):
+        # equal lengths, different blocks; 0 and 2 share a set in the 2-set cache
+        blocks = {"spread": list(range(100)), "reuse": [0, 2] * 50}
+        small, large = CacheConfig(sets=2, ways=1), CacheConfig(sets=4, ways=2)
+        # consecutive calls change only the cache, or only the blocks, of one list object
+        steps = [("reuse", small, 100), ("reuse", large, 2), ("spread", large, 100),
+                 ("reuse", large, 2), ("reuse", small, 100)]
+        trace = []
+        for name, cache, want in steps:
+            trace[:] = make_trace(blocks[name])
+            report = simulate(trace, None, cache, LatencyModel(), addr_cfg)
+            assert report.baseline_misses == report.demand_misses == want, (name, cache)
 
     def test_conservation_at_zero_latency(self, addr_cfg):
         trace = generate_trace({"name": "stride", "stride": 2}, 3000, seed=7)
@@ -423,6 +436,32 @@ class TestRulePrefetchers:
         for acc in trace:
             pf.observe(acc, acc.vaddr >> 6)
         assert pf.active_offset is None
+
+    SMALL = AddressConfig(addr_bits=16, page_size_bits=8, block_offset_bits=4)  # 4096 blocks
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 2000, 4094, 4095])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_next_line_equals_prefetch_addresses(self, block, degree):
+        pf = NextLinePrefetcher(degree, self.SMALL)
+        want = sorted(prefetch_addresses(block, range(1, degree + 1), self.SMALL))
+        assert pf.predict(None, block) == want
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 2000, 4094, 4095])
+    @pytest.mark.parametrize("stride", [-7, -1, 1, 5])
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_stride_equals_prefetch_addresses(self, block, stride, degree):
+        pf = StridePrefetcher(confirm=2, degree=degree, addr_cfg=self.SMALL)
+        access = MemoryAccess(0, 0, 0x400000, block << 4)
+        pf._table[access.pc] = [block, stride, 2]
+        deltas = [stride * j for j in range(1, degree + 1)]
+        assert pf.predict(access, block) == sorted(prefetch_addresses(block, deltas, self.SMALL))
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 2000, 4094, 4095])
+    @pytest.mark.parametrize("offset", [-32, -1, 1, 24])
+    def test_best_offset_equals_prefetch_addresses(self, block, offset):
+        pf = BestOffsetPrefetcher(addr_cfg=self.SMALL)
+        pf.active_offset = offset
+        assert pf.predict(None, block) == sorted(prefetch_addresses(block, [offset], self.SMALL))
 
     def test_best_offset_validation(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,20 @@ class TestReadTrace:
         (rec,) = read_trace(p)
         assert rec == MemoryAccess(0, 0, 0x400123, 0x7F0000001040)
 
+    def test_record_is_an_immutable_tuple(self):
+        rec = MemoryAccess(0, 0, 0x400123, 0x1040)
+        assert rec == (0, 0, 0x400123, 0x1040)
+        with pytest.raises(AttributeError):
+            rec.vaddr = 0x2000
+
+    def test_whitespace_around_fields(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(" 0 , 25 ,\t0x400040 , 0x1040 \n1,  30,0x400040,0X1080\t\n")
+        assert read_trace(p) == [MemoryAccess(0, 25, 0x400040, 0x1040),
+                                 MemoryAccess(1, 30, 0x400040, 0x1080)]
+        p.write_text(" 0x10 ,\t0x40 \n")
+        assert read_trace(p, fmt="pc_vaddr") == [MemoryAccess(0, 0, 0x10, 0x40)]
+
     def test_ordinals_follow_file_order(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("5,0,0x1,0x40\n9,1,0x2,0x80\n3,2,0x3,0xc0\n")
