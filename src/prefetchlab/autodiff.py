@@ -1,14 +1,22 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just enough machinery for the attention predictor: broadcasting elementwise ops,
-batched matmul, softmax, layer norm, shape ops, and reductions. Gradients are
-exact for every op (the whole point: they are validated against central finite
-differences by the model's gradient check).
+batched matmul, softmax, layer norm, shape ops, and reductions, plus two fused
+nodes for the model's hot path: ``linear`` (x W + b) and ``multi_head_attention``
+(projections, scaled dot-product attention and the head merge in one node).
+Gradients are exact for every op (the whole point: they are validated against
+central finite differences by the model's gradient check).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+class NumericError(Exception):
+    """A non-finite value appeared during a forward pass."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -41,9 +49,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, grad=None):
         """Accumulate gradients into every reachable tensor with requires_grad."""
         topo, visited = [], set()
@@ -69,26 +74,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(_wrap(other), -1.0))
-
     def __rsub__(self, other):
         return add(_wrap(other), scale(self, -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -100,10 +90,12 @@ def _wrap(x) -> Tensor:
 
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    for p in parents:  # a plain loop: any() over a generator costs more per node
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward = backward
+            break
     return out
 
 
@@ -157,6 +149,93 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), bw)
 
 
+def linear(x, w, b=None) -> Tensor:
+    """x W (+ b) over the flattened leading dims of x, as one node.
+
+    The weight gradient is one 2-D product over every leading row, and the bias
+    gradient a column sum, instead of one product per batch element.
+    """
+    x, w = _wrap(x), _wrap(w)
+    x2 = x.data.reshape(-1, x.data.shape[-1])
+    out = x2 @ w.data
+    parents = (x, w)
+    if b is not None:
+        b = _wrap(b)
+        out += b.data
+        parents = (x, w, b)
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
+        _accum(w, x2.T @ g2)
+        if b is not None:
+            _accum(b, g2.sum(axis=0))
+
+    return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, bw)
+
+
+def multi_head_attention(xq, x, wq, wk, wv, num_heads: int) -> Tensor:
+    """Multi-head attention as one node, before the output projection.
+
+    Queries come from ``xq`` (..., m, D); keys and values from ``x`` (..., n, D).
+    Each of the H heads attends with softmax(q k^T / sqrt(D/H)) v on its D/H
+    slice of the projections; the heads are merged back to (..., m, D). When
+    ``xq is x`` the three projections are one product with [wq | wk | wv].
+    Raises NumericError when a projection is not finite.
+    """
+    xq, x, wq, wk, wv = (_wrap(t) for t in (xq, x, wq, wk, wv))
+    *lead, n, dim = x.data.shape
+    m = xq.data.shape[-2]
+    dh = dim // num_heads
+    x2 = x.data.reshape(-1, dim)
+    fused = xq is x
+
+    def heads(t, rows):  # (B * rows, k * D) -> (B, k * H, rows, dh)
+        return t.reshape(-1, rows, t.shape[-1] // dh, dh).transpose(0, 2, 1, 3)
+
+    w_from_x = (wq, wk, wv) if fused else (wk, wv)
+    w_in = np.concatenate([w.data for w in w_from_x], axis=1)
+    proj = [x2 @ w_in]
+    if not fused:
+        xq2 = xq.data.reshape(-1, dim)
+        proj.insert(0, xq2 @ wq.data)
+    if not all(np.isfinite(t).all() for t in proj):
+        raise NumericError("non-finite attention input")
+    kv = heads(proj[-1], n)
+    q = kv[:, :num_heads] if fused else heads(proj[0], m)
+    k, v = kv[:, -2 * num_heads:-num_heads], kv[:, -num_heads:]
+    k_t = k.transpose(0, 1, 3, 2)
+    factor = 1.0 / math.sqrt(dh)
+    scores = (q @ k_t) * factor
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    a = e / e.sum(axis=-1, keepdims=True)  # (B, H, m, n)
+
+    def merge(t):  # (B, H, rows, dh) -> (B * rows, D)
+        return t.transpose(0, 2, 1, 3).reshape(-1, dim)
+
+    out = merge(a @ v).reshape(tuple(lead) + (m, dim))
+
+    def bw(g):
+        g_h = g.reshape(-1, m, num_heads, dh).transpose(0, 2, 1, 3)
+        d_a = g_h @ v.transpose(0, 1, 3, 2)
+        d_scores = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True)) * factor
+        d_q = merge(d_scores @ k)
+        d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
+        d_v = merge(a.transpose(0, 1, 3, 2) @ g_h)
+        d_proj = np.concatenate([d_q, d_k, d_v] if fused else [d_k, d_v], axis=1)
+        for w, d_w in zip(w_from_x, np.split(x2.T @ d_proj, len(w_from_x), axis=1)):
+            _accum(w, d_w)
+        if x.requires_grad:
+            _accum(x, (d_proj @ w_in.T).reshape(x.data.shape))
+        if not fused:
+            _accum(wq, xq2.T @ d_q)
+            if xq.requires_grad:
+                _accum(xq, (d_q @ wq.data.T).reshape(xq.data.shape))
+
+    return _node(out, (x, wq, wk, wv) if fused else (xq, x, wq, wk, wv), bw)
+
+
 def relu(a) -> Tensor:
     a = _wrap(a)
     mask = a.data > 0
@@ -170,7 +249,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    z = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0, z) / (1.0 + z)
 
     def bw(g):
         _accum(a, g * y * (1.0 - y))
@@ -216,18 +296,21 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     a, gain, bias = _wrap(a), _wrap(gain), _wrap(bias)
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # sum / n is what np.mean computes, without its Python-level wrapper; the
+    # variance from the centred x gives the bits of np.var
+    centred = x - x.sum(axis=-1, keepdims=True) / n
+    var = (centred * centred).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xhat = centred * inv_std
     out_data = xhat * gain.data + bias.data
 
     def bw(g):
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape))
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         _accum(a, inv_std * (dxhat - m1 - xhat * m2))
 
     return _node(out_data, (a, gain, bias), bw)
@@ -235,11 +318,10 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    bounds = np.cumsum(sizes)[:-1]
 
     def bw(g):
+        bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
         for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
             _accum(t, piece)
 
@@ -271,7 +353,9 @@ def broadcast_to(a, shape) -> Tensor:
     def bw(g):
         _accum(a, _unbroadcast(g, a.data.shape))
 
-    return _node(np.broadcast_to(a.data, shape).copy(), (a,), bw)
+    out = np.empty(shape)
+    out[...] = a.data  # the copy np.broadcast_to(...).copy() makes, without its Python wrapper
+    return _node(out, (a,), bw)
 
 
 def getitem(a, key) -> Tensor:

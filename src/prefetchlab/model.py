@@ -8,6 +8,14 @@ self-attention + pointwise feed-forward, each with a residual add and a layer
 norm); the classification token's final state feeds a single linear head whose
 sigmoid outputs are per-delta prefetch confidences.
 
+``forward`` builds few graph nodes: every projection (embeddings, attention
+output, feed-forward, head) is one ``autodiff.linear`` node, and each layer's
+attention is one fused ``autodiff.multi_head_attention`` node. The head reads
+only the classification row, so the last layer takes its keys and values from
+every position but computes its queries, output projection, residual norms and
+feed-forward for that row alone. ``attention``, ``multi_head_attention`` and
+``feed_forward`` below are the unfused compositions the tests check it against.
+
 Training is full-precision ADAM with a step-decayed learning rate, binary
 cross-entropy over the bitmap dimensions, deterministic given the seed.
 """
@@ -21,16 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from prefetchlab import autodiff as ad
-from prefetchlab.autodiff import Tensor
+from prefetchlab.autodiff import NumericError, Tensor
 
 BCE_EPS = 1e-7
 PREDICT_BATCH = 512  # samples per forward pass when predict gets a batch
 CHECKPOINT_MAGIC = b"PFLCKPT1"
 CHECKPOINT_VERSION = 1
-
-
-class NumericError(Exception):
-    """A non-finite value appeared during a forward pass."""
 
 
 class TrainingError(Exception):
@@ -265,7 +269,7 @@ def forward(
     if not np.isfinite(inputs).all():
         raise NumericError("non-finite model input")
 
-    embedded = ad.matmul(Tensor(inputs), params["embed_w"])  # (batch, N, D)
+    embedded = ad.linear(Tensor(inputs), params["embed_w"])  # (batch, N, D)
     cls = ad.broadcast_to(
         ad.reshape(params["cls_token"], (1, 1, cfg.hidden_dim)), (batch, 1, cfg.hidden_dim)
     )
@@ -277,27 +281,28 @@ def forward(
         contexts = np.asarray(contexts, dtype=np.float64)
         if contexts.shape != (batch, cfg.history_len, 2):
             raise ValueError(f"context shape {contexts.shape} != {(batch, cfg.history_len, 2)}")
-        ctx = ad.matmul(Tensor(contexts), params["ctx_embed_w"])  # (batch, N, D)
+        ctx = ad.linear(Tensor(contexts), params["ctx_embed_w"])  # (batch, N, D)
         pad = Tensor(np.zeros((batch, 1, cfg.hidden_dim)))
         x = ad.add(x, ad.concat([pad, ctx], axis=1))
 
     for i in range(cfg.num_layers):
         p = f"layer{i}."
-        attn = multi_head_attention(
-            x, params[p + "attn_wq"], params[p + "attn_wk"],
-            params[p + "attn_wv"], params[p + "attn_wo"], cfg.num_heads,
+        # the head reads only the classification row, and every op after the
+        # attention's keys and values works row by row: the last layer keeps row 0
+        xq = x[:, :1] if i == cfg.num_layers - 1 else x
+        attn = ad.multi_head_attention(
+            xq, x, params[p + "attn_wq"], params[p + "attn_wk"], params[p + "attn_wv"],
+            cfg.num_heads,
         )
-        x = ad.layer_norm(ad.add(x, attn), params[p + "ln1_gain"], params[p + "ln1_bias"])
-        ffn = feed_forward(
-            x, params[p + "ffn_w1"], params[p + "ffn_b1"],
-            params[p + "ffn_w2"], params[p + "ffn_b2"],
-        )
+        x = ad.layer_norm(ad.add(xq, ad.linear(attn, params[p + "attn_wo"])),
+                          params[p + "ln1_gain"], params[p + "ln1_bias"])
+        hidden = ad.relu(ad.linear(x, params[p + "ffn_w1"], params[p + "ffn_b1"]))
+        ffn = ad.linear(hidden, params[p + "ffn_w2"], params[p + "ffn_b2"])
         x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_gain"], params[p + "ln2_bias"])
         if not np.isfinite(x.data).all():
             raise NumericError(f"non-finite activations after transformer layer {i}")
 
-    cls_state = x[:, 0, :]
-    conf = ad.sigmoid(ad.add(ad.matmul(cls_state, params["head_w"]), params["head_b"]))
+    conf = ad.sigmoid(ad.linear(x[:, 0, :], params["head_w"], params["head_b"]))
     return conf[0] if single else conf
 
 

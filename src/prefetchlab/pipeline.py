@@ -330,6 +330,9 @@ class _Run:
             manifest = _read_json(self.path(manifest_name))
         except ValueError as exc:  # malformed JSON, or bytes that are not text
             raise StaleArtifactsError(f"{manifest_name} is not valid JSON: {exc}") from None
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs"), dict):
+            raise StaleArtifactsError(f"{manifest_name} is not a stage manifest: "
+                                      "expected an object with an 'outputs' object")
         if manifest.get("config_hash") != self.config_hash:
             raise StaleArtifactsError(f"artifacts of stage '{stage}' were built under config "
                                       f"{manifest.get('config_hash')!r}, current config is {self.config_hash!r}")

@@ -105,6 +105,46 @@ class TestMatmul:
             ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
 
 
+class TestLinear:
+    @pytest.mark.parametrize("shapes", [
+        [(3, 4), (4, 5)],
+        [(2, 3, 4), (4, 5)],
+        [(3, 4), (4, 5), (5,)],
+        [(2, 3, 4), (4, 5), (5,)],
+    ], ids=["2d", "3d", "2d-bias", "3d-bias"])
+    def test_gradient(self, shapes):
+        check_op(ad.linear, shapes)
+
+    def test_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(7)
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        want = ad.add(ad.matmul(Tensor(x), Tensor(w)), Tensor(b)).data
+        assert np.array_equal(ad.linear(Tensor(x), Tensor(w), Tensor(b)).data, want)
+
+
+class TestMultiHeadAttention:
+    SHAPES = [(2, 5, 4), (4, 4), (4, 4), (4, 4)]
+
+    def test_gradient_self_attention(self):
+        check_op(lambda x, wq, wk, wv: ad.multi_head_attention(x, x, wq, wk, wv, 2), self.SHAPES)
+
+    def test_gradient_classification_row(self):
+        # queries from row 0 only; keys and values from every row of the same x
+        check_op(lambda x, wq, wk, wv: ad.multi_head_attention(x[:, :1], x, wq, wk, wv, 2),
+                 self.SHAPES)
+
+    def test_gradient_unbatched(self):
+        check_op(lambda x, wq, wk, wv: ad.multi_head_attention(x, x, wq, wk, wv, 1),
+                 [(3, 4), (4, 4), (4, 4), (4, 4)])
+
+    def test_nonfinite_projection_rejected(self):
+        x = Tensor(np.ones((1, 2, 4)))
+        ws = [Tensor(np.eye(4)) for _ in range(3)]
+        ws[1].data[0, 0] = np.inf
+        with pytest.raises(ad.NumericError):
+            ad.multi_head_attention(x, x, *ws, 2)
+
+
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(2)

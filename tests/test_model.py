@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -130,7 +131,53 @@ class TestFeedForward:
                 assert abs(num - gflat[i]) / max(1.0, abs(num), abs(gflat[i])) < 1e-4
 
 
+def reference_forward(params, inputs, contexts):
+    """The unfused composition: every layer on every row, one node per matmul."""
+    cfg = params.cfg
+    batch = inputs.shape[0]
+    x = ad.add(ad.concat([
+        ad.broadcast_to(ad.reshape(params["cls_token"], (1, 1, cfg.hidden_dim)),
+                        (batch, 1, cfg.hidden_dim)),
+        ad.matmul(Tensor(inputs), params["embed_w"]),
+    ], axis=1), params["pos_embed"])
+    ctx = ad.matmul(Tensor(contexts), params["ctx_embed_w"])
+    x = ad.add(x, ad.concat([Tensor(np.zeros((batch, 1, cfg.hidden_dim))), ctx], axis=1))
+    for i in range(cfg.num_layers):
+        p = f"layer{i}."
+        attn = multi_head_attention(x, params[p + "attn_wq"], params[p + "attn_wk"],
+                                    params[p + "attn_wv"], params[p + "attn_wo"], cfg.num_heads)
+        x = ad.layer_norm(ad.add(x, attn), params[p + "ln1_gain"], params[p + "ln1_bias"])
+        ffn = feed_forward(x, params[p + "ffn_w1"], params[p + "ffn_b1"],
+                           params[p + "ffn_w2"], params[p + "ffn_b2"])
+        x = ad.layer_norm(ad.add(x, ffn), params[p + "ln2_gain"], params[p + "ln2_bias"])
+    head = ad.add(ad.matmul(x[:, 0, :], params["head_w"]), params["head_b"])
+    return ad.sigmoid(head).data
+
+
 class TestForward:
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    def test_matches_unpruned_reference(self, layers):
+        cfg = dataclasses.replace(TINY, num_layers=layers)
+        params = ModelParams.init(cfg, seed=layers)
+        for name, t in params.items():  # nonzero biases, token and positions too
+            t.data += np.random.default_rng(len(name)).normal(0.0, 0.3, t.shape)
+        x, c, _ = tiny_batch(6, cfg, seed=layers)
+        want = reference_forward(params, x, c)
+        assert np.abs(forward(params, x, c).data - want).max() < 1e-12
+        for i in range(len(x)):
+            assert np.abs(forward(params, x[i], c[i]).data - want[i]).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["layer0.attn_wk", "layer1.attn_wq", "layer1.ffn_w1"])
+    def test_nonfinite_weight_raises(self, name):
+        params = ModelParams.init(TINY, seed=0)
+        params[name].data[0, 0] = np.inf
+        x, c, _ = tiny_batch(2)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError):
+                forward(params, x, c)
+            with pytest.raises(NumericError):
+                forward(params, x[0], c[0])
+
     def test_outputs_in_unit_interval(self):
         params = ModelParams.init(TINY, seed=0)
         x, c, _ = tiny_batch()

@@ -185,6 +185,21 @@ class TestStages:
         with pytest.raises(StaleArtifactsError, match="manifest_train.json"):
             run_stage("tune", tiny_cfg, clone)
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: [],
+        lambda m: {k: v for k, v in m.items() if k != "outputs"},
+        lambda m: dict(m, outputs=list(m["outputs"])),
+    ], ids=["list", "no-outputs", "outputs-not-object"])
+    def test_misshapen_manifest_refused(self, tiny_cfg, full_run, tmp_path, edit):
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        path = os.path.join(clone, "manifest_gen.json")
+        manifest = json.load(open(path))
+        with open(path, "w") as fh:
+            json.dump(edit(manifest), fh)
+        with pytest.raises(StaleArtifactsError, match="manifest_gen.json"):
+            run_stage("simulate", tiny_cfg, clone)
+
     def test_failed_stage_leaves_earlier_outputs(self, tiny_cfg, full_run, tmp_path, monkeypatch):
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
