@@ -9,11 +9,13 @@ out-of-vocabulary token.
 Cache file layout (little-endian): magic ``PFDS``, u32 version, u32 history
 length N, u32 input dim S, u32 bitmap size B, u64 sample count; then per sample
 the N*S float32 input row, the N*2 float32 context row, and the label bitmap
-packed 8 bits per byte (bit i in byte i // 8 at bit i % 8), with no padding.
+packed 8 bits per byte (bit i in byte i // 8 at bit i % 8), with no padding;
+then the 32-byte SHA-256 of everything before it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -34,7 +36,7 @@ from prefetchlab.labeling import LabelConfig, label_bitmaps
 from prefetchlab.trace import AddressConfig, MemoryAccess, TraceSplit, block_addresses
 
 CACHE_MAGIC = b"PFDS"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _HEADER = "<IIIIQ"  # version, history length, input dim, bitmap size, sample count
 
 
@@ -71,10 +73,9 @@ class LabeledDataset:
         records["inputs"] = self.inputs
         records["contexts"] = self.contexts
         records["labels"] = np.packbits(self.labels, axis=1, bitorder="little")
+        payload = CACHE_MAGIC + struct.pack(_HEADER, CACHE_VERSION, hist, dim, bits, n) + records.tobytes()
         with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack(_HEADER, CACHE_VERSION, hist, dim, bits, n))
-            fh.write(records.tobytes())
+            fh.write(payload + hashlib.sha256(payload).digest())
 
     @classmethod
     def load(cls, path) -> "LabeledDataset":
@@ -89,8 +90,10 @@ class LabeledDataset:
         if version != CACHE_VERSION:
             raise ValueError(f"{path}: unsupported dataset cache version {version}")
         dtype = _record_dtype(hist, dim, bits)
-        if len(raw) - offset != n * dtype.itemsize:
+        if len(raw) - offset != n * dtype.itemsize + 32:
             raise ValueError(f"{path}: truncated dataset cache")
+        if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
+            raise ValueError(f"{path}: dataset cache checksum mismatch")
         records = np.frombuffer(raw, dtype, n, offset)
         labels = np.unpackbits(records["labels"], axis=1, bitorder="little")[:, :bits]
         return cls(

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from prefetchlab.schema import config, field
 from prefetchlab.trace import AddressConfig, page_of_block
 
 
@@ -27,15 +28,11 @@ class CapacityError(Exception):
     """A token dictionary exceeded its configured capacity during growth."""
 
 
-@dataclass(frozen=True)
+@config
 class SegmentationConfig:
     """Fixed segment width in bits; the count follows from the block address width."""
 
-    segment_bits: int = 6
-
-    def __post_init__(self):
-        if self.segment_bits < 1:
-            raise ValueError(f"segment_bits must be >= 1, got {self.segment_bits}")
+    segment_bits: int = field(6, ge=1)
 
     def segment_count(self, addr_cfg: AddressConfig) -> int:
         if self.segment_bits > addr_cfg.block_bits:
@@ -243,7 +240,7 @@ def tokenize(values, dictionary: TokenDictionary) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@config
 class FeatureConfig:
     """Which per-position input features feed the model.
 
@@ -252,14 +249,10 @@ class FeatureConfig:
     mode "page_offset": tokenized page id plus raw block index (needs a dictionary).
     """
 
-    mode: str = "as"
-    segment_bits: int = 6
-    hash_bits: int = 16
-    dictionary_capacity: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("as", "delta", "page_offset"):
-            raise ValueError(f"unknown input mode {self.mode!r}")
+    mode: str = field("as", one_of=("as", "delta", "page_offset"))
+    segment_bits: int = field(6, ge=1)
+    hash_bits: int = field(16, ge=1, le=32)  # pc_context's range
+    dictionary_capacity: int | None = field(None, ge=1)
 
     def input_dim(self, addr_cfg: AddressConfig) -> int:
         if self.mode == "as":

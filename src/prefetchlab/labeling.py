@@ -11,26 +11,19 @@ bound..2*bound-1 (index = delta + bound - 1). Delta 0 has no slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from prefetchlab.schema import config, field
 from prefetchlab.trace import AddressConfig, MemoryAccess, block_address
 
 
-@dataclass(frozen=True)
+@config
 class LabelConfig:
-    look_forward: int = 128  # accesses scanned after the trigger
-    delta_bound: int = 128   # max |delta| in blocks
-    skip: int = 0            # distance-labeling skip, in accesses
-
-    def __post_init__(self):
-        if self.look_forward < 1 or self.delta_bound < 1 or self.skip < 0:
-            raise ValueError(
-                f"bad label config: look_forward={self.look_forward} "
-                f"delta_bound={self.delta_bound} skip={self.skip}"
-            )
+    look_forward: int = field(128, ge=1)  # accesses scanned after the trigger
+    delta_bound: int = field(128, ge=1)   # max |delta| in blocks
+    skip: int = field(0, ge=0)            # distance-labeling skip, in accesses
 
     @property
     def bitmap_size(self) -> int:

@@ -30,6 +30,7 @@ import numpy as np
 
 from prefetchlab import autodiff as ad
 from prefetchlab.autodiff import NumericError, Tensor
+from prefetchlab.schema import config, field
 
 BCE_EPS = 1e-7
 PREDICT_BATCH = 512  # samples per forward pass when predict gets a batch
@@ -41,22 +42,18 @@ class TrainingError(Exception):
     """Training diverged (non-finite loss)."""
 
 
-@dataclass(frozen=True)
+@config
 class ModelConfig:
-    hidden_dim: int = 128
-    num_heads: int = 4
-    num_layers: int = 2
-    output_dim: int = 256
-    history_len: int = 9
-    input_dim: int = 10
-    ffn_mult: int = 2
+    hidden_dim: int = field(128, ge=1)
+    num_heads: int = field(4, ge=1)
+    num_layers: int = field(2, ge=0)
+    output_dim: int = field(256, ge=1)
+    history_len: int = field(9, ge=1)
+    input_dim: int = field(10, ge=1)
+    ffn_mult: int = field(2, ge=1)
     use_context: bool = True
 
     def __post_init__(self):
-        dims = (self.hidden_dim, self.num_heads, self.output_dim, self.history_len,
-                self.input_dim, self.ffn_mult)
-        if any(d < 1 for d in dims) or self.num_layers < 0:
-            raise ValueError(f"all model dimensions must be >= 1 (layers >= 0): {self}")
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -337,27 +334,19 @@ def bce_loss(pred: Tensor, labels: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@config
 class TrainConfig:
-    learning_rate: float = 1e-3
-    lr_decay: float = 0.5
-    lr_decay_every: int = 10  # epochs per decay step
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 256
-    max_epochs: int = 50
-    seed: int = 0
-    grad_clip: float | None = None
-    patience: int | None = 5  # early stop on validation loss; None disables
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.lr_decay <= 0:
-            raise ValueError("rates must be positive")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("ADAM betas must lie in (0, 1)")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.lr_decay_every < 1:
-            raise ValueError("batch size, epochs and decay interval must be >= 1")
+    learning_rate: float = field(1e-3, gt=0)
+    lr_decay: float = field(0.5, gt=0)
+    lr_decay_every: int = field(10, ge=1)  # epochs per decay step
+    beta1: float = field(0.9, gt=0, lt=1)
+    beta2: float = field(0.999, gt=0, lt=1)
+    adam_eps: float = field(1e-8, gt=0)
+    batch_size: int = field(256, ge=1)
+    max_epochs: int = field(50, ge=1)
+    seed: int = field(0, ge=0)
+    grad_clip: float | None = field(None, gt=0)
+    patience: int | None = field(5, ge=0)  # early stop on validation loss; None disables
 
 
 @dataclass(frozen=True)
@@ -541,17 +530,17 @@ def gradient_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@config
 class LatencyCosts:
     """Per-primitive cycle costs for the fully-parallel latency estimate."""
 
-    matmul_embed: float
-    matmul_head: float
-    matmul_attn: float
-    matmul_ffn: float
-    vector_add: float = 1.0
-    activation: float = 1.0
-    norm: float = 5.0
+    matmul_embed: float = field(ge=0)
+    matmul_head: float = field(ge=0)
+    matmul_attn: float = field(ge=0)
+    matmul_ffn: float = field(ge=0)
+    vector_add: float = field(1.0, ge=0)
+    activation: float = field(1.0, ge=0)
+    norm: float = field(5.0, ge=0)
 
     @classmethod
     def log_tree(cls, hidden_dim: int, **overrides) -> "LatencyCosts":
@@ -570,10 +559,6 @@ def estimate_latency(costs: LatencyCosts, cfg: ModelConfig) -> float:
     activation; each transformer layer four attention matmuls, three activations,
     one feed-forward matmul, and two (add + norm) pairs for its residual norms.
     """
-    for c in (costs.matmul_embed, costs.matmul_head, costs.matmul_attn,
-              costs.matmul_ffn, costs.vector_add, costs.activation, costs.norm):
-        if c < 0:
-            raise ValueError("latency costs must be >= 0")
     per_layer = (
         4.0 * costs.matmul_attn
         + 3.0 * costs.activation

@@ -19,10 +19,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, is_dataclass, replace
 
 from prefetchlab import __version__ as PACKAGE_VERSION
-from prefetchlab import plots
+from prefetchlab import plots, schema
 from prefetchlab.datasets import LabeledDataset, build_datasets, mean_cycles_per_access
 from prefetchlab.features import FeatureConfig, TokenDictionary
 from prefetchlab.labeling import LabelConfig
@@ -37,9 +38,10 @@ from prefetchlab.simulator import (
     StridePrefetcher,
     simulate,
 )
+from prefetchlab.schema import config, field
 from prefetchlab.throttle import ThresholdReport, micro_metrics, tune_threshold
 from prefetchlab.trace import (
-    AddressConfig, SplitError, check_split_ratios, generate_trace, read_trace, split_trace, write_trace
+    AddressConfig, check_pattern, check_split_ratios, generate_trace, read_trace, split_trace, write_trace
 )
 
 STAGES = ("gen", "preprocess", "train", "tune", "eval", "simulate", "sweep", "report")
@@ -62,80 +64,79 @@ class StaleArtifactsError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
+@config
 class TraceSource:
-    source: str = "generate"          # "generate" | "file"
-    pattern: dict = field(default_factory=lambda: {"name": "stride", "stride": 3})
-    length: int = 20000
+    source: str = field("generate", one_of=("generate", "file"))
+    pattern: dict = field(factory=lambda: {"name": "stride", "stride": 3})
+    length: int = field(20000, ge=1)
     path: str | None = None
-    format: str = "csv"
+    format: str = field("csv", one_of=("csv", "pc_vaddr"))
 
     def __post_init__(self):
-        if self.source not in ("generate", "file"):
-            raise ConfigError(f"trace.source must be 'generate' or 'file', got {self.source!r}")
+        check_pattern(self.pattern)
         if self.source == "file" and not self.path:
-            raise ConfigError("trace.source 'file' needs trace.path")
-        if not _is_int(self.length) or self.length < 1:
-            raise ConfigError(f"trace.length must be a positive integer, got {self.length!r}")
+            raise ValueError("path must be set when source is 'file'")
 
 
-@dataclass(frozen=True)
+@config
 class ThresholdConfig:
-    grid_step: float = 0.01
-    max_degree: int | None = None
+    grid_step: float = field(0.01, gt=0, lt=1)
+    max_degree: int | None = field(None, ge=0)
 
 
-@dataclass(frozen=True)
+@config
 class SweepConfig:
-    latencies: tuple = (0, 50, 100, 200)
-    throughputs: tuple = ("L", "H")
-    distance: tuple = (True, False)
+    latencies: tuple[int, ...] = field((0, 50, 100, 200), ge=0)
+    throughputs: tuple[str, ...] = field(("L", "H"), one_of=("L", "H"))
+    distance: tuple[bool, ...] = (True, False)
 
 
-@dataclass(frozen=True)
+@config
 class SimulateConfig:
-    prefetchers: tuple = ("model",)
-    top_k: int | None = None          # top-k mode for the model prefetcher; None = threshold
-    timeline_interval: int | None = None  # per-interval miss-rate rows, None disables
-    next_line_degree: int = 2
-    stride_table_size: int = 256
-    stride_confirm: int = 2
-    stride_degree: int = 1
-    best_offset_round_length: int = 4
-    best_offset_score_threshold: int = 2
+    prefetchers: tuple[str, ...] = field(("model",), one_of=("best_offset", "model", "next_line", "stride"))
+    top_k: int | None = field(None, ge=1)              # top-k mode for the model prefetcher; None = threshold
+    timeline_interval: int | None = field(None, ge=1)  # per-interval miss-rate rows, None disables
+    next_line_degree: int = field(2, ge=1)
+    stride_table_size: int = field(256, ge=1)
+    stride_confirm: int = field(2, ge=0)
+    stride_degree: int = field(1, ge=1)
+    best_offset_round_length: int = field(4, ge=1)
+    best_offset_score_threshold: int = field(2, ge=0)
 
 
-@dataclass(frozen=True)
+@config
 class ModelDims:
-    hidden_dim: int = 128
-    num_heads: int = 4
-    num_layers: int = 2
-    ffn_mult: int = 2
+    hidden_dim: int = field(128, ge=1)
+    num_heads: int = field(4, ge=1)
+    num_layers: int = field(2, ge=0)
+    ffn_mult: int = field(2, ge=1)
     use_context: bool = True
-    history_len: int = 9
+    history_len: int = field(9, ge=1)
 
 
-@dataclass(frozen=True)
+@config
 class ExperimentConfig:
-    seed: int = 0
-    address: AddressConfig = field(default_factory=AddressConfig)
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    label: LabelConfig = field(default_factory=LabelConfig)
-    model: ModelDims = field(default_factory=ModelDims)
-    train: dict = field(default_factory=dict)         # TrainConfig overrides
-    threshold: ThresholdConfig = field(default_factory=ThresholdConfig)
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    latency: LatencyModel = field(default_factory=LatencyModel)
-    trace: TraceSource = field(default_factory=TraceSource)
-    split: tuple = (0.4, 0.1, 0.5)
-    trigger_stream: str = "access"
-    eval_modes: tuple = ()            # extra FeatureConfigs for the input ablation
-    simulate: SimulateConfig = field(default_factory=SimulateConfig)
-    sweep: SweepConfig = field(default_factory=SweepConfig)
+    seed: int = field(0, ge=0)
+    address: AddressConfig = AddressConfig()
+    features: FeatureConfig = FeatureConfig()
+    label: LabelConfig = LabelConfig()
+    model: ModelDims = ModelDims()
+    train: dict = field(factory=dict)         # TrainConfig overrides
+    threshold: ThresholdConfig = ThresholdConfig()
+    cache: CacheConfig = CacheConfig()
+    latency: LatencyModel = LatencyModel()
+    trace: TraceSource = TraceSource()
+    split: tuple[float, ...] = (0.4, 0.1, 0.5)
+    trigger_stream: str = field("access", one_of=("access", "miss"))
+    eval_modes: tuple[FeatureConfig, ...] = ()  # extra FeatureConfigs for the input ablation
+    simulate: SimulateConfig = SimulateConfig()
+    sweep: SweepConfig = SweepConfig()
+
+    def __post_init__(self):
+        check_split_ratios(self.split)
+        for fc in self.all_feature_modes():
+            self.model_config(fc)  # derived input dims and head divisibility
+        self.train_config()
 
     def model_config(self, feature_cfg: FeatureConfig | None = None) -> ModelConfig:
         fc = feature_cfg or self.features
@@ -151,7 +152,7 @@ class ExperimentConfig:
         )
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **self.train)
+        return _build(TrainConfig, self.train, "train", seed=self.seed)
 
     def all_feature_modes(self) -> list[FeatureConfig]:
         """Primary mode first, then any distinct ablation modes."""
@@ -162,89 +163,42 @@ class ExperimentConfig:
         return modes
 
     def validate(self) -> "ExperimentConfig":
-        """Cross-field consistency; called before any stage runs."""
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        try:
-            check_split_ratios(self.split)
-        except SplitError as exc:
-            raise ConfigError(f"split: {exc}") from None
-        if self.trigger_stream not in ("access", "miss"):
-            raise ConfigError(f"trigger_stream must be 'access' or 'miss', got {self.trigger_stream!r}")
-        try:
-            for fc in self.all_feature_modes():
-                self.model_config(fc)  # checks divisibility and derived input dims
-            self.train_config()
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from None
-        lists = {"sweep.latencies": self.sweep.latencies, "sweep.throughputs": self.sweep.throughputs,
-                 "sweep.distance": self.sweep.distance, "simulate.prefetchers": self.simulate.prefetchers}
-        for where, values in lists.items():
-            if not isinstance(values, (list, tuple)):
-                raise ConfigError(f"{where} must be a list, got {values!r}")
-        for t in self.sweep.latencies:
-            if not isinstance(t, (int, float)) or isinstance(t, bool) or not t >= 0:
-                raise ConfigError(f"sweep latencies must be numbers >= 0, got {t!r}")
-        for thr in self.sweep.throughputs:
-            if thr not in ("L", "H"):
-                raise ConfigError(f"sweep throughput {thr!r} not in ('L', 'H')")
-        known = ("best_offset", "model", "next_line", "stride")
-        for name in self.simulate.prefetchers:
-            if name not in known:
-                raise ConfigError(f"unknown prefetcher {name!r} (known: {list(known)})")
+        """Every check runs at construction, so a config that exists is valid."""
         return self
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["eval_modes"] = [asdict(fc) for fc in self.eval_modes]
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
-        builders = {
-            "address": AddressConfig,
-            "features": FeatureConfig,
-            "label": LabelConfig,
-            "model": ModelDims,
-            "threshold": ThresholdConfig,
-            "cache": CacheConfig,
-            "latency": LatencyModel,
-            "trace": TraceSource,
-            "simulate": SimulateConfig,
-            "sweep": SweepConfig,
-        }
-        kwargs = {}
-        for key, value in raw.items():
-            if key in builders:
-                kwargs[key] = _build(builders[key], value, key)
-            elif key == "eval_modes":
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(f"eval_modes must be a list, got {value!r}")
-                kwargs[key] = tuple(_build(FeatureConfig, m, "eval_modes") for m in value)
-            elif key == "split":
-                kwargs[key] = tuple(value) if isinstance(value, list) else value
-            elif key in ("seed", "train", "trigger_stream"):
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-        try:
-            cfg = cls(**kwargs)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from None
-        return cfg.validate()
+        return _build(cls, raw, "")
 
 
-def _build(cls, value: dict, where: str):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
+def _build(cls, raw: dict, where: str, **fixed):
+    """Build config class ``cls`` from a JSON mapping, recursing on its annotations: mappings
+    become config classes, lists tuples. Every error is a ``ConfigError`` naming the dotted
+    path of the bad value. ``fixed`` fields are the caller's and may not appear in ``raw``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be a mapping, got {type(raw).__name__}")
+    prefix = f"{where}." if where else ""
+    annotations, kwargs = schema.hints(cls), dict(fixed)
+    for key, value in raw.items():
+        if key not in annotations or key in fixed:
+            raise ConfigError(f"unknown config key {f'{prefix}{key}'!r}")
+        kwargs[key] = _shape(annotations[key], value, prefix + key)
     try:
-        # tuples round-trip as lists through JSON
-        fixed = {k: tuple(v) if isinstance(v, list) else v for k, v in value.items()}
-        return cls(**fixed)
+        return cls(**kwargs)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _shape(hint, value, where: str):
+    if isinstance(hint, type) and is_dataclass(hint):
+        return _build(hint, value, where)
+    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
+        element = typing.get_args(hint)[0]
+        return tuple(_shape(element, v, f"{where}[{i}]") for i, v in enumerate(value))
+    return value
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
@@ -553,7 +507,7 @@ def stage_sweep(run: _Run) -> None:
     for dp in cfg.sweep.distance:
         for t in cfg.sweep.latencies:
             skip = math.ceil(t / cpa) if dp else 0
-            combos.append((bool(dp), int(t), skip))
+            combos.append((dp, t, skip))
     trained: dict[int, tuple] = {}
     for _, _, skip in combos:
         if skip in trained:
@@ -684,10 +638,9 @@ _STAGE_FUNCS = {
 
 
 def run_stage(stage: str, cfg: ExperimentConfig, run_dir) -> dict:
-    """Validate config, run one stage through one ``_Run``, and return its manifest."""
+    """Run one stage through one ``_Run`` and return its manifest."""
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r} (stages: {', '.join(STAGES)})")
-    cfg.validate()
     os.makedirs(run_dir, exist_ok=True)
     run = _Run(cfg, run_dir, stage)
     if run.has(stage):  # from here on, no manifest claims this stage's outputs

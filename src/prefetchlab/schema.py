@@ -1,0 +1,74 @@
+"""Config classes whose fields check themselves.
+
+``@config`` makes a frozen dataclass whose constructor checks every field
+against its annotation, then against the range declared with :func:`field`,
+and only then runs the class's own ``__post_init__``, which keeps the rules
+that span several fields. Annotations may be ``int``, ``float``, ``bool``,
+``str``, ``dict``, ``X | None``, ``tuple[X, ...]`` or another config class. A
+bool is never a number; ``float`` accepts an int and keeps it as given; ``int``
+accepts numpy integers and stores a Python int. A range applies to each element
+of a tuple and never to ``None``. A violation raises ``ValueError`` whose message
+starts with the field's name.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import numbers
+import operator
+import types
+import typing
+
+_RANGES = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"), "le": (operator.le, "<="),
+           "lt": (operator.lt, "<"), "one_of": (lambda v, allowed: v in allowed, "in")}
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", dict: "a mapping"}
+
+
+def field(default=dataclasses.MISSING, *, factory=dataclasses.MISSING, **bounds):
+    """A config field with a declared range: any of ``ge``, ``gt``, ``le``, ``lt``, ``one_of``."""
+    return dataclasses.field(default=default, default_factory=factory, metadata=bounds)
+
+
+@functools.cache
+def hints(cls) -> dict:
+    """Field name -> resolved annotation, once per class."""
+    return typing.get_type_hints(cls)
+
+
+def config(cls):
+    """Frozen dataclass that checks its fields at construction (see the module docstring)."""
+    own = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        annotations = hints(type(self))
+        for f in dataclasses.fields(self):
+            checked = _check(getattr(self, f.name), annotations[f.name], f.name, f.metadata)
+            object.__setattr__(self, f.name, checked)
+        if own is not None:
+            own(self)
+
+    cls.__post_init__ = __post_init__
+    return dataclasses.dataclass(frozen=True)(cls)
+
+
+def _check(value, hint, name: str, bounds):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _check(value, args[0], name, bounds)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return tuple(_check(v, args[0], f"{name}[{i}]", bounds) for i, v in enumerate(value))
+    if hint is int or hint is float:
+        ok = isinstance(value, numbers.Integral if hint is int else numbers.Real) and not isinstance(value, bool)
+        value = int(value) if ok and hint is int else value
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ValueError(f"{name} must be {_KINDS.get(hint) or 'a ' + hint.__name__}, got {value!r}")
+    for rule, bound in bounds.items():
+        test, sign = _RANGES[rule]
+        if not test(value, bound):
+            raise ValueError(f"{name} must be {sign} {bound!r}, got {value!r}")
+    return value

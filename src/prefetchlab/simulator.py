@@ -33,25 +33,22 @@ import numpy as np
 from prefetchlab.features import FeatureConfig, encode_contexts, encode_inputs, history_windows
 from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, index_to_delta, prefetch_addresses
 from prefetchlab.model import ModelParams, predict as model_predict
+from prefetchlab.schema import config, field
 from prefetchlab.trace import AddressConfig, MemoryAccess, block_addresses
 
 
-@dataclass(frozen=True)
+@config
 class CacheConfig:
-    sets: int = 64
-    ways: int = 16
-    line_bytes: int = 64
-
-    def __post_init__(self):
-        if self.sets < 1 or self.ways < 1 or self.line_bytes < 1:
-            raise ValueError(f"cache geometry must be positive: {self}")
+    sets: int = field(64, ge=1)
+    ways: int = field(16, ge=1)
+    line_bytes: int = field(64, ge=1)
 
     @property
     def capacity_bytes(self) -> int:
         return self.sets * self.ways * self.line_bytes
 
 
-@dataclass(frozen=True)
+@config
 class LatencyModel:
     """Inference latency in cycles plus the throughput bound.
 
@@ -60,14 +57,8 @@ class LatencyModel:
     in-flight inference are dropped).
     """
 
-    latency_cycles: int = 0
-    throughput: str = "H"
-
-    def __post_init__(self):
-        if self.latency_cycles < 0:
-            raise ValueError("latency must be >= 0 cycles")
-        if self.throughput not in ("L", "H"):
-            raise ValueError(f"throughput must be 'L' or 'H', got {self.throughput!r}")
+    latency_cycles: int = field(0, ge=0)
+    throughput: str = field("H", one_of=("L", "H"))
 
 
 @dataclass(frozen=True)

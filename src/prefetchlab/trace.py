@@ -21,6 +21,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from prefetchlab.schema import config, field
+
 GZIP_MAGIC = b"\x1f\x8b"
 
 
@@ -36,11 +38,11 @@ class EmptyTraceError(TraceError):
     """The trace file contains no records."""
 
 
-class SplitError(Exception):
+class SplitError(ValueError):
     """The trace cannot be split as requested."""
 
 
-class PatternError(Exception):
+class PatternError(ValueError):
     """Unknown synthetic pattern name or bad pattern parameters."""
 
 
@@ -63,7 +65,7 @@ class MemoryAccess(NamedTuple):
     vaddr: int
 
 
-@dataclass(frozen=True)
+@config
 class AddressConfig:
     """Widths of the address fields.
 
@@ -72,14 +74,14 @@ class AddressConfig:
     the block within its page.
     """
 
-    addr_bits: int = 64
+    addr_bits: int = field(64, le=64)
     page_size_bits: int = 12
-    block_offset_bits: int = 6
+    block_offset_bits: int = field(6, ge=0)
 
     def __post_init__(self):
         if not (self.block_offset_bits < self.page_size_bits < self.addr_bits):
             raise ValueError(
-                "require block_offset_bits < page_size_bits < addr_bits, got "
+                "block_offset_bits < page_size_bits < addr_bits must hold, got "
                 f"{self.block_offset_bits}/{self.page_size_bits}/{self.addr_bits}"
             )
 
@@ -250,9 +252,9 @@ def check_split_ratios(ratios) -> None:
     if not isinstance(ratios, (list, tuple)) or len(ratios) != 3 or not all(
         isinstance(r, numbers.Real) and not isinstance(r, bool) and r > 0 for r in ratios
     ):
-        raise SplitError(f"ratios must be three positive fractions, got {ratios}")
+        raise SplitError(f"split ratios must be three positive fractions, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
-        raise SplitError(f"ratios must sum to 1 within 1e-9, got sum {sum(ratios)!r}")
+        raise SplitError(f"split ratios must sum to 1 within 1e-9, got sum {sum(ratios)!r}")
 
 
 def split_trace(trace, ratios: tuple[float, float, float]) -> TraceSplit:
@@ -390,6 +392,13 @@ _GENERATORS = {
 }
 
 
+def check_pattern(spec) -> None:
+    """The pattern rule: a mapping whose ``name`` is a known generator."""
+    known = sorted(_GENERATORS)
+    if not isinstance(spec, dict) or spec.get("name") not in known:  # list: an unhashable name is refused
+        raise PatternError(f"pattern must be a mapping whose name is one of {known}, got {spec!r}")
+
+
 def generate_trace(
     spec: dict, length: int, seed: int, addr_cfg: AddressConfig | None = None
 ) -> list[MemoryAccess]:
@@ -402,11 +411,8 @@ def generate_trace(
     """
     if length < 1:
         raise PatternError(f"length must be >= 1, got {length}")
+    check_pattern(spec)
     cfg = addr_cfg or AddressConfig()
-    name = spec.get("name")
-    gen = _GENERATORS.get(name)
-    if gen is None:
-        raise PatternError(f"unknown pattern name {name!r} (known: {sorted(_GENERATORS)})")
     rng = np.random.default_rng(seed)
-    blocks, pcs = gen(spec, length, rng, cfg)
+    blocks, pcs = _GENERATORS[spec["name"]](spec, length, rng, cfg)
     return _emit(blocks, pcs, int(spec.get("cycle_step", 1)), cfg)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -134,13 +135,14 @@ class TestDatasetCache:
         labels[0, [0, 3, 9]] = True
         labels[1, [1, 8]] = True
         ds = LabeledDataset(inputs, contexts, labels, np.arange(2))
-        expected = b"PFDS" + struct.pack("<IIIIQ", 1, 2, 3, 10, 2)
+        expected = b"PFDS" + struct.pack("<IIIIQ", 2, 2, 3, 10, 2)
         expected += struct.pack("<6f", 0.5, 0.25, 0.0, 1.0, -2.0, 0.125)
         expected += struct.pack("<4f", 0.5, 1.0, 0.25, 0.5)
         expected += bytes([0b00001001, 0b00000010])  # bits 0, 3 | bit 9 = byte 1 bit 1
         expected += struct.pack("<6f", 3.0, 0.75, 0.5, 0.0, 0.0, 1.5)
         expected += struct.pack("<4f", 0.0, 1.0, 0.75, 0.125)
         expected += bytes([0b00000010, 0b00000001])  # bit 1 | bit 8 = byte 1 bit 0
+        expected += hashlib.sha256(expected).digest()
         path = tmp_path / "golden.bin"
         ds.save(path)
         assert path.read_bytes() == expected
@@ -154,7 +156,8 @@ class TestDatasetCache:
                             np.empty((0, 12), bool), np.empty(0, np.int64))
         path = tmp_path / "empty.bin"
         ds.save(path)
-        assert len(path.read_bytes()) == 28
+        raw = path.read_bytes()
+        assert len(raw) == 28 + 32 and raw[28:] == hashlib.sha256(raw[:28]).digest()
         loaded = LabeledDataset.load(path)
         assert loaded.inputs.shape == (0, 3, 2) and loaded.labels.shape == (0, 12)
 
@@ -173,6 +176,19 @@ class TestDatasetCache:
         bundle.test.save(p)
         p.write_bytes(p.read_bytes()[:-1])
         with pytest.raises(ValueError, match="truncated dataset cache"):
+            LabeledDataset.load(p)
+
+    @pytest.mark.parametrize("where", ["byte 40", "middle", "3 from end"])
+    def test_flipped_bit_rejected(self, small_setup, addr_cfg, tmp_path, where):
+        trace, split, label_cfg = small_setup
+        bundle = build_datasets(trace, split, FeatureConfig("as", 6), label_cfg,
+                                addr_cfg, history_len=5)
+        p = tmp_path / "flip.bin"
+        bundle.test.save(p)
+        raw = bytearray(p.read_bytes())
+        raw[{"byte 40": 40, "middle": len(raw) // 2, "3 from end": len(raw) - 3}[where]] ^= 0x10
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="flip.bin.*checksum"):
             LabeledDataset.load(p)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -1,13 +1,19 @@
+import ast
+import copy
 import json
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
 
+import tests.test_acceptance as acceptance
 from prefetchlab import cli, pipeline
 from prefetchlab.datasets import LabeledDataset
-from prefetchlab.model import ModelParams
+from prefetchlab.features import FeatureConfig, SegmentationConfig
+from prefetchlab.labeling import LabelConfig
+from prefetchlab.model import LatencyCosts, ModelConfig, ModelParams, TrainConfig
 from prefetchlab.pipeline import (
     ConfigError,
     ExperimentConfig,
@@ -17,6 +23,8 @@ from prefetchlab.pipeline import (
     load_config,
     run_stage,
 )
+from prefetchlab.simulator import CacheConfig, LatencyModel
+from prefetchlab.trace import AddressConfig
 
 TINY_RAW = {
     "seed": 11,
@@ -112,6 +120,149 @@ class TestConfig:
         for seed in (None, 3):
             with pytest.raises(ConfigError, match=match):
                 load_config(str(path), seed_override=seed)
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _leaves(value, path="", keys=()):
+    """(dotted path, key path, value) of every scalar leaf of a raw config.
+    ``trace.pattern`` is one leaf: a mapping-typed field, not a config class."""
+    if isinstance(value, dict) and path != "trace.pattern":
+        for k, v in value.items():
+            yield from _leaves(v, f"{path}.{k}" if path else k, keys + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]", keys + (i,))
+    else:
+        yield path, keys, value
+
+
+# an out-of-range value for every leaf of TINY_RAW; None where the field has no range
+OUT_OF_RANGE = {
+    "seed": -1, "trace.source": "tape", "trace.pattern": {"name": "nope"}, "trace.length": 0,
+    "label.look_forward": 0, "label.delta_bound": 0,
+    "model.hidden_dim": 0, "model.num_heads": 0, "model.num_layers": -1, "model.history_len": 0,
+    "train.max_epochs": 0, "train.batch_size": 0, "threshold.grid_step": 1.5,
+    "cache.sets": 0, "cache.ways": 0,
+    "sweep.latencies[0]": -1, "sweep.latencies[1]": -100, "sweep.throughputs[0]": "M",
+    "sweep.distance[0]": None, "sweep.distance[1]": None,
+    "simulate.prefetchers[0]": "oracle", "simulate.prefetchers[1]": "markov",
+    "simulate.timeline_interval": 0, "eval_modes[0].mode": "embedding",
+}
+OPTIONAL_LEAVES = {"simulate.timeline_interval"}
+
+
+def _mutations():
+    for path, keys, value in _leaves(TINY_RAW):
+        wrong_type = 5 if isinstance(value, (str, dict)) else "x"
+        cases = {"wrong-type": wrong_type, "bool": True, "out-of-range": OUT_OF_RANGE.get(path),
+                 "null": None}
+        if isinstance(value, bool):
+            del cases["bool"]
+        if OUT_OF_RANGE.get(path) is None:
+            del cases["out-of-range"]
+        if path in OPTIONAL_LEAVES:
+            del cases["null"]
+        for kind, bad in cases.items():
+            yield pytest.param(path, keys, bad, id=f"{path}-{kind}")
+
+
+# Configs that loaded at the parent and failed inside a stage or were silently accepted.
+PROBES = {
+    "trace.pattern=5": ({"trace": {"pattern": 5}}, "trace.pattern"),
+    "trace.pattern=unknown": ({"trace": {"pattern": {"name": "nope"}}}, "trace.pattern"),
+    "seed=-1": ({"seed": -1}, "seed"),
+    "address.addr_bits=128": ({"address": {"addr_bits": 128}}, "address.addr_bits"),
+    "label.look_forward=2.5": ({"label": {"look_forward": 2.5}}, "label.look_forward"),
+    "features.hash_bits=40": ({"features": {"hash_bits": 40}}, "features.hash_bits"),
+    "eval_modes[0].hash_bits=x": ({"eval_modes": [{"hash_bits": "x"}]}, "eval_modes[0].hash_bits"),
+    "model.hidden_dim=16.0": ({"model": {"hidden_dim": 16.0}}, "model.hidden_dim"),
+    "model.use_context=yes": ({"model": {"use_context": "yes"}}, "model.use_context"),
+    "train.batch_size=64.5": ({"train": {"batch_size": 64.5}}, "train.batch_size"),
+    "train.grad_clip=x": ({"train": {"grad_clip": "x"}}, "train.grad_clip"),
+    "train.adam_eps=0": ({"train": {"adam_eps": 0}}, "train.adam_eps"),
+    "threshold.grid_step=a": ({"threshold": {"grid_step": "a"}}, "threshold.grid_step"),
+    "threshold.grid_step=0": ({"threshold": {"grid_step": 0}}, "threshold.grid_step"),
+    "threshold.max_degree=a": ({"threshold": {"max_degree": "a"}}, "threshold.max_degree"),
+    "simulate.top_k=a": ({"simulate": {"top_k": "a"}}, "simulate.top_k"),
+    "simulate.timeline_interval=0": ({"simulate": {"timeline_interval": 0}}, "simulate.timeline_interval"),
+    "simulate.next_line_degree=0": ({"simulate": {"next_line_degree": 0}}, "simulate.next_line_degree"),
+    "simulate.stride_table_size=0": ({"simulate": {"stride_table_size": 0}}, "simulate.stride_table_size"),
+    "cache.sets=1.5": ({"cache": {"sets": 1.5}}, "cache.sets"),
+    "simulate.top_k=0": ({"simulate": {"top_k": 0}}, "simulate.top_k"),
+    "cache.sets=true": ({"cache": {"sets": True}}, "cache.sets"),
+    "model.history_len=true": ({"model": {"history_len": True}}, "model.history_len"),
+    "latency.latency_cycles=1.5": ({"latency": {"latency_cycles": 1.5}}, "latency.latency_cycles"),
+    "address.page_size_bits=12.0": ({"address": {"page_size_bits": 12.0}}, "address.page_size_bits"),
+    "features.dictionary_capacity=0": ({"features": {"dictionary_capacity": 0}},
+                                       "features.dictionary_capacity"),
+    "trace.format=xml": ({"trace": {"format": "xml"}}, "trace.format"),
+    "sweep.distance=[no]": ({"sweep": {"distance": ["no"]}}, "sweep.distance[0]"),
+}
+
+
+def _demo08_raw():
+    source = open(os.path.join(REPO, "demos", "08_pipeline_stages.py")).read()
+    return ast.literal_eval(re.search(r"from_dict\((\{.*?\})\)\n", source, re.S).group(1))
+
+
+def _readme_raw():
+    readme = open(os.path.join(REPO, "README.md")).read()
+    return json.loads(re.search(r"A minimal config.*?```json\n(.*?)```", readme, re.S).group(1))
+
+
+class TestConfigSchema:
+    def test_out_of_range_table_covers_every_leaf(self):
+        assert set(OUT_OF_RANGE) == {path for path, _, _ in _leaves(TINY_RAW)}
+
+    @pytest.mark.parametrize("path, keys, bad", list(_mutations()))
+    def test_every_leaf_mutation_names_the_leaf(self, path, keys, bad):
+        raw = copy.deepcopy(TINY_RAW)
+        node = raw
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = bad
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("raw, path", list(PROBES.values()), ids=list(PROBES))
+    def test_probe_raises_at_load(self, tmp_path, raw, path):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            ExperimentConfig.from_dict(raw)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            load_config(str(cfg_path))
+
+    @pytest.mark.parametrize("raw, expected", [
+        (TINY_RAW, "0a4a4c81509ce00cf4b1eaa3f919d1327315571bbab5d1316e98c6885d39ddd9"),
+        (acceptance.TestDeterminism.RAW, "456f634f7fdac1b06068d2f803d5e0edf5ad178c353c0770a5b96bdd93c9b17d"),
+        (_demo08_raw(), "da9fdce00f3ba91486044eee592a521bf1a8cb5c31d84cdc7407a9313376e933"),
+        (_readme_raw(), "f9a825f86ab34efe19fde1e7052a94eba4bd5eea179994b1ad1fd5d37138c52e"),
+    ], ids=["TINY_RAW", "determinism", "demo08", "readme"])
+    def test_config_hash_pinned(self, raw, expected):
+        assert config_hash(ExperimentConfig.from_dict(raw)) == expected
+
+    @pytest.mark.parametrize("make", [
+        lambda: AddressConfig(page_size_bits=12.0),
+        lambda: SegmentationConfig(True),
+        lambda: FeatureConfig(hash_bits=40),
+        lambda: LabelConfig(look_forward=2.5),
+        lambda: ModelConfig(use_context="yes"),
+        lambda: TrainConfig(adam_eps=0),
+        lambda: CacheConfig(sets=True),
+        lambda: LatencyModel(1.5),
+        lambda: LatencyCosts("1", 0, 0, 0),
+    ], ids=["AddressConfig", "SegmentationConfig", "FeatureConfig", "LabelConfig", "ModelConfig",
+            "TrainConfig", "CacheConfig", "LatencyModel", "LatencyCosts"])
+    def test_library_constructor_raises_value_error(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_numbers_stored_as_given(self):
+        assert type(LatencyModel(np.int64(5)).latency_cycles) is int
+        assert type(TrainConfig(learning_rate=1).learning_rate) is int  # float fields keep ints
 
 
 class TestStages:
