@@ -134,8 +134,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_split_ratios(self.split)
-        for fc in self.all_feature_modes():
-            self.model_config(fc)  # derived input dims and head divisibility
+        for where, fc in [("features", self.features),
+                          *((f"eval_modes[{i}]", fc) for i, fc in enumerate(self.eval_modes))]:
+            try:
+                fc.input_dim(self.address)  # the derived input dims
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        self.model_config()  # head divisibility
         self.train_config()
 
     def model_config(self, feature_cfg: FeatureConfig | None = None) -> ModelConfig:

@@ -62,14 +62,6 @@ class LatencyModel:
 
 
 @dataclass(frozen=True)
-class PrefetchRequest:
-    """One in-flight prefetch: insertable only once its issue cycle is reached."""
-
-    block: int
-    issue_cycle: int  # trigger cycle + modeled latency
-
-
-@dataclass(frozen=True)
 class SimReport:
     demand_accesses: int
     demand_misses: int
@@ -93,43 +85,6 @@ class SimReport:
         d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "degree_hist"}
         d["degree_hist"] = {str(k): v for k, v in sorted(self.degree_hist.items())}
         return d
-
-
-class SetAssociativeCache:
-    """LRU set-associative cache over block addresses, tracking prefetch tags."""
-
-    def __init__(self, cfg: CacheConfig):
-        self.cfg = cfg
-        self._nsets = cfg.sets
-        self._ways = cfg.ways
-        # per set: OrderedDict block -> unused-prefetch flag; LRU at the front
-        self._sets = [OrderedDict() for _ in range(cfg.sets)]
-
-    def contains(self, block: int) -> bool:
-        return block in self._sets[block % self._nsets]
-
-    def access(self, block: int) -> tuple[bool, bool]:
-        """Demand lookup. Returns (hit, hit cleared an unused prefetch tag)."""
-        entries = self._sets[block % self._nsets]
-        if block in entries:
-            was_unused = entries[block]
-            entries[block] = False
-            entries.move_to_end(block)
-            return True, was_unused
-        return False, False
-
-    def insert(self, block: int, prefetched: bool) -> tuple[int, bool] | None:
-        """Insert a block, evicting LRU if the set is full.
-
-        Returns (evicted block, evictee was an unused prefetch) or None.
-        """
-        entries = self._sets[block % self._nsets]
-        evicted = entries.popitem(last=False) if len(entries) >= self._ways else None
-        entries[block] = prefetched
-        return evicted
-
-    def unused_prefetched_count(self) -> int:
-        return sum(sum(1 for f in entries.values() if f) for entries in self._sets)
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +346,22 @@ def _baseline_misses(cfg: CacheConfig, block_bytes: bytes) -> int:
     """Demand misses with no prefetcher. Memoized on the blocks' bytes, so the
     repeated simulations of one trace and cache (one per prefetcher, one per
     sweep job) replay the baseline once; a hit is an exact content match."""
-    cache = SetAssociativeCache(cfg)
+    nsets, ways = cfg.sets, cfg.ways
+    sets = [{} for _ in range(nsets)]  # the LRU idiom of simulate, without prefetch flags
     misses = 0
     blocks = np.frombuffer(block_bytes, dtype=np.uint64)
     for start in range(0, len(blocks), 4096):  # a chunk at a time: no second whole-trace list
         for b in blocks[start:start + 4096].tolist():
-            hit, _ = cache.access(b)
-            if not hit:
+            entries = sets[b % nsets]
+            if b in entries:
+                del entries[b]
+            else:
                 misses += 1
-                cache.insert(b, prefetched=False)
+                if len(entries) >= ways:
+                    for lru in entries:
+                        break
+                    del entries[lru]
+            entries[b] = None
     return misses
 
 
@@ -434,8 +396,11 @@ def simulate(
     blocks = block_array.tolist()
     baseline_misses = _baseline_misses(cache_cfg, block_array.tobytes())
 
-    cache = SetAssociativeCache(cache_cfg)
-    contains, lookup, insert = cache.contains, cache.access, cache.insert
+    # The cache: one dict per set mapping block -> unused-prefetch flag, whose
+    # insertion order is LRU order (least recent first). A hit pops and
+    # re-inserts; an eviction takes the first key.
+    nsets, ways = cache_cfg.sets, cache_cfg.ways
+    sets = [{} for _ in range(nsets)]
     if prefetcher is not None:
         prefetcher.reset()
         prefetcher.prepare(trace, blocks)
@@ -445,7 +410,7 @@ def simulate(
     low_throughput = latency.throughput == "L"
     miss_triggers = trigger_stream == "miss"
 
-    pending: deque[PrefetchRequest] = deque()  # issue cycles are non-decreasing
+    pending: deque[tuple[int, int]] = deque()  # (block, ready cycle); ready cycles non-decreasing
     pending_set: set[int] = set()
     busy_until = 0
 
@@ -459,35 +424,46 @@ def simulate(
         cycle = access.cycle
 
         # land prefetches whose latency has elapsed
-        while pending and pending[0].issue_cycle <= cycle:
-            pblock = pending.popleft().block
+        while pending and pending[0][1] <= cycle:
+            pblock = pending.popleft()[0]
             pending_set.discard(pblock)
-            if contains(pblock):
+            entries = sets[pblock % nsets]
+            if pblock in entries:
                 dropped_on_arrival += 1
                 if log is not None:
                     log((access.ordinal, "prefetch_drop", pblock, None))
                 continue
-            evicted = insert(pblock, True)
-            if evicted is not None and evicted[1]:
-                useless_evicted += 1
+            evicted = None
+            if len(entries) >= ways:
+                for evicted in entries:
+                    break
+                if entries.pop(evicted):
+                    useless_evicted += 1
+            entries[pblock] = True
             if log is not None:
-                log((access.ordinal, "prefetch_insert", pblock, None if evicted is None else evicted[0]))
+                log((access.ordinal, "prefetch_insert", pblock, evicted))
 
-        hit, was_unused_prefetch = lookup(block)
+        entries = sets[block % nsets]
+        hit = block in entries
         if hit:
-            if was_unused_prefetch:
+            if entries.pop(block):
                 useful += 1
+            entries[block] = False
             if log is not None:
                 log((access.ordinal, "demand_hit", block, None))
         else:
             demand_misses += 1
             if block in pending_set:
                 late += 1
-            evicted = insert(block, False)
-            if evicted is not None and evicted[1]:
-                useless_evicted += 1
+            evicted = None
+            if len(entries) >= ways:
+                for evicted in entries:
+                    break
+                if entries.pop(evicted):
+                    useless_evicted += 1
+            entries[block] = False
             if log is not None:
-                log((access.ordinal, "demand_miss", block, None if evicted is None else evicted[0]))
+                log((access.ordinal, "demand_miss", block, evicted))
 
         if prefetcher is None:
             continue
@@ -508,21 +484,26 @@ def simulate(
         total_degree += degree
         ready = cycle + latency_cycles
         for pblock in predictions:
-            if contains(pblock) or pblock in pending_set:
+            entries = sets[pblock % nsets]
+            if pblock in entries or pblock in pending_set:
                 continue
             issued += 1
             if latency_cycles == 0:
                 # immediate insertion: no in-flight window exists
-                evicted = insert(pblock, True)
-                if evicted is not None and evicted[1]:
-                    useless_evicted += 1
+                evicted = None
+                if len(entries) >= ways:
+                    for evicted in entries:
+                        break
+                    if entries.pop(evicted):
+                        useless_evicted += 1
+                entries[pblock] = True
                 if log is not None:
-                    log((access.ordinal, "prefetch_insert", pblock, None if evicted is None else evicted[0]))
+                    log((access.ordinal, "prefetch_insert", pblock, evicted))
             else:
-                pending.append(PrefetchRequest(pblock, ready))
+                pending.append((pblock, ready))
                 pending_set.add(pblock)
 
-    resident_unused = cache.unused_prefetched_count()
+    resident_unused = sum(sum(entries.values()) for entries in sets)
     in_flight = len(pending)
     triggers_with_degree = sum(degree_hist.values())
     return SimReport(

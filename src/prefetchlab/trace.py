@@ -140,12 +140,11 @@ def page_of_block(block, cfg: AddressConfig):
 
 
 def _open_maybe_gzip_read(path):
-    raw = open(path, "rb")
-    head = raw.read(2)
-    raw.seek(0)
-    if head == GZIP_MAGIC:
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw, mode="rb"), encoding="ascii")
-    return io.TextIOWrapper(raw, encoding="ascii")
+    with open(path, "rb") as raw:
+        head = raw.read(2)
+    # gzip.open owns the file it opens; a GzipFile given a fileobj never closes it
+    return io.TextIOWrapper(gzip.open(path, "rb") if head == GZIP_MAGIC else open(path, "rb"),
+                            encoding="ascii")
 
 
 def read_trace(path, fmt: str = "csv") -> list[MemoryAccess]:
@@ -173,41 +172,48 @@ def read_trace(path, fmt: str = "csv") -> list[MemoryAccess]:
     return records
 
 
-def _parse_lines(path, lines, fmt: str) -> list[MemoryAccess]:
+def _parse_lines(path, fh, fmt: str) -> list[MemoryAccess]:
+    """Parse ``fh`` a chunk of lines at a time. A well-formed line is split as read,
+    since ``int()`` strips each field; a line that fails is stripped, skipped when
+    blank or a ``#`` comment, and otherwise parsed again to name its fault."""
     records = []
-    prev_cycle = None
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")  # int() strips the whitespace around each field
-        ordinal = len(records)
-        try:
-            if fmt == "csv":
-                if len(parts) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(parts)}")
-                cycle = int(parts[1])
-                pc = int(parts[2], 16)
-                vaddr = int(parts[3], 16)
-            else:
-                if len(parts) != 2:
-                    raise ValueError(f"expected 2 fields, got {len(parts)}")
-                cycle = ordinal
-                pc = int(parts[0], 16)
-                vaddr = int(parts[1], 16)
-        except ValueError as exc:
-            raise TraceParseError(f"{path}: parse error at line {lineno}: {exc}") from None
-        if (pc | vaddr) >> 64:  # nonzero for a negative value or one wider than 64 bits
-            field, value = ("pc", pc) if pc >> 64 else ("vaddr", vaddr)
-            raise TraceParseError(
-                f"{path}: parse error at line {lineno}: {field} {value:#x} is not a 64-bit address"
-            )
-        if prev_cycle is not None and cycle < prev_cycle:
-            raise TraceParseError(
-                f"{path}: parse error at line {lineno}: cycle {cycle} decreases"
-            )
-        prev_cycle = cycle
-        records.append(MemoryAccess(ordinal, cycle, pc, vaddr))
+    append, new = records.append, tuple.__new__
+    csv, nfields = fmt == "csv", 4 if fmt == "csv" else 2
+    prev_cycle = -math.inf  # a negative first cycle is accepted
+    lineno = 0
+    while chunk := fh.readlines(1 << 16):
+        for line in chunk:
+            lineno += 1
+            try:
+                if csv:
+                    first, cycle, pc, vaddr = line.split(",")
+                    if "#" in first:  # maybe a comment that happens to hold four fields
+                        raise ValueError
+                    cycle, pc, vaddr = int(cycle), int(pc, 16), int(vaddr, 16)
+                else:
+                    pc, vaddr = line.split(",")
+                    cycle, pc, vaddr = len(records), int(pc, 16), int(vaddr, 16)
+            except ValueError:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split(",")
+                try:
+                    if len(parts) != nfields:
+                        raise ValueError(f"expected {nfields} fields, got {len(parts)}")
+                    cycle, pc, vaddr = (int(parts[1]), int(parts[2], 16), int(parts[3], 16)) if csv else (
+                        len(records), int(parts[0], 16), int(parts[1], 16))
+                except ValueError as exc:
+                    raise TraceParseError(f"{path}: parse error at line {lineno}: {exc}") from None
+            if (pc | vaddr) >> 64:  # nonzero for a negative value or one wider than 64 bits
+                field, value = ("pc", pc) if pc >> 64 else ("vaddr", vaddr)
+                raise TraceParseError(
+                    f"{path}: parse error at line {lineno}: {field} {value:#x} is not a 64-bit address"
+                )
+            if cycle < prev_cycle:
+                raise TraceParseError(f"{path}: parse error at line {lineno}: cycle {cycle} decreases")
+            prev_cycle = cycle
+            append(new(MemoryAccess, (len(records), cycle, pc, vaddr)))
     return records
 
 
@@ -311,8 +317,6 @@ def _gen_pointer_walk(spec, length, rng, cfg):
 def _gen_page_skip(spec, length, rng, cfg):
     # Repeating delta cycle; the default jump of 91 blocks crosses page boundaries.
     deltas = spec.get("deltas", [2, 3, 91])
-    if not deltas:
-        raise PatternError("page_skip needs a non-empty delta cycle")
     start = int(spec.get("start_block", 1 << 20))
     pc = int(spec.get("pc", DEFAULT_PC))
     blocks = [start]
@@ -330,8 +334,6 @@ def _gen_interleaved(spec, length, rng, cfg):
             {"pc": DEFAULT_PC + 0x40, "start_block": 1 << 22, "stride": 3},
         ],
     )
-    if not streams:
-        raise PatternError("interleaved needs at least one stream")
     pos = [int(s.get("start_block", 1 << 20)) for s in streams]
     blocks, pcs = [], []
     for i in range(length):
@@ -365,21 +367,17 @@ def _gen_region_walks(spec, length, rng, cfg):
             {"start_page": 0x30000, "pages": 4096, "walk": [9] * 6},
         ],
     )
-    if not regions:
-        raise PatternError("region_walks needs at least one region")
     pc = int(spec.get("pc", DEFAULT_PC))
-    blocks = []
-    while len(blocks) < length:
-        r = regions[int(rng.integers(0, len(regions)))]
-        page = int(r["start_page"]) + int(rng.integers(0, int(r["pages"])))
-        b = page << cfg.block_index_bits
-        blocks.append(b)
-        for d in r["walk"]:
-            if len(blocks) >= length:
-                break
-            b += int(d)
-            blocks.append(b)
-    return blocks[:length], [pc] * length
+    # per region: first page, page count, and the walk's offsets from the landing block
+    hops = [(int(r["start_page"]), int(r["pages"]),
+             list(itertools.accumulate(map(int, r["walk"]), initial=0))) for r in regions]
+    draw, shift, blocks = rng.integers, cfg.block_index_bits, []
+    while len(blocks) < length:  # two draws per hop, region then page: the PRNG stream fixes the trace
+        start, pages, offsets = hops[int(draw(0, len(hops)))]
+        b = (start + int(draw(0, pages))) << shift
+        blocks.extend([b + o for o in offsets])
+    del blocks[length:]
+    return blocks, [pc] * length
 
 
 _GENERATORS = {
@@ -392,11 +390,47 @@ _GENERATORS = {
 }
 
 
+def _ints(lo=-math.inf, hi=math.inf):
+    return lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and lo <= v < hi
+
+
+def _list_of(check, min_len=1):
+    return lambda v: isinstance(v, (list, tuple)) and len(v) >= min_len and all(map(check, v))
+
+
+def _mapping(required=(), **checks):
+    return lambda m: (isinstance(m, dict) and all(k in m for k in required)
+                      and all(check(m[k]) for k, check in checks.items() if k in m))
+
+
+_INT, _PC = (_ints(), "an integer"), (_ints(0, 1 << 64), "an integer in [0, 2**64)")
+_INT_LIST = (_list_of(_ints()), "a non-empty list of integers")
+# generator -> optional parameter -> (check, what the value must be)
+_PARAMS = {
+    "stride": {"stride": _INT, "start_block": _INT},
+    "pointer_walk": {"page": _INT, "steps": _INT_LIST},
+    "page_skip": {"start_block": _INT, "deltas": _INT_LIST},
+    "interleaved": {"streams": (
+        _list_of(_mapping(pc=_PC[0], start_block=_ints(), stride=_ints())),
+        "a non-empty list of mappings with integer pc, start_block and stride")},
+    "random": {"region_start_block": _INT, "region_blocks": (_ints(1), "an integer >= 1")},
+    "region_walks": {"regions": (
+        _list_of(_mapping(("start_page", "pages", "walk"),
+                          start_page=_ints(0), pages=_ints(1), walk=_list_of(_ints(), 0))),
+        "a non-empty list of mappings with start_page >= 0, pages >= 1 and a walk list of integers")},
+}
+
+
 def check_pattern(spec) -> None:
-    """The pattern rule: a mapping whose ``name`` is a known generator."""
+    """The pattern rule: a mapping whose ``name`` is a known generator, and whose
+    parameters, where given, have the types and ranges that generator uses."""
     known = sorted(_GENERATORS)
     if not isinstance(spec, dict) or spec.get("name") not in known:  # list: an unhashable name is refused
         raise PatternError(f"pattern must be a mapping whose name is one of {known}, got {spec!r}")
+    rules = {"pc": _PC, "cycle_step": (_ints(0), "an integer >= 0"), **_PARAMS[spec["name"]]}
+    for key, (check, what) in rules.items():
+        if key in spec and not check(spec[key]):
+            raise PatternError(f"pattern {spec['name']}: {key} must be {what}, got {spec[key]!r}")
 
 
 def generate_trace(

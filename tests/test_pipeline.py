@@ -199,6 +199,13 @@ PROBES = {
                                        "features.dictionary_capacity"),
     "trace.format=xml": ({"trace": {"format": "xml"}}, "trace.format"),
     "sweep.distance=[no]": ({"sweep": {"distance": ["no"]}}, "sweep.distance[0]"),
+    "trace.pattern.stride=x": ({"trace": {"pattern": {"name": "stride", "stride": "x"}}}, "trace.pattern"),
+    "trace.pattern.deltas=5": ({"trace": {"pattern": {"name": "page_skip", "deltas": 5}}}, "trace.pattern"),
+    "trace.pattern.regions-without-start_page": (
+        {"trace": {"pattern": {"name": "region_walks", "regions": [{"pages": 4, "walk": [1]}]}}},
+        "trace.pattern"),
+    "features.segment_bits=60": ({"features": {"segment_bits": 60}}, "features"),
+    "eval_modes[0].segment_bits=60": ({"eval_modes": [{"segment_bits": 60}]}, "eval_modes[0]"),
 }
 
 

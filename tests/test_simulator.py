@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,6 @@ from prefetchlab.simulator import (
     NextLinePrefetcher,
     OraclePrefetcher,
     Prefetcher,
-    SetAssociativeCache,
     SimReport,
     MissTimeline,
     StridePrefetcher,
@@ -374,6 +377,136 @@ class TestGoldenReports:
         assert logged == simulate(trace, self.PREFETCHERS[name](), *args)
 
 
+class _LogDigest:
+    """An ``event_log`` sink that hashes each event's repr instead of keeping it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def append(self, event):
+        self.sha.update(repr(event).encode())
+
+
+class TestPinnedEventLogs:
+    """SHA-256 of the full event log and of the report, pinned before the cache
+    sets became plain dicts.
+
+    A seeded 20k-access region-walk trace (the golden reports' regions) through a
+    4-set, 2-way cache: small enough that unused prefetches get evicted,
+    prefetches are dropped on arrival and demand misses hit in-flight (late)
+    prefetches.
+    """
+
+    PREFETCHERS = {
+        "next_line": lambda trace, cfg: NextLinePrefetcher(2, cfg),
+        "stride": lambda trace, cfg: StridePrefetcher(addr_cfg=cfg),
+        "best_offset": lambda trace, cfg: BestOffsetPrefetcher(addr_cfg=cfg),
+        "oracle": lambda trace, cfg: OraclePrefetcher(trace, cfg, window=32),
+    }
+    LATENCIES = [(0, "H"), (30, "H"), (30, "L")]
+    # (prefetcher, latency cycles, throughput, trigger stream) -> (event log digest, report digest)
+    PINNED = {
+    ('next_line', 0, 'H', 'access'): (
+        'ea9dd008ba4454187fecb1a777bf5c5f1ee2310ee405b050cd44d4689c63d747',
+        '33f8bf58b8224d4015aa3610a722cbec6adea0d2e9cf403cdf4bdf45e8207244'),
+    ('next_line', 0, 'H', 'miss'): (
+        '7c18ea85e3c4600717b2cba3897acac7e1b60a7a22d63c29cad1ace39adfb046',
+        '1cca08d10ab41602d2282ef5d2bfb19e086103881fbe8de57e0f7db3c5410582'),
+    ('next_line', 30, 'H', 'access'): (
+        '0ba3cdc33bd29889ea08164e1f90dee1e02eef513816adc9baa122c0ed0fe0ca',
+        '246a9b1adb9d8514de4b07d70d63923b7ae99bfb0e91c73acea06b6f306363a4'),
+    ('next_line', 30, 'H', 'miss'): (
+        'ad5b1efbffcdeee2884acac9600f1de27c555f102194bf141685affbc59e3da5',
+        '00a2c8713f5dc752c9ee0554515cc96cff2e576860fcef003742e2065c50334e'),
+    ('next_line', 30, 'L', 'access'): (
+        'f56337c25b1ea9e1a7a74a4e8ac85d52f85b1663acb59bb472cd964056d7fbec',
+        '299bc259a767faa6c612d9d13a6f41f6fd1e9d133dfdd95a59eddc0b2bdd93a1'),
+    ('next_line', 30, 'L', 'miss'): (
+        '18ed7e87cc97524e16dec937ceb61c0e6a04eceea6266b953237de46c5511928',
+        'a43da796980a5092bd1a67313fff1cd0080fa415c5ac9b1467c6d22381df83b5'),
+    ('stride', 0, 'H', 'access'): (
+        '99bf8529ccea630820b62a031e7243c2dd67831949d12124c9e40f5d441709ed',
+        '4eb7754217db1c0b23aa10c5b3a6dc8e19eb431665b2873a5d6ca85e6d761766'),
+    ('stride', 0, 'H', 'miss'): (
+        '36fdd3ea7abc7e4d08799ccad73519b903404a73dec59a2032f01a75d1183e98',
+        '2eceae3cf270426c79a3d73db63d03c57c298041ac9aaf9cd7b93b66bebdfd85'),
+    ('stride', 30, 'H', 'access'): (
+        '1dfa8f51c3e8ea447865e7410e614f27bbbc6d738f78a88efbd3b3529cf23479',
+        '357c6c89a65bff875f4cd0c90b521ec800aaa43ca40d424188c2632f56f0b360'),
+    ('stride', 30, 'H', 'miss'): (
+        '5f629eeec654e8f155b465ac0109e48b552537309f7888c14044e394fc9d9a52',
+        '15d1bc5899233c91672588d96d400847b51e8ae04d2270d343cfcd337092474d'),
+    ('stride', 30, 'L', 'access'): (
+        'ab902a348c50d5fb9b0411f18662f93e66e365ca653bf77d34190cbac9e5028b',
+        '175c45e7c519b80047991068ba6dcfb7e8ffe65fcf45b10d6d88d5e187a8deab'),
+    ('stride', 30, 'L', 'miss'): (
+        'ab72e0a176249824e9dea717c3e9e4dfc016a3dd03e920b1056447a729495efa',
+        '0c117abedc52d47835a30535bd6b1ba4913b9154b79792b5dd62ebc7a057f4b2'),
+    ('best_offset', 0, 'H', 'access'): (
+        '2743c47f701a846cd29a3535d7c14be9c5adb1dad4c589266d280a80b1c9837b',
+        '42d86e7d03421b30bdba37d3bc3498bdd5037e3c429ba6431e2c9f52b05e6bde'),
+    ('best_offset', 0, 'H', 'miss'): (
+        '17684a298646e2ad87703c9ebfc8f41514640149447959e777a56d471e4cbefc',
+        '122a7f70bdfa9af0f4e09c1f09208635206f8de3e9ebfef1389c4a0a270226b2'),
+    ('best_offset', 30, 'H', 'access'): (
+        '096ed0d34e79cee0e8aaad99c2731402b4e8ab7ac9f321fecdf49b133f45f5af',
+        '6b21c190dd68c5b92a2c8f9bf51be2ceb3f482408c46ed1bbd5a2f493b4ab7d0'),
+    ('best_offset', 30, 'H', 'miss'): (
+        '341498699495d9ae1e7ee8f44652467a698db3767869d103b57224ae920eead5',
+        'b7b9046a3f6a7d51a70e20dcbfbef0270fb700233dcb1496cf51d931e49cc516'),
+    ('best_offset', 30, 'L', 'access'): (
+        'bd5e0fb27f91d2ce60a65a2a289755546ddf9cb95039fceaf78dcb665f70d519',
+        '1c75c627099de8194eff0afba5980d1bb678fe7207eea397c8a80b661fa75cb1'),
+    ('best_offset', 30, 'L', 'miss'): (
+        'ce8c6968e223f459efbd3c420fcf462545e671f79672d82459503f7f4153fbab',
+        'abd4cfcd3008032a0c504426014eb23ea69aaa35c43fec539a490919a6b7db1b'),
+    ('oracle', 0, 'H', 'access'): (
+        '6169382cf1c2bd928af6ea56136b797952be38d403cef5b3c627b08d467dfe66',
+        'c6b74556a70c271ec4223d18026fdcd8e6749d576e2f048fe7bd1cdf6e62ecb0'),
+    ('oracle', 0, 'H', 'miss'): (
+        '330ac3b63e3b41b4fbc4aaa4a4242b7c72b1ca049ac659237595697d9412f923',
+        'be7a16f4ec6693bda3d13c68cc9cb46b2622fa800b22e97ac887c480817c112a'),
+    ('oracle', 30, 'H', 'access'): (
+        '5efcf9482a3505fae55322133740667d0db46db62c42e2e930478c17c8ac5e97',
+        '376136fb8dc253572b33a36c339267a7eedad7382614a3fcb40248b19439c964'),
+    ('oracle', 30, 'H', 'miss'): (
+        '47af54a319b102993868ea97342928d1a3a1d15306956e1392435cfe82cbf8ec',
+        '3c118ddf90ca46490a2fdcf33d33f44537cd65b2a907115faf1a6e2a6db00768'),
+    ('oracle', 30, 'L', 'access'): (
+        '6f8386d2e9a38e0a78d3bd8f4a9dbb5f5f2fce0a55442cac44cdab230a6b604c',
+        'e247a2747e4a06887d3261442eaa4e9a24f39c782c1ddea3353d87f4d790c224'),
+    ('oracle', 30, 'L', 'miss'): (
+        '7d7ffe799d35e0d08dccd60671b1addd30910756d57ab357cc2126b51bbf12ad',
+        'a7c546c7ffbd748d4f814e3794ce5a99bc7dbb504f959b8457ff61234ab218f5'),
+    }
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace({"name": "region_walks", "regions": TestGoldenReports.REGIONS},
+                              20000, seed=3)
+
+    def run(self, trace, addr_cfg, key):
+        name, cycles, throughput, stream = key
+        log = _LogDigest()
+        report = simulate(trace, self.PREFETCHERS[name](trace, addr_cfg), CacheConfig(sets=4, ways=2),
+                          LatencyModel(cycles, throughput), addr_cfg, stream, event_log=log)
+        blob = json.dumps(report.to_dict(), sort_keys=True).encode()
+        return report, (log.sha.hexdigest(), hashlib.sha256(blob).hexdigest())
+
+    KEYS = [(name, cycles, throughput, stream) for name, (cycles, throughput), stream
+            in itertools.product(PREFETCHERS, LATENCIES, ("access", "miss"))]
+
+    @pytest.mark.parametrize("key", KEYS, ids=lambda key: "-".join(map(str, key)))
+    def test_digests_match_pinned(self, trace, addr_cfg, key):
+        report, digests = self.run(trace, addr_cfg, key)
+        assert digests == self.PINNED[key]
+        assert_conservation(report)
+
+    def test_scenario_reaches_every_sink(self, trace, addr_cfg):
+        report, _ = self.run(trace, addr_cfg, ("next_line", 30, "H", "access"))
+        assert report.useless_evicted and report.dropped_on_arrival and report.late_prefetches
+
+
 class TestPerfectOracleCoverage:
     def test_repeating_trace_analytic_coverage(self, addr_cfg):
         footprint = 50
@@ -581,9 +714,10 @@ class TestCacheConfig:
             LatencyModel(0, "M")
 
     def test_lru_eviction_order(self):
-        cache = SetAssociativeCache(CacheConfig(sets=1, ways=2))
-        cache.insert(0, False)
-        cache.insert(1, False)
-        cache.access(0)  # refresh 0; LRU is now 1
-        evicted = cache.insert(2, False)
-        assert evicted == (1, False)
+        # one 2-way set: 0 misses, 1 is prefetched, the hit on 0 refreshes it, so 2 evicts 1
+        events = []
+        report = simulate(make_trace([0, 0, 2]), ScriptedPrefetcher({0: [1]}), CacheConfig(sets=1, ways=2),
+                          LatencyModel(0, "H"), AddressConfig(), event_log=events)
+        assert events == [(0, "demand_miss", 0, None), (0, "prefetch_insert", 1, None),
+                          (1, "demand_hit", 0, None), (2, "demand_miss", 2, 1)]
+        assert report.useless_evicted == 1  # the evictee was an unused prefetch

@@ -1,9 +1,11 @@
 import gzip
+import re
 
 import numpy as np
 import pytest
 
 from prefetchlab.trace import (
+    _GENERATORS,
     WRITE_CHUNK,
     EmptyTraceError,
     MemoryAccess,
@@ -121,6 +123,83 @@ class TestReadTrace:
             read_trace(p)
         p.write_text(f"0,0,{top},{top}\n")
         assert read_trace(p)[0].vaddr == (1 << 64) - 1
+
+
+READ_ACCEPTED = {
+    "blank-and-indented-comments": ("\n   \n  # note\n0,0,0x1,0x40\n\t# a,b,c\n1,1,0x2,0x80\n", "csv",
+                                    [(0, 0, 0x1, 0x40), (1, 1, 0x2, 0x80)]),
+    "comments-with-four-fields": ("# 5,6,0x7,0x8\n  #0,0,0x1,0x40\n0,3,0x1,0x40\n", "csv",
+                                  [(0, 3, 0x1, 0x40)]),
+    "crlf": ("0,0,0x1,0x40\r\n1,1,0x2,0x80\r\n", "csv", [(0, 0, 0x1, 0x40), (1, 1, 0x2, 0x80)]),
+    "spaces-around-fields": (" 0 , 7 ,  0x1 ,0x40 \n", "csv", [(0, 7, 0x1, 0x40)]),
+    "uppercase-hex": ("0,0,0X1AB,0XFF40\n1,1,0xABC,0xdEf\n", "csv",
+                      [(0, 0, 0x1AB, 0xFF40), (1, 1, 0xABC, 0xDEF)]),
+    "hex-without-0x": ("0,0,1ab,ff40\n", "csv", [(0, 0, 0x1AB, 0xFF40)]),
+    "no-final-newline": ("0,0,0x1,0x40\n1,1,0x2,0x80", "csv", [(0, 0, 0x1, 0x40), (1, 1, 0x2, 0x80)]),
+    "ordinal-field-not-parsed": ("x,0,0x1,0x40\n", "csv", [(0, 0, 0x1, 0x40)]),
+    "pc_vaddr": ("0x10,0x40\n\n# c\n 0x20 , 0x80\r\n", "pc_vaddr", [(0, 0, 0x10, 0x40), (1, 1, 0x20, 0x80)]),
+    "negative-first-cycle": ("0,-5,0x1,0x40\n1,-3,0x2,0x80\n", "csv", [(0, -5, 0x1, 0x40), (1, -3, 0x2, 0x80)]),
+}
+
+READ_REJECTED = {
+    "three-fields": ("0,0,0x1\n", "csv", "line 1: expected 4 fields, got 3"),
+    "five-fields": ("# h\n0,0,0x1,0x40,7\n", "csv", "line 2: expected 4 fields, got 5"),
+    "pc_vaddr-three-fields": ("0x1,0x2,0x3\n", "pc_vaddr", "line 1: expected 2 fields, got 3"),
+    "pc_vaddr-one-field": ("0x1,0x2\n0x3\n", "pc_vaddr", "line 2: expected 2 fields, got 1"),
+    "decreasing-cycle": ("# h\n0,5,0x1,0x40\n\n1,4,0x2,0x80\n", "csv", "line 4: cycle 4 decreases"),
+    "bad-hex": ("0,0,0x1,0xZZ\n", "csv", "line 1: invalid literal for int() with base 16: '0xZZ'"),
+    "bad-cycle-keeps-inner-spaces": ("0, 1.5 ,0x1,0x40\r\n", "csv",
+                                     "line 1: invalid literal for int() with base 10: ' 1.5 '"),
+    "past-the-first-read-chunk": ("".join(f"{i},{i},0x1,0x40\n" for i in range(5000)) + "5000,x,0x1,0x40\n",
+                                  "csv", "line 5001: invalid literal for int() with base 10: 'x'"),
+}
+
+
+class TestReadEdgeCases:
+    """Reader behaviour at the edges of the format, pinned before the reader parsed in chunks."""
+
+    @pytest.mark.parametrize("text, fmt, expected", list(READ_ACCEPTED.values()), ids=list(READ_ACCEPTED))
+    def test_accepted(self, tmp_path, text, fmt, expected):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        assert read_trace(p, fmt=fmt) == [MemoryAccess(*r) for r in expected]
+
+    @pytest.mark.parametrize("text, fmt, message", list(READ_REJECTED.values()), ids=list(READ_REJECTED))
+    def test_rejected_with_line(self, tmp_path, text, fmt, message):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(TraceParseError, match=re.escape(f"t.csv: parse error at {message}") + "$"):
+            read_trace(p, fmt=fmt)
+
+    @pytest.mark.parametrize("name", ["t.csv", "t.csv.gz"])
+    def test_header_only_is_empty(self, tmp_path, name):
+        p = tmp_path / name
+        write_trace(p, [])
+        with pytest.raises(EmptyTraceError):
+            read_trace(p)
+
+    @pytest.mark.parametrize("where", ["flags", "deflate-start", "middle", "crc", "size"])
+    def test_bit_flip_in_gzip_is_typed(self, tmp_path, where):
+        p = tmp_path / "t.csv.gz"
+        write_trace(p, generate_trace({"name": "stride", "stride": 3}, 2000, seed=1))
+        data = bytearray(p.read_bytes())
+        offset = {"flags": 3, "deflate-start": 10, "middle": len(data) // 2,
+                  "crc": len(data) - 6, "size": len(data) - 2}[where]
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[offset] ^= 1 << bit
+            p.write_bytes(bytes(flipped))
+            try:
+                assert len(read_trace(p)) > 0
+            except TraceParseError:
+                pass
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    def test_roundtrip_every_pattern(self, tmp_path, name):
+        trace = generate_trace({"name": name}, 3000, seed=11)
+        p = tmp_path / "t.csv.gz"
+        write_trace(p, trace)
+        assert read_trace(p) == trace
 
 
 class TestWriteTrace:
@@ -277,6 +356,24 @@ class TestGenerateTrace:
     def test_unknown_pattern(self):
         with pytest.raises(PatternError):
             generate_trace({"name": "fibonacci"}, 10, seed=0)
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "stride", "stride": "x"},
+        {"name": "stride", "pc": -1},
+        {"name": "stride", "cycle_step": -1},
+        {"name": "page_skip", "deltas": 5},
+        {"name": "page_skip", "deltas": []},
+        {"name": "pointer_walk", "steps": [1, 2.5]},
+        {"name": "interleaved", "streams": [{"stride": True}]},
+        {"name": "random", "region_blocks": 0},
+        {"name": "region_walks", "regions": [{"pages": 4, "walk": [1]}]},
+        {"name": "region_walks", "regions": [{"start_page": -1, "pages": 4, "walk": [1]}]},
+        {"name": "region_walks", "regions": [{"start_page": 1, "pages": 0, "walk": [1]}]},
+        {"name": "region_walks", "regions": [{"start_page": 1, "pages": 4, "walk": 1}]},
+    ], ids=lambda spec: "-".join(map(str, spec.values())))
+    def test_bad_parameters_rejected(self, spec):
+        with pytest.raises(PatternError, match=f"^pattern {spec['name']}: "):
+            generate_trace(spec, 10, seed=0)
 
     def test_bad_length(self):
         with pytest.raises(PatternError):
