@@ -6,6 +6,14 @@ nodes for the model's hot path: ``linear`` (x W + b) and ``multi_head_attention`
 (projections, scaled dot-product attention and the head merge in one node).
 Gradients are exact for every op (the whole point: they are validated against
 central finite differences by the model's gradient check).
+
+``Tensor.backward`` frees the graph as it goes, as PyTorch does by default: once
+a node has passed its gradient to its parents, it drops that gradient, its
+backward closure (and with it the activations the closure saved) and its
+parent links. Afterwards only leaves (parameters and any ``requires_grad``
+input) keep a ``.grad``; the root's and every intermediate's ``.grad`` are
+``None``. A graph is backpropagated once: a second ``backward()`` through it,
+or through a new graph built on one of its nodes, raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -50,7 +58,16 @@ class Tensor:
         return float(self.data)
 
     def backward(self, grad=None):
-        """Accumulate gradients into every reachable tensor with requires_grad."""
+        """Accumulate gradients into every reachable leaf with requires_grad.
+
+        Walks the graph once in reverse topological order and frees it on the
+        way: each non-leaf node drops its ``grad``, backward closure and
+        parents as soon as its gradient has reached its parents, so each
+        activation and intermediate gradient is released once nothing upstream
+        needs it. Afterwards the root's and the intermediates' ``.grad`` are
+        ``None``; leaves keep theirs. Raises RuntimeError when the graph, or part
+        of it, was freed by an earlier ``backward()``.
+        """
         topo, visited = [], set()
         stack = [(self, False)]
         while stack:
@@ -60,15 +77,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _freed:
+                _freed()  # refuse before any gradient moves
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=np.float64)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()  # pop, not reversed(): the walk list must not keep the node
+            bw = node._backward
+            if bw is None:
+                continue
+            g, node.grad = node.grad, None
+            node._backward, node._parents = _freed, ()
+            if g is not None:
+                bw(g)
 
     # -- operator sugar ------------------------------------------------------
     def __add__(self, other):
@@ -82,6 +107,12 @@ class Tensor:
 
     def __getitem__(self, key):
         return getitem(self, key)
+
+
+def _freed(g=None):
+    """The backward of a node that an earlier ``Tensor.backward`` freed."""
+    raise RuntimeError("backward() through a graph that an earlier backward() already freed; "
+                       "build the graph again")
 
 
 def _wrap(x) -> Tensor:

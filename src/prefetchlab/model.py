@@ -36,6 +36,9 @@ BCE_EPS = 1e-7
 PREDICT_BATCH = 512  # samples per forward pass when predict gets a batch
 CHECKPOINT_MAGIC = b"PFLCKPT1"
 CHECKPOINT_VERSION = 1
+# version, hidden_dim, num_heads, num_layers, output_dim, history_len, input_dim,
+# ffn_mult, use_context: the header that follows the magic
+_HEADER = struct.Struct("<9I")
 
 
 class TrainingError(Exception):
@@ -97,6 +100,14 @@ def _param_spec(cfg: ModelConfig):
     return spec
 
 
+def _param_count(cfg: ModelConfig) -> int:
+    """Total entries of :func:`_param_spec`, in closed form (no spec is built)."""
+    d, f = cfg.hidden_dim, cfg.ffn_dim
+    per_layer = 4 * d * d + 2 * d * f + f + 5 * d
+    return (d * (cfg.input_dim + 3 + cfg.seq_len + cfg.output_dim) + cfg.output_dim
+            + cfg.num_layers * per_layer)
+
+
 class ModelParams:
     """All learnable tensors, in canonical order."""
 
@@ -141,8 +152,7 @@ class ModelParams:
 
     def _payload(self) -> bytes:
         cfg = self.cfg
-        head = CHECKPOINT_MAGIC + struct.pack(
-            "<9I",
+        head = CHECKPOINT_MAGIC + _HEADER.pack(
             CHECKPOINT_VERSION,
             cfg.hidden_dim, cfg.num_heads, cfg.num_layers, cfg.output_dim,
             cfg.history_len, cfg.input_dim, cfg.ffn_mult, int(cfg.use_context),
@@ -172,29 +182,40 @@ class ModelParams:
 
     @classmethod
     def decode(cls, raw: bytes, trainable: bool = False, source="checkpoint") -> "ModelParams":
-        """Inverse of :meth:`encode`; errors name ``source``."""
+        """Inverse of :meth:`encode`; every error is a ``ValueError`` that starts
+        with ``source``. The header is checked, and the body length it implies is
+        compared with the payload's, before any tensor is sized."""
         payload, digest = raw[:-32], raw[-32:]
         if hashlib.sha256(payload).digest() != digest:
             raise ValueError(f"{source}: checkpoint checksum mismatch")
         if payload[:8] != CHECKPOINT_MAGIC:
             raise ValueError(f"{source}: not a model checkpoint")
-        fields = struct.unpack_from("<9I", payload, 8)
+        offset = 8 + _HEADER.size
+        if len(payload) < offset:
+            raise ValueError(f"{source}: checkpoint header is truncated")
+        fields = _HEADER.unpack_from(payload, 8)
         if fields[0] != CHECKPOINT_VERSION:
             raise ValueError(f"{source}: unsupported checkpoint version {fields[0]}")
-        cfg = ModelConfig(
-            hidden_dim=fields[1], num_heads=fields[2], num_layers=fields[3],
-            output_dim=fields[4], history_len=fields[5], input_dim=fields[6],
-            ffn_mult=fields[7], use_context=bool(fields[8]),
-        )
-        offset = 8 + struct.calcsize("<9I")
+        if fields[8] not in (0, 1):
+            raise ValueError(f"{source}: use_context must be 0 or 1, got {fields[8]}")
+        try:
+            cfg = ModelConfig(
+                hidden_dim=fields[1], num_heads=fields[2], num_layers=fields[3],
+                output_dim=fields[4], history_len=fields[5], input_dim=fields[6],
+                ffn_mult=fields[7], use_context=bool(fields[8]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
+        expected = 4 * _param_count(cfg)
+        if len(payload) - offset != expected:
+            raise ValueError(f"{source}: checkpoint body is {len(payload) - offset} bytes, "
+                             f"its header implies {expected}")
         tensors = {}
         for name, shape, _ in _param_spec(cfg):
             count = int(np.prod(shape))
             data = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             offset += 4 * count
             tensors[name] = Tensor(data.astype(np.float64).reshape(shape), requires_grad=trainable)
-        if offset != len(payload):
-            raise ValueError(f"{source}: checkpoint has {len(payload) - offset} trailing bytes")
         return cls(cfg, tensors)
 
 

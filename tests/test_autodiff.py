@@ -222,3 +222,87 @@ class TestGraph:
         out.backward()
         assert np.allclose(a.grad, -1.0)
         assert out.item() == ((1 - 3) * 2 + 3) * 4
+
+
+def retaining_backward(root):
+    """The backward loop before the graph was freed: same walk, same order, but
+    every node keeps its grad, closure and parents. A reference for the tests."""
+    topo, visited = [], set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in visited:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def reachable(root):
+    """Every node reachable from root through parent links, root included."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+class TestFreedGraph:
+    @staticmethod
+    def diamond():
+        """a feeds two branches that meet again, so a's grad accumulates twice."""
+        rng = np.random.default_rng(9)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        h = ad.relu(ad.linear(a, w))
+        out = ad.sum_(ad.add(ad.mul(h, h), ad.matmul(a, w)))
+        return a, w, h, out
+
+    def test_leaf_grads_match_retaining_loop(self):
+        a, w, _, out = self.diamond()
+        retaining_backward(out)
+        a2, w2, _, out2 = self.diamond()
+        out2.backward()
+        assert np.array_equal(a2.grad, a.grad) and np.array_equal(w2.grad, w.grad)
+
+    def test_graph_freed_after_backward(self):
+        a, w, h, out = self.diamond()
+        out.backward()
+        assert out.grad is None and h.grad is None
+        assert h._parents == () and reachable(out) == [out]
+        assert a.grad is not None and w.grad is not None
+
+    def test_second_backward_raises(self):
+        a, _, _, out = self.diamond()
+        out.backward()
+        before = a.grad.copy()
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            out.backward()
+        assert np.array_equal(a.grad, before)
+
+    def test_graph_built_on_freed_node_raises(self):
+        a, w, h, out = self.diamond()
+        out.backward()
+        before = a.grad.copy(), w.grad.copy()
+        with pytest.raises(RuntimeError, match="earlier backward"):
+            # the fresh matmul's backward would run before h's is reached
+            ad.sum_(ad.add(ad.matmul(a, w), ad.scale(h, 2.0))).backward()
+        # refused before any gradient moved
+        assert np.array_equal(a.grad, before[0]) and np.array_equal(w.grad, before[1])
+
+    def test_leaf_backward_keeps_working(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        a.backward()
+        a.backward(np.full((2, 2), 3.0))
+        assert np.array_equal(a.grad, np.full((2, 2), 3.0))

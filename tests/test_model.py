@@ -1,6 +1,12 @@
 import dataclasses
+import hashlib
 import itertools
 import math
+import resource
+import struct
+import sys
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,6 +14,7 @@ import pytest
 from prefetchlab import autodiff as ad
 from prefetchlab.autodiff import Tensor
 from prefetchlab.model import (
+    CHECKPOINT_MAGIC,
     LatencyCosts,
     ModelConfig,
     ModelParams,
@@ -25,6 +32,8 @@ from prefetchlab.model import (
     predict,
     train,
 )
+from prefetchlab.model import _param_count, _param_spec
+from tests.test_autodiff import reachable, retaining_backward
 
 TINY = ModelConfig(hidden_dim=8, num_heads=2, num_layers=2, output_dim=16,
                    history_len=4, input_dim=5)
@@ -424,6 +433,145 @@ class TestCheckpoint:
         params.save(path)
         loaded = ModelParams.load(path)
         assert all(not t.requires_grad for _, t in loaded.items())
+
+
+def craft(fields, body=b"", magic=CHECKPOINT_MAGIC):
+    """Checkpoint bytes with the given header fields and a digest that matches."""
+    payload = magic + struct.pack(f"<{len(fields)}I", *fields) + body
+    return payload + hashlib.sha256(payload).digest()
+
+
+TINY_HEADER = (1, 8, 2, 2, 16, 4, 5, 2, 1)  # version, then TINY's fields in header order
+
+
+def tiny_body():
+    return b"\0" * (4 * _param_count(TINY))
+
+
+def with_field(i, value):
+    return tuple(value if j == i else v for j, v in enumerate(TINY_HEADER))
+
+
+@contextmanager
+def address_space_cap(extra=1 << 30):
+    """Lower this process's address-space limit to its current size plus ``extra``,
+    so code that sizes a tensor from a corrupt header fails fast instead of
+    taking the machine's memory."""
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestCheckpointHeader:
+    @pytest.mark.parametrize("cfg", [
+        TINY, ModelConfig(), dataclasses.replace(TINY, num_layers=0, use_context=False),
+        dataclasses.replace(TINY, ffn_mult=3, history_len=1, output_dim=3),
+    ], ids=["tiny", "default", "no-layers", "wide-ffn"])
+    def test_param_count_matches_spec(self, cfg):
+        assert _param_count(cfg) == sum(math.prod(shape) for _, shape, _ in _param_spec(cfg))
+
+    def test_tiny_header_is_tiny(self):
+        params = ModelParams.init(TINY, seed=1)
+        assert params.encode()[:8 + 4 * len(TINY_HEADER)] == craft(TINY_HEADER)[:-32]
+        assert ModelParams.decode(craft(TINY_HEADER, tiny_body())).cfg == TINY
+
+    @pytest.mark.parametrize("raw", [
+        craft(with_field(3, 2**31), tiny_body()),
+        craft(with_field(1, 2**31), tiny_body()),
+        craft(with_field(3, 3), tiny_body()),
+        craft(with_field(7, 3), tiny_body()),
+        craft(with_field(1, 0), tiny_body()),
+        craft(with_field(2, 3), tiny_body()),
+        craft(with_field(8, 3), tiny_body()),
+        craft(with_field(8, 2**31), tiny_body()),
+        craft(with_field(0, 2), tiny_body()),
+        craft(TINY_HEADER, tiny_body()[:-4]),
+        craft(TINY_HEADER, tiny_body() + b"\0" * 4),
+        craft(TINY_HEADER[:1]),
+        craft(TINY_HEADER, tiny_body(), magic=b"PFLCKPT0"),
+        b"",
+    ], ids=["layers-2**31", "hidden-2**31", "layers-3", "ffn-mult-3", "hidden-0",
+            "heads-3", "context-3", "context-2**31", "version-2", "body-short",
+            "body-long", "header-cut", "magic", "empty"])
+    def test_crafted_header_rejected(self, raw):
+        with address_space_cap(), pytest.raises(ValueError) as exc:
+            ModelParams.decode(raw, source="crafted.ckpt")
+        assert str(exc.value).startswith("crafted.ckpt: ")
+
+
+def byte_classes(raw):
+    """(name, start, end) of each byte class of a checkpoint file."""
+    classes = [("magic", 0, 8)]
+    classes += [(f"header{i}", 8 + 4 * i, 12 + 4 * i) for i in range(len(TINY_HEADER))]
+    head = 8 + 4 * len(TINY_HEADER)
+    return classes + [("body", head, len(raw) - 32), ("digest", len(raw) - 32, len(raw))]
+
+
+class TestCheckpointFuzz:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        ModelParams.init(TINY, seed=5).save(path)
+        return path
+
+    def test_bit_flip_in_each_byte_class(self, ckpt):
+        raw = ckpt.read_bytes()
+        for i, (name, lo, hi) in enumerate(byte_classes(raw)):
+            bad = bytearray(raw)
+            bad[(lo + hi) // 2] ^= 1 << (i % 8)
+            ckpt.write_bytes(bytes(bad))
+            with pytest.raises(ValueError, match="m.ckpt") as exc:
+                ModelParams.load(ckpt)
+            assert str(exc.value).startswith(str(ckpt)), name
+
+    def test_truncated_at_each_class_boundary(self, ckpt):
+        raw = ckpt.read_bytes()
+        for name, lo, _ in byte_classes(raw) + [("end", len(raw) - 1, None)]:
+            ckpt.write_bytes(raw[:lo])
+            with pytest.raises(ValueError) as exc:
+                ModelParams.load(ckpt)
+            assert str(exc.value).startswith(str(ckpt)), name
+
+
+class TestFreedGraph:
+    """backward() frees the graph; the gradients are those of the retaining loop."""
+
+    SIZES = [(TINY, 3), (ModelConfig(hidden_dim=128, num_heads=4, num_layers=2), 112)]
+
+    @staticmethod
+    def step(cfg, n, backward):
+        """One training step's graph: returns the trainable params, the loss and
+        the tracemalloc rise during ``backward(loss)`` over the memory before it."""
+        x, c, y = tiny_batch(n, cfg=cfg, seed=3)
+        params = ModelParams.init(cfg, seed=4, trainable=True)
+        tracemalloc.start()
+        try:
+            loss = bce_loss(forward(params, x, c), y)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return params, loss, rise
+
+    @pytest.mark.parametrize("cfg, n", SIZES, ids=["tiny", "default-dims"])
+    def test_same_grads_less_memory(self, cfg, n):
+        ref_params, _, ref_rise = self.step(cfg, n, retaining_backward)
+        params, loss, rise = self.step(cfg, n, lambda t: t.backward())
+        for (name, t), (_, ref) in zip(params.items(), ref_params.items()):
+            assert np.array_equal(t.grad, ref.grad), name
+        assert reachable(loss) == [loss] and loss.grad is None
+        assert rise <= ref_rise / 4, (rise, ref_rise)
 
 
 class TestLatencyEstimate:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tests.test_acceptance as acceptance
+from tests.test_model import byte_classes
 from prefetchlab import cli, pipeline
 from prefetchlab.datasets import LabeledDataset
 from prefetchlab.features import FeatureConfig, SegmentationConfig
@@ -334,6 +335,25 @@ class TestStages:
         open(path, "wb").write(bytes(data))
         with pytest.raises(StaleArtifactsError, match=name):
             run_stage(stage, tiny_cfg, clone)
+
+    def test_checkpoint_fuzz_refused_by_tune(self, tiny_cfg, full_run, tmp_path):
+        # one bit flipped in each byte class of model.ckpt, then the file cut at each
+        # class boundary: tune refuses every one on the hash train recorded
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        path = os.path.join(clone, "model.ckpt")
+        raw = open(path, "rb").read()
+        cases = []
+        for i, (name, lo, hi) in enumerate(byte_classes(raw)):
+            bad = bytearray(raw)
+            bad[(lo + hi) // 2] ^= 1 << (i % 8)
+            cases += [(f"flip-{name}", bytes(bad)), (f"cut-{name}", raw[:lo])]
+        for case, data in cases:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with pytest.raises(StaleArtifactsError, match="model.ckpt"):
+                run_stage("tune", tiny_cfg, clone)
+            assert not os.path.exists(os.path.join(clone, "manifest_tune.json")), case
 
     def test_malformed_manifest_refused(self, tiny_cfg, full_run, tmp_path):
         clone = str(tmp_path / "clone")
