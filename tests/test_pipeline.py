@@ -1,5 +1,6 @@
 import ast
 import copy
+import hashlib
 import json
 import os
 import re
@@ -524,3 +525,248 @@ class TestCli:
         assert cli.main(["gen", "--config", str(bad)]) == 1
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "ConfigError"
+
+
+# The benchmark's three workload configs at seed 1, copied here rather than imported
+# from bench/, so that the pins below move only with the program
+_RULES_REGIONS = [
+    {"start_page": 0x10000, "pages": 4096, "walk": [1] * 6},
+    {"start_page": 0x20000, "pages": 4096, "walk": [4] * 6},
+    {"start_page": 0x30000, "pages": 4096, "walk": [9] * 6},
+    {"start_page": 0x40000, "pages": 2, "walk": [1] * 6},
+]
+WORKLOAD_RUNS = {
+    "stride-pipeline": ({
+        "seed": 1,
+        "trace": {"source": "generate",
+                  "pattern": {"name": "stride", "stride": 3, "cycle_step": 25}, "length": 2000},
+        "model": {"hidden_dim": 32, "num_heads": 2, "num_layers": 1, "history_len": 9},
+        "train": {"max_epochs": 12, "batch_size": 256, "patience": None},
+        "eval_modes": [{"mode": "delta"}, {"mode": "page_offset"}],
+        "simulate": {"prefetchers": ["model", "next_line", "stride", "best_offset"]},
+    }, ("gen", "preprocess", "train", "tune", "eval", "simulate", "report")),
+    "latency-sweep": ({
+        "seed": 1,
+        "trace": {"source": "generate",
+                  "pattern": {"name": "stride", "stride": 3, "cycle_step": 25}, "length": 300},
+        "model": {"hidden_dim": 128, "num_heads": 4, "num_layers": 2, "history_len": 9},
+        "train": {"max_epochs": 2, "batch_size": 256, "patience": None},
+        "label": {"look_forward": 32},
+        "cache": {"sets": 32, "ways": 8},
+        "sweep": {"latencies": [0, 200], "throughputs": ["L", "H"], "distance": [True, False]},
+    }, ("gen", "sweep")),
+    "rules-llc": ({
+        "seed": 1,
+        "trace": {"source": "generate",
+                  "pattern": {"name": "region_walks", "regions": _RULES_REGIONS}, "length": 100000},
+        "trigger_stream": "miss",
+        "simulate": {"prefetchers": ["next_line", "stride", "best_offset"]},
+    }, ("gen", "simulate")),
+}
+
+# SHA-256 of every file each run leaves in its run directory. Checkpoints, training
+# logs and metrics depend on float arithmetic, so the pins hold for the builds in
+# PIN_BUILD; a change that moves bytes on purpose re-records them in the same commit.
+PIN_BUILD = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+RUN_PINS = {
+    "TINY_RAW": {
+        "coverage_accuracy.svg":
+            "8a3a9a9023cd60f949742163e93a1e8a9b1aaf84c0da6a2f0cf4b39ec51104bd",
+        "dataset_as6_test.bin":
+            "1ea9a31026e9e735b03e71d3b939e7d8c9a630922d242f40a7e6c715583d42b0",
+        "dataset_as6_train.bin":
+            "da016482c712efe574bda9204cb461fb58f2cd42cba3a7dd3854832d000d5504",
+        "dataset_as6_validation.bin":
+            "127d47c4f1b7c41cc188fcac7f2778c7f311a16e20cf260852a318339eff9f56",
+        "dataset_delta_test.bin":
+            "f47378356d605aae6b781f3614137f4512049c42e26ccbc7ea478e078d2d2fb6",
+        "dataset_delta_train.bin":
+            "635ab3330cda617934a9130601a5d5eddd0fa3bf970fa45060732f6f16d94ccd",
+        "dataset_delta_validation.bin":
+            "4b4f3ce33b0b1b8246f8731ea7dc7d863a468d505a224a941ec7a2fea4af34aa",
+        "degree_hist.csv":
+            "82f5941f14aeb807106202302faae45312fbcfc7411b2a8607380787e7f1dca5",
+        "degree_hist.svg":
+            "9218b044aa76d86c0988d5fc5440a1c520128d838dfc3c088e115a06c764a9a2",
+        "dictionaries.json":
+            "dc22a1ed2835efce1f09725a809fd806020009f1efaf79e0b053dd761e0c913b",
+        "eval_metrics.csv":
+            "c9b7a202da2efa471e766bcb4046bdd455cc61eb83b58bc06047cacaa5f803c1",
+        "eval_metrics.json":
+            "258a7a2702eef1dfa9c3ae9ac6b217cbe2452b61110a76432fd54fbb4ee408f1",
+        "eval_model_delta.ckpt":
+            "a6fc59e0f04efe293a802c3428bee481befd0c5692deb718be1f98edc728e69a",
+        "manifest_eval.json":
+            "a9863047f21a2ca0eb8d178660744239eed5c7bf2fc57a58bcc73793163abc53",
+        "manifest_gen.json":
+            "579e8cc171fea5bb712e88a964e629afd17a4e38535ec5f886004ea94afe6561",
+        "manifest_preprocess.json":
+            "d66242476be16142290d74779902be98e410608c4269c1294474a76ba0dcdbee",
+        "manifest_report.json":
+            "33854515ba139320b2fd59eb6a736de16ffd8acf9e4611de363ceb418c5c2794",
+        "manifest_simulate.json":
+            "50d799cd27bdefe44659598cc9765c854cced3252e4ea57307720057ca689934",
+        "manifest_sweep.json":
+            "c549a5a990f7d44c22a81ea4fb7050e527368dd82d0378201b52989ab20fd159",
+        "manifest_train.json":
+            "1faeade6e16181972f19b9dd095c6a12cdc7dfa653f4f52b26b14ec970da96bf",
+        "manifest_tune.json":
+            "7e0f3ef0d27e5a4c62d8ccb53a5b050dfad2c3439cb1e03f6c5a6b4d9ecdc25e",
+        "miss_timeline_model.csv":
+            "bf37b6545cda239de2d0d6f1ec554748d7e115115afc5c65d33c355defc684ba",
+        "miss_timeline_next_line.csv":
+            "fbcfe108cf0b688dc1ca969e1145e5f84661e7bf775102cc1100233b2f6179ff",
+        "model.ckpt":
+            "6bcf221b4ee987163a9066826c6349ae13068615dd4f0dbda3ada2d935daae84",
+        "preprocess_meta.json":
+            "4d014469d0f2f2593c19b24c227af07941dce307dc8ef096aa4128d39c7c90f8",
+        "sim_reports.json":
+            "0378e726fe160fc7bef056e545dfc63fcb325be233e2af88b94fb9ce444167ca",
+        "split.json":
+            "2cb535c9c5c8c47d965c85a3305290ab6ad2be5a71f399c1967644da3dbbf6dc",
+        "summary.json":
+            "01e179db4dafd63fde2625355aee008e0bf83e7f8447545c78d61074720e658f",
+        "sweep.svg":
+            "ea0a7a3617697e46931a7030dc438ab529ea584f784b280b0ff51dbea1e4c359",
+        "sweep_comparison.csv":
+            "ef53ce0a041acc9e6a548393d45eeb49492418cbec8f975655765d38ddf684a8",
+        "sweep_reports.json":
+            "45801a6064b6194e822b05b4fa68da6a379b8290448c967df5225840f02fa270",
+        "threshold.json":
+            "41d47ba4bfd6e6a627b578cd1feb58a8ca8b81df355ca57648220dc8e0cfed1b",
+        "threshold_f1.svg":
+            "7b40650bef8000df833527dd9addd8f73bfe05dfb15367bc1a67c3a05ae3ac2a",
+        "threshold_grid.csv":
+            "ada22f790a90543bafe6f42818113ee95f4975efe862c49593bf6cf90ca933aa",
+        "trace.csv.gz":
+            "c6c7f18fce57f61c8f5ed898fa8e2d85b843cce50689e61e1f1b81acae34d24b",
+        "training_log.csv":
+            "1887e24fc3ea202e9fdaf8b0b4998937553ab28c35175e0dcbfe255b6995f7db",
+    },
+    "stride-pipeline": {
+        "coverage_accuracy.svg":
+            "8789f49647fbc27011326aa36a29f7f16b9f661d1811f60299fdabf991eddb9f",
+        "dataset_as6_test.bin":
+            "0c7da24b0921c0e3290b9c38258bcb3c4ec08a04e7483a4c6de175ec5cc79dbc",
+        "dataset_as6_train.bin":
+            "09b2d07c399fe35faa1dbece5764a8def30d8a5391cff0f4b7ff4405a994c08b",
+        "dataset_as6_validation.bin":
+            "2fb556529ce71f0ed869f3c338b5c3e7f039081450d45ea8018dc2bfb187f631",
+        "dataset_delta_test.bin":
+            "1403971b48ed3cdb0e359fbfb73412235f8ecfd862018368b49f76b7ec87a8be",
+        "dataset_delta_train.bin":
+            "e337737854fd82a07253ac82c8d7a32fa6f6c127e6c4fa24e6c0c0785c636367",
+        "dataset_delta_validation.bin":
+            "ff6eae24f496318bb316ea0e89d54c5660547f4c34ecd37681dbd3452a795b9d",
+        "dataset_page_offset_test.bin":
+            "036b2d24581fbaa8db77182bcc25ad22cf08dd0e478172bf55d6ce3e8735ede8",
+        "dataset_page_offset_train.bin":
+            "7ba38bb404d9a1df6fc37e8cbd4111f5ffdce444378037de7c405821be2808fc",
+        "dataset_page_offset_validation.bin":
+            "e9ee6a34cf8299435b327302bf91f5200ee293e294c416c045361783cbf1b7d3",
+        "degree_hist.csv":
+            "8a6dea7271554c93109df6a1c47f4172b13470760fb4fc6bd80f05bdfe8ac2e9",
+        "degree_hist.svg":
+            "87e944f572e8abd167443f68331eda538cd3a7034b150e4f499b70a1f1322527",
+        "dictionaries.json":
+            "4e7bff3d86a3ea8c861bb1d3fa5c9574a0dfa199dfefa127ffa2d7d9473e2112",
+        "eval_metrics.csv":
+            "e61777d939ab14c3baea25b5ebb5da6b4cca7f07f85dfade1fb16dfaa4a1d90b",
+        "eval_metrics.json":
+            "7feaacd539f8c027a0617dc35274f9103e371587e78c3989aa8f56d5b7f4563b",
+        "eval_model_delta.ckpt":
+            "bbc7262ae496b5f66c05594c99ffb25ca2e44b941ce238f2ce8bdc9c21088df0",
+        "eval_model_page_offset.ckpt":
+            "cff1567587bb005906245fac2e588dbcc4b7e6ab49dd246d675c457e80072468",
+        "manifest_eval.json":
+            "238967c6c46696b6529e6ca88d5f3101ecfaf266b52d72eafa81ea98662e8835",
+        "manifest_gen.json":
+            "ebd0a0e4d2029389727914e42776b9825f55971fea6a6cb53f36501ec7ff9250",
+        "manifest_preprocess.json":
+            "827632ca9a8afe06e9582cff4cce09be3b523b37888fd7e9e89e3e589b6dcd4a",
+        "manifest_report.json":
+            "0ca50777cb59a7ed744483754eab4c266d180a517fc98e4c0ddb7c4e89fb9f39",
+        "manifest_simulate.json":
+            "3948cca6ac32e981feb9df7da19a981aaca1f44e64780cffa796636d1bba14e7",
+        "manifest_train.json":
+            "e381e229dc6b6f5ccaf483ee27d30bc7a886ff5926de0ca3aa95b7b3c7deb922",
+        "manifest_tune.json":
+            "324363d26b3e51de870468542fe96d55a0153153d01099e7755817d1b56bd4f3",
+        "model.ckpt":
+            "d734f4040e47eba29392823bec14acb08ef651d6bf20fe34a88bf5296e1cba0a",
+        "preprocess_meta.json":
+            "602e76a8edf6a3f0ec413be3a22d881ac8750e62663076366ea34ac141209bf8",
+        "sim_reports.json":
+            "93dd7263780816f53b042ed562f4ea5915ac9d9c1a8838df7ca394d46019d03f",
+        "split.json":
+            "5d9ff6321c30ba989342100a77213e44522a1c3f751bc7b704a94489efa2a215",
+        "summary.json":
+            "1febf03d502617c56391c64920f6279487b9d380528c768881cd6a2a5dcf94d6",
+        "threshold.json":
+            "f8e2a6a662813c3301b1567c9292a9feaa24d5dbd122f62d529ebcd5155f4c1a",
+        "threshold_f1.svg":
+            "3af1694c49f9828e88877593bdbe4e75a07ca29ba334d75b7057f69433baa8da",
+        "threshold_grid.csv":
+            "f619ab805e7b6ed719e1fbf49c2a174b52ba41886ff52ff99306cdac7113332d",
+        "trace.csv.gz":
+            "a35fd994319fe58211c0bb935e4366644fbfe4088840752c141db30bfd33f95d",
+        "training_log.csv":
+            "fb3453ef0644a5dc85ecbb681dbacee1068225df9cf9b35dd394a40be0300132",
+    },
+    "latency-sweep": {
+        "manifest_gen.json":
+            "e0595028d636f17b4fd763394d33e8723dcfc683d426bddb6e12850eac4d111e",
+        "manifest_sweep.json":
+            "e6a4b1b92b85805226f5f71d1f1d1dd7fed51409dbd5c4e792013ef69b5121cb",
+        "sweep_comparison.csv":
+            "1e23bd748a4bc1dcc505d061aa46b65e135ec5f96d9e77c4786925026e7c2023",
+        "sweep_reports.json":
+            "017ab5125d53a6ea0cdfefe82d4729ab47b6d98b311cd6d58efd0f9c265c9df2",
+        "trace.csv.gz":
+            "9ae2c0e824994769b81c2a9f869835cf7b3a6bc46dce9818d68081a9edde07a0",
+    },
+    "rules-llc": {
+        "degree_hist.csv":
+            "7a3111f493a9718610e19a80dc7b566fcad364937be801e8865c6e29b47da750",
+        "manifest_gen.json":
+            "f35dd9b2f7cfd2ecbc2d7346a8a917617053b1775c5d7bbcc82a6403032c0d40",
+        "manifest_simulate.json":
+            "936d14faf218f133855503d00fe7b7dbfdd83141538a3316378bdb538751e015",
+        "sim_reports.json":
+            "e6bacc82be4ff3fae56fdfc48ebdeab76f8e5f217e49b38c5e994a49897c7d4c",
+        "trace.csv.gz":
+            "2f72ac5c2f3c5fab29e2979cd827809742505f007408010d4a481b2a7b263f15",
+    },
+}
+
+
+def numpy_build() -> str:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+
+
+def run_digests(run_dir) -> dict:
+    return {name: hashlib.sha256(open(os.path.join(run_dir, name), "rb").read()).hexdigest()
+            for name in sorted(os.listdir(run_dir))}
+
+
+class TestPinnedRunBytes:
+    """Every run-directory file of four runs, byte for byte, against digests recorded before."""
+
+    @staticmethod
+    def check(name, run_dir):
+        got, want = run_digests(run_dir), RUN_PINS[name]
+        moved = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
+        assert not moved, (f"{name}: {moved} differ from the pinned bytes, recorded under "
+                           f"{PIN_BUILD}; this run used {numpy_build()}")
+
+    def test_tiny_raw(self, full_run):
+        self.check("TINY_RAW", full_run)
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_RUNS))
+    def test_workload(self, name, tmp_path):
+        raw, stages = WORKLOAD_RUNS[name]
+        cfg = ExperimentConfig.from_dict(raw)
+        for stage in stages:
+            run_stage(stage, cfg, str(tmp_path))
+        self.check(name, tmp_path)
