@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from prefetchlab.features import (
 # in this module, so they stay importable from it.
 from prefetchlab.features import normalize_segments, pc_context, segment_blocks  # noqa: F401
 from prefetchlab.labeling import LabelConfig, label_bitmaps
-from prefetchlab.trace import AddressConfig, MemoryAccess, TraceSplit, block_addresses
+from prefetchlab.trace import AddressConfig, MemoryAccess, TraceSplit, as_trace, block_addresses
 
 CACHE_MAGIC = b"PFDS"
 CACHE_VERSION = 2
@@ -128,7 +129,7 @@ class DatasetBundle:
 
 
 def build_datasets(
-    trace: list[MemoryAccess],
+    trace: Sequence[MemoryAccess],
     split: TraceSplit,
     feature_cfg: FeatureConfig,
     label_cfg: LabelConfig,
@@ -143,14 +144,14 @@ def build_datasets(
     stream), so the first triggers of each split are not dropped. The whole
     trace is encoded once; each split takes its triggers' rows.
     """
+    trace = as_trace(trace)
     blocks = block_addresses(trace, addr_cfg)
-    pcs = np.fromiter((a.pc for a in trace), dtype=np.uint64, count=len(trace))
     dictionaries = grow_dictionaries(blocks, feature_cfg, addr_cfg, split.train.stop)
     rows = encode_inputs(blocks, feature_cfg, addr_cfg, next(iter(dictionaries.values()), None))
     triggers = np.arange(feature_cfg.warmup(history_len) - 1, len(trace), dtype=np.int64)
     windows = history_windows(triggers, history_len)
     inputs = rows[windows]
-    contexts = encode_contexts(pcs, blocks, windows, addr_cfg, feature_cfg.hash_bits)
+    contexts = encode_contexts(trace.pc, blocks, windows, addr_cfg, feature_cfg.hash_bits)
     labels, _ = label_bitmaps(blocks, triggers, label_cfg)
 
     def take(r: range) -> LabeledDataset:
@@ -165,8 +166,11 @@ def build_datasets(
     )
 
 
-def mean_cycles_per_access(trace: list[MemoryAccess], r: range | None = None) -> float:
-    """Average cycle spacing over a trace range (the latency->skip unit bridge)."""
+def mean_cycles_per_access(trace: Sequence[MemoryAccess], r: range | None = None) -> float:
+    """Average cycle spacing over a trace range (the latency->skip unit bridge).
+
+    Reads the range's two end records, whose cycles are Python ints: a difference of
+    int64 cycles could wrap."""
     lo, hi = (0, len(trace)) if r is None else (r.start, r.stop)
     if hi - lo < 2:
         return 1.0

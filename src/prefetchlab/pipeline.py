@@ -73,7 +73,7 @@ class TraceSource:
     format: str = field("csv", one_of=("csv", "pc_vaddr"))
 
     def __post_init__(self):
-        check_pattern(self.pattern)
+        check_pattern(self.pattern, self.length)
         if self.source == "file" and not self.path:
             raise ValueError("path must be set when source is 'file'")
 

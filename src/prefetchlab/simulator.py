@@ -34,7 +34,7 @@ from prefetchlab.features import FeatureConfig, encode_contexts, encode_inputs, 
 from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, index_to_delta, prefetch_addresses
 from prefetchlab.model import ModelParams, predict as model_predict
 from prefetchlab.schema import config, field
-from prefetchlab.trace import AddressConfig, MemoryAccess, block_addresses
+from prefetchlab.trace import AddressConfig, MemoryAccess, as_trace, block_addresses
 
 
 @config
@@ -310,10 +310,10 @@ class ModelPrefetcher(Prefetcher):
 
     def prepare(self, trace, blocks):
         blocks = np.asarray(blocks, dtype=np.uint64)
-        pcs = np.fromiter((a.pc for a in trace), dtype=np.uint64, count=len(trace))
         self._inputs = encode_inputs(blocks, self.feature_cfg, self.addr_cfg, self.dictionary)
         windows = history_windows(np.arange(self._warmup - 1, len(blocks)), self.cfg.history_len)
-        self._contexts = encode_contexts(pcs, blocks, windows, self.addr_cfg, self.feature_cfg.hash_bits)
+        self._contexts = encode_contexts(as_trace(trace).pc, blocks, windows, self.addr_cfg,
+                                         self.feature_cfg.hash_bits)
 
     def observe(self, access, block):
         self._observed += 1

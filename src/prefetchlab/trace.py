@@ -1,23 +1,28 @@
 """Memory access traces: the record model, CSV file IO, splitting, and synthetic generators.
 
-A trace is a list of :class:`MemoryAccess` records ordered by ordinal. The on-disk
-format is one CSV record per line, ``ordinal,cycle,pc_hex,vaddr_hex``, with ``#``
-comment lines and optional gzip compression (detected by magic bytes on read,
-selected by a ``.gz`` suffix on write).
+A trace is a :class:`Trace`: three numpy columns, ``cycle``, ``pc`` and ``vaddr``,
+with one entry per access, read as a sequence of :class:`MemoryAccess` records whose
+ordinal is their index. Functions that take a trace also take a plain list of
+records. The on-disk format is one CSV record per line,
+``ordinal,cycle,pc_hex,vaddr_hex``, with ``#`` comment lines and optional gzip
+compression (detected by magic bytes on read, selected by a ``.gz`` suffix on write).
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import gzip
 import io
 import itertools
 import math
 import numbers
+import operator
 import os
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,15 +59,82 @@ class MemoryAccess(NamedTuple):
     pc:      64-bit instruction address.
     vaddr:   64-bit virtual byte address.
 
-    A tuple rather than a dataclass because a trace holds one record per
-    access: it is cheaper to build and to store, and compares equal to the
-    plain tuple of its fields.
+    A tuple rather than a dataclass because a :class:`Trace` builds one record
+    per access it hands out: a tuple is cheaper to build, and compares equal to
+    the plain tuple of its fields.
     """
 
     ordinal: int
     cycle: int
     pc: int
     vaddr: int
+
+
+CHUNK = 4096  # records built per step when a trace is iterated or written
+
+
+class Trace(Sequence[MemoryAccess]):
+    """A trace held as three read-only numpy columns with one entry per access.
+
+    ``cycle`` is int64, since a negative first cycle is legal; ``pc`` and ``vaddr``
+    are uint64. A record's ordinal is its index. As a sequence of records, ``t[i]``
+    builds one record, iteration builds them ``CHUNK`` at a time, and a slice is a
+    Trace over views of the columns, its ordinals counted from 0 again. A Trace
+    equals any sequence that holds the same records.
+    """
+
+    __slots__ = ("cycle", "pc", "vaddr")
+
+    def __init__(self, cycle, pc, vaddr):
+        columns = [np.asarray(cycle, np.int64), np.asarray(pc, np.uint64), np.asarray(vaddr, np.uint64)]
+        if columns[0].ndim != 1 or not len(columns[0]) == len(columns[1]) == len(columns[2]):
+            raise ValueError(f"trace columns must be 1-D and of one length, got shapes "
+                             f"{[c.shape for c in columns]}")
+        self.cycle, self.pc, self.vaddr = map(_read_only, columns)
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self.cycle[index], self.pc[index], self.vaddr[index])
+        i = range(len(self))[index]  # counts a negative index from the end; raises IndexError past either end
+        return MemoryAccess(i, int(self.cycle[i]), int(self.pc[i]), int(self.vaddr[i]))
+
+    def _rows(self, lo: int):
+        """``(ordinal, cycle, pc, vaddr)`` tuples of Python ints, of the ``CHUNK`` records from ``lo``."""
+        s = slice(lo, lo + CHUNK)
+        return zip(itertools.count(lo), self.cycle[s].tolist(), self.pc[s].tolist(), self.vaddr[s].tolist())
+
+    def __iter__(self):
+        new, cls = tuple.__new__, itertools.repeat(MemoryAccess)
+        chunks = (map(new, cls, self._rows(lo)) for lo in range(0, len(self), CHUNK))
+        return itertools.chain.from_iterable(chunks)
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return all(map(np.array_equal, (self.cycle, self.pc, self.vaddr),
+                           (other.cycle, other.pc, other.vaddr)))
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} records)"
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
+def as_trace(trace: Sequence[MemoryAccess]) -> Trace:
+    """``trace`` itself if it is a :class:`Trace`, else a Trace of the same records' fields."""
+    if isinstance(trace, Trace):
+        return trace
+    return Trace(*(np.fromiter(map(operator.attrgetter(name), trace), dtype, len(trace))
+                   for name, dtype in (("cycle", np.int64), ("pc", np.uint64), ("vaddr", np.uint64))))
 
 
 @config
@@ -127,9 +199,8 @@ def block_address(vaddr: int, cfg: AddressConfig) -> int:
 
 def block_addresses(trace: Sequence[MemoryAccess], cfg: AddressConfig) -> np.ndarray:
     """Vectorized block addresses of a whole trace, as uint64."""
-    vaddrs = np.fromiter((a.vaddr for a in trace), dtype=np.uint64, count=len(trace))
     mask = np.uint64(cfg.block_space - 1)
-    return (vaddrs >> np.uint64(cfg.block_offset_bits)) & mask
+    return (as_trace(trace).vaddr >> np.uint64(cfg.block_offset_bits)) & mask
 
 
 def page_of_block(block, cfg: AddressConfig):
@@ -147,13 +218,13 @@ def _open_maybe_gzip_read(path):
                             encoding="ascii")
 
 
-def read_trace(path, fmt: str = "csv") -> list[MemoryAccess]:
+def read_trace(path, fmt: str = "csv") -> Trace:
     """Read a trace file.
 
     Formats: ``csv`` is ``ordinal,cycle,pc_hex,vaddr_hex``; ``pc_vaddr`` is the
     two-field form ``pc_hex,vaddr_hex`` where cycle := ordinal. Ordinals are
     reassigned 0..n-1 in file order. Gzip input is detected by magic bytes.
-    pc and vaddr must fit in 64 unsigned bits.
+    pc and vaddr must fit in 64 unsigned bits, and cycle in 64 signed bits.
 
     Raises :class:`TraceParseError`, naming the file, on a malformed line, on
     non-ASCII bytes and on a truncated or corrupt gzip stream.
@@ -162,22 +233,23 @@ def read_trace(path, fmt: str = "csv") -> list[MemoryAccess]:
         raise TraceParseError(f"unknown trace format {fmt!r}")
     try:
         with _open_maybe_gzip_read(path) as fh:
-            records = _parse_lines(path, fh, fmt)
+            trace = _parse_lines(path, fh, fmt)
     except UnicodeDecodeError as exc:
         raise TraceParseError(f"{path}: non-ASCII bytes in trace: {exc}") from None
     except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
         raise TraceParseError(f"{path}: truncated or corrupt gzip stream: {exc}") from None
-    if not records:
+    if not trace:
         raise EmptyTraceError(f"{path}: trace file holds no records")
-    return records
+    return trace
 
 
-def _parse_lines(path, fh, fmt: str) -> list[MemoryAccess]:
-    """Parse ``fh`` a chunk of lines at a time. A well-formed line is split as read,
-    since ``int()`` strips each field; a line that fails is stripped, skipped when
-    blank or a ``#`` comment, and otherwise parsed again to name its fault."""
-    records = []
-    append, new = records.append, tuple.__new__
+def _parse_lines(path, fh, fmt: str) -> Trace:
+    """Parse ``fh`` a chunk of lines at a time into typed columns. A well-formed line
+    is split as read, since ``int()`` strips each field; a line that fails is
+    stripped, skipped when blank or a ``#`` comment, and otherwise parsed again to
+    name its fault."""
+    cycles, pcs, vaddrs = array.array("q"), array.array("Q"), array.array("Q")
+    add_cycle, add_pc, add_vaddr = cycles.append, pcs.append, vaddrs.append
     csv, nfields = fmt == "csv", 4 if fmt == "csv" else 2
     prev_cycle = -math.inf  # a negative first cycle is accepted
     lineno = 0
@@ -192,7 +264,7 @@ def _parse_lines(path, fh, fmt: str) -> list[MemoryAccess]:
                     cycle, pc, vaddr = int(cycle), int(pc, 16), int(vaddr, 16)
                 else:
                     pc, vaddr = line.split(",")
-                    cycle, pc, vaddr = len(records), int(pc, 16), int(vaddr, 16)
+                    cycle, pc, vaddr = len(cycles), int(pc, 16), int(vaddr, 16)
             except ValueError:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -202,7 +274,7 @@ def _parse_lines(path, fh, fmt: str) -> list[MemoryAccess]:
                     if len(parts) != nfields:
                         raise ValueError(f"expected {nfields} fields, got {len(parts)}")
                     cycle, pc, vaddr = (int(parts[1]), int(parts[2], 16), int(parts[3], 16)) if csv else (
-                        len(records), int(parts[0], 16), int(parts[1], 16))
+                        len(cycles), int(parts[0], 16), int(parts[1], 16))
                 except ValueError as exc:
                     raise TraceParseError(f"{path}: parse error at line {lineno}: {exc}") from None
             if (pc | vaddr) >> 64:  # nonzero for a negative value or one wider than 64 bits
@@ -213,23 +285,29 @@ def _parse_lines(path, fh, fmt: str) -> list[MemoryAccess]:
             if cycle < prev_cycle:
                 raise TraceParseError(f"{path}: parse error at line {lineno}: cycle {cycle} decreases")
             prev_cycle = cycle
-            append(new(MemoryAccess, (len(records), cycle, pc, vaddr)))
-    return records
+            try:
+                add_cycle(cycle)
+            except OverflowError:
+                raise TraceParseError(
+                    f"{path}: parse error at line {lineno}: cycle {cycle} does not fit in 64 signed bits"
+                ) from None
+            add_pc(pc)
+            add_vaddr(vaddr)
+    return Trace(np.frombuffer(cycles, np.int64), np.frombuffer(pcs, np.uint64),
+                 np.frombuffer(vaddrs, np.uint64))
 
 
-WRITE_CHUNK = 4096  # records formatted and encoded per write
-
-
-def write_trace(path, trace: Iterable[MemoryAccess]):
+def write_trace(path, trace: Sequence[MemoryAccess]):
     """Write a trace as CSV; a ``.gz`` suffix selects gzip (level 3).
 
-    Records are formatted and encoded ``WRITE_CHUNK`` lines at a time, so the
-    whole file never sits in memory as one string. Gzip output pins mtime to 0
-    and omits the filename header field, so the bytes depend only on the records
-    (rerun determinism). The file is written beside ``path`` under a temporary
-    name and moved into place only once complete: a failed write leaves an
-    existing ``path`` untouched and no temporary file behind."""
-    path = os.fspath(path)
+    Records are formatted and encoded ``CHUNK`` lines at a time, so the whole
+    file never sits in memory as one string; a record's ordinal is written as
+    its index. Gzip output pins mtime to 0 and omits the filename header field,
+    so the bytes depend only on the records (rerun determinism). The file is
+    written beside ``path`` under a temporary name and moved into place only
+    once complete: a failed write leaves an existing ``path`` untouched and no
+    temporary file behind."""
+    path, trace = os.fspath(path), as_trace(trace)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp, "xb") as raw:
@@ -246,11 +324,10 @@ def write_trace(path, trace: Iterable[MemoryAccess]):
         raise
 
 
-def _write_records(out, trace: Iterable[MemoryAccess]):
+def _write_records(out, trace: Trace):
     out.write(b"# ordinal,cycle,pc,vaddr\n")
-    records = iter(trace)
-    while chunk := list(itertools.islice(records, WRITE_CHUNK)):
-        out.write("".join(["%d,%d,%#x,%#x\n" % a for a in chunk]).encode("ascii"))
+    for lo in range(0, len(trace), CHUNK):
+        out.write("".join(["%d,%d,%#x,%#x\n" % row for row in trace._rows(lo)]).encode("ascii"))
 
 
 def check_split_ratios(ratios) -> None:
@@ -285,10 +362,15 @@ def split_trace(trace, ratios: tuple[float, float, float]) -> TraceSplit:
 DEFAULT_PC = 0x400000
 
 
-def _emit(blocks, pcs, cycle_step, cfg: AddressConfig) -> list[MemoryAccess]:
-    mask, shift = cfg.block_space - 1, cfg.block_offset_bits
-    vaddrs = [(b & mask) << shift for b in blocks]
-    return list(map(MemoryAccess, itertools.count(), itertools.count(0, cycle_step), pcs, vaddrs))
+def _emit(blocks, pcs, cycle_step, cfg: AddressConfig) -> Trace:
+    mask = cfg.block_space - 1
+    try:  # a negative block wraps to its two's complement, which the mask cuts as Python's & does
+        column = np.array(blocks, dtype=np.int64).view(np.uint64)
+    except OverflowError:  # a block beyond int64: mask it as a Python int first
+        column = np.array([b & mask for b in blocks], dtype=np.uint64)
+    vaddr = (column & np.uint64(mask)) << np.uint64(cfg.block_offset_bits)
+    cycle = np.arange(len(blocks), dtype=np.int64) * cycle_step  # check_pattern keeps it inside int64
+    return Trace(cycle, np.array(pcs, dtype=np.uint64), vaddr)
 
 
 def _gen_stride(spec, length, rng, cfg):
@@ -421,21 +503,28 @@ _PARAMS = {
 }
 
 
-def check_pattern(spec) -> None:
+def check_pattern(spec, length: int = 1) -> None:
     """The pattern rule: a mapping whose ``name`` is a known generator, and whose
-    parameters, where given, have the types and ranges that generator uses."""
+    parameters, where given, have the types and ranges that generator uses. The
+    last cycle of a ``length``-record trace, ``cycle_step * (length - 1)``, must
+    fit in int64."""
     known = sorted(_GENERATORS)
     if not isinstance(spec, dict) or spec.get("name") not in known:  # list: an unhashable name is refused
         raise PatternError(f"pattern must be a mapping whose name is one of {known}, got {spec!r}")
-    rules = {"pc": _PC, "cycle_step": (_ints(0), "an integer >= 0"), **_PARAMS[spec["name"]]}
+    step = (_ints(0, 1 << 63), "an integer in [0, 2**63)")
+    rules = {"pc": _PC, "cycle_step": step, **_PARAMS[spec["name"]]}
     for key, (check, what) in rules.items():
         if key in spec and not check(spec[key]):
             raise PatternError(f"pattern {spec['name']}: {key} must be {what}, got {spec[key]!r}")
+    last = spec.get("cycle_step", 1) * (length - 1)
+    if last >> 63:
+        raise PatternError(f"pattern {spec['name']}: cycle_step {spec.get('cycle_step', 1)} over {length} "
+                           f"accesses reaches cycle {last}, past 2**63 - 1")
 
 
 def generate_trace(
     spec: dict, length: int, seed: int, addr_cfg: AddressConfig | None = None
-) -> list[MemoryAccess]:
+) -> Trace:
     """Generate a deterministic synthetic trace.
 
     ``spec`` is a mapping with a ``name`` key naming the pattern family plus
@@ -445,7 +534,7 @@ def generate_trace(
     """
     if length < 1:
         raise PatternError(f"length must be >= 1, got {length}")
-    check_pattern(spec)
+    check_pattern(spec, length)
     cfg = addr_cfg or AddressConfig()
     rng = np.random.default_rng(seed)
     blocks, pcs = _GENERATORS[spec["name"]](spec, length, rng, cfg)

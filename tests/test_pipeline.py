@@ -206,6 +206,8 @@ PROBES = {
     "trace.pattern.regions-without-start_page": (
         {"trace": {"pattern": {"name": "region_walks", "regions": [{"pages": 4, "walk": [1]}]}}},
         "trace.pattern"),
+    "trace.pattern.cycle_step-past-int64": (
+        {"trace": {"pattern": {"name": "stride", "cycle_step": 2**62}, "length": 3}}, "trace.pattern"),
     "features.segment_bits=60": ({"features": {"segment_bits": 60}}, "features"),
     "eval_modes[0].segment_bits=60": ({"eval_modes": [{"segment_bits": 60}]}, "eval_modes[0]"),
 }
@@ -272,6 +274,25 @@ class TestConfigSchema:
     def test_numbers_stored_as_given(self):
         assert type(LatencyModel(np.int64(5)).latency_cycles) is int
         assert type(TrainConfig(learning_rate=1).learning_rate) is int  # float fields keep ints
+
+
+def manifest_byte_classes(raw):
+    """(name, start, end) of each byte class of a stage manifest: each key and each string
+    value, named by its path of keys, then the first brace, colon, comma and line break."""
+    text, classes, open_keys, key = raw.decode("ascii"), [], [], None
+    for m in re.finditer(r'"[^"]*"|[{}]', text):
+        token = m.group()
+        if token == "{":
+            open_keys.append(key)
+        elif token == "}":
+            open_keys.pop()
+        else:
+            is_key = text[m.end()] == ":"
+            key = token.strip('"') if is_key else key
+            classes.append((f"{'key' if is_key else 'value'} {'/'.join([*open_keys[1:], key])}",
+                            m.start(), m.end()))
+    return classes + [(f"{what} {sym!r}", text.index(sym), text.index(sym) + 1)
+                      for what, sym in (("brace", "{"), ("colon", ":"), ("comma", ","), ("break", "\n"))]
 
 
 class TestStages:
@@ -355,6 +376,38 @@ class TestStages:
             with pytest.raises(StaleArtifactsError, match="model.ckpt"):
                 run_stage("tune", tiny_cfg, clone)
             assert not os.path.exists(os.path.join(clone, "manifest_tune.json")), case
+
+    @pytest.mark.parametrize("manifest, stage", [("manifest_gen.json", "preprocess"),
+                                                 ("manifest_train.json", "tune")])
+    def test_manifest_fuzz_refused_by_next_stage(self, tiny_cfg, full_run, tmp_path, manifest, stage):
+        # one bit flipped in each byte class of the manifest, then the file cut at each
+        # class boundary: the next stage refuses with a typed error, never a JSON, key or
+        # numpy traceback. A flip in a field it does not read (the provenance fields
+        # inputs, package_version and stage, or an output it does not use) may leave the
+        # manifest valid, and then the stage runs.
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        path = os.path.join(clone, manifest)
+        raw = open(path, "rb").read()
+        fields = json.loads(raw)
+        used = json.load(open(os.path.join(full_run, f"manifest_{stage}.json")))["inputs"]
+        unread = {"inputs", "package_version", "stage", *(f"inputs/{n}" for n in fields["inputs"]),
+                  *(f"outputs/{n}" for n in fields["outputs"] if n not in used)}
+        cases = []
+        for i, (name, lo, hi) in enumerate(manifest_byte_classes(raw)):
+            bad = bytearray(raw)
+            bad[(lo + hi) // 2] ^= 1 << (i % 8)
+            cases += [(f"flip-{name}", bytes(bad), name.split(" ", 1)[1] not in unread),
+                      (f"cut-{name}", raw[:lo], True)]
+        for case, data, must_refuse in cases:
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                run_stage(stage, tiny_cfg, clone)
+            except (StaleArtifactsError, StageDependencyError):
+                assert not os.path.exists(os.path.join(clone, f"manifest_{stage}.json")), case
+            else:
+                assert not must_refuse, case
 
     def test_malformed_manifest_refused(self, tiny_cfg, full_run, tmp_path):
         clone = str(tmp_path / "clone")

@@ -4,13 +4,28 @@ import re
 import numpy as np
 import pytest
 
+from prefetchlab.datasets import build_datasets, mean_cycles_per_access
+from prefetchlab.features import FeatureConfig
+from prefetchlab.labeling import LabelConfig
+from prefetchlab.model import ModelConfig, ModelParams
+from prefetchlab.simulator import (
+    BestOffsetPrefetcher,
+    CacheConfig,
+    LatencyModel,
+    ModelPrefetcher,
+    NextLinePrefetcher,
+    OraclePrefetcher,
+    StridePrefetcher,
+    simulate,
+)
 from prefetchlab.trace import (
     _GENERATORS,
-    WRITE_CHUNK,
+    CHUNK,
     EmptyTraceError,
     MemoryAccess,
     PatternError,
     SplitError,
+    Trace,
     TraceParseError,
     block_address,
     block_addresses,
@@ -125,6 +140,47 @@ class TestReadTrace:
         assert read_trace(p)[0].vaddr == (1 << 64) - 1
 
 
+class TestTraceSequence:
+    """A Trace reads as the sequence of records it holds."""
+
+    def test_records_on_demand(self):
+        trace = generate_trace({"name": "interleaved", "cycle_step": 2}, CHUNK + 3, seed=1)
+        records = list(trace)
+        assert len(records) == len(trace) == CHUNK + 3
+        assert all(type(a) is MemoryAccess for a in records)
+        assert [a.ordinal for a in records] == list(range(CHUNK + 3))
+        assert trace[CHUNK + 1] == records[CHUNK + 1] and trace[-1] == records[-1]
+        assert [(a.cycle, a.pc, a.vaddr) for a in records] == list(zip(
+            trace.cycle.tolist(), trace.pc.tolist(), trace.vaddr.tolist()))
+        for i in (CHUNK + 3, -(CHUNK + 4)):
+            with pytest.raises(IndexError):
+                trace[i]
+
+    def test_slice_is_a_trace_counted_from_zero(self):
+        trace = generate_trace({"name": "random", "cycle_step": 3}, 50, seed=2)
+        part = trace[10:20]
+        assert isinstance(part, Trace) and len(part) == 10
+        assert part == [MemoryAccess(i, a.cycle, a.pc, a.vaddr) for i, a in enumerate(list(trace)[10:20])]
+        assert part[0].ordinal == 0 and part[0].cycle == 30
+
+    def test_equality_with_any_sequence(self):
+        trace = generate_trace({"name": "stride"}, 5, seed=0)
+        records = list(trace)
+        assert trace == records and records == trace and trace == tuple(records)
+        assert trace == generate_trace({"name": "stride"}, 5, seed=0)
+        assert trace != records[:4] and trace != [*records[:4], records[4]._replace(pc=1)]
+        assert trace != generate_trace({"name": "stride", "stride": 2}, 5, seed=0)
+        with pytest.raises(TypeError):
+            hash(trace)
+
+    def test_columns_are_read_only(self):
+        trace = generate_trace({"name": "stride"}, 5, seed=0)
+        for column in (trace.cycle, trace.pc, trace.vaddr):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert (trace.cycle.dtype, trace.pc.dtype, trace.vaddr.dtype) == (np.int64, np.uint64, np.uint64)
+
+
 READ_ACCEPTED = {
     "blank-and-indented-comments": ("\n   \n  # note\n0,0,0x1,0x40\n\t# a,b,c\n1,1,0x2,0x80\n", "csv",
                                     [(0, 0, 0x1, 0x40), (1, 1, 0x2, 0x80)]),
@@ -152,6 +208,10 @@ READ_REJECTED = {
                                      "line 1: invalid literal for int() with base 10: ' 1.5 '"),
     "past-the-first-read-chunk": ("".join(f"{i},{i},0x1,0x40\n" for i in range(5000)) + "5000,x,0x1,0x40\n",
                                   "csv", "line 5001: invalid literal for int() with base 10: 'x'"),
+    "cycle-past-int64": ("0,9223372036854775807,0x1,0x40\n1,9223372036854775808,0x2,0x80\n", "csv",
+                         "line 2: cycle 9223372036854775808 does not fit in 64 signed bits"),
+    "first-cycle-below-int64": ("# h\n0,-9223372036854775809,0x1,0x40\n", "csv",
+                                "line 2: cycle -9223372036854775809 does not fit in 64 signed bits"),
 }
 
 
@@ -245,7 +305,7 @@ class TestWriteTrace:
 
     @pytest.mark.parametrize("name", ["t.csv.gz", "t.csv"])
     def test_roundtrip_past_one_chunk(self, tmp_path, name):
-        trace = generate_trace({"name": "random"}, WRITE_CHUNK + 1, seed=4)
+        trace = generate_trace({"name": "random"}, CHUNK + 1, seed=4)
         p = tmp_path / name
         write_trace(p, trace)
         assert read_trace(p) == trace
@@ -255,8 +315,8 @@ class TestWriteTrace:
         p = tmp_path / name
         write_trace(p, self.RECORDS)
         before = p.read_bytes()
-        good = generate_trace({"name": "stride"}, WRITE_CHUNK + 10, seed=5)
-        bad = good[:WRITE_CHUNK + 5] + [MemoryAccess(WRITE_CHUNK + 5, 0, None, 0x40)]
+        good = generate_trace({"name": "stride"}, CHUNK + 10, seed=5)
+        bad = [*good[:CHUNK + 5], MemoryAccess(CHUNK + 5, 0, None, 0x40)]
         with pytest.raises(TypeError):
             write_trace(p, bad)
         assert p.read_bytes() == before
@@ -361,6 +421,7 @@ class TestGenerateTrace:
         {"name": "stride", "stride": "x"},
         {"name": "stride", "pc": -1},
         {"name": "stride", "cycle_step": -1},
+        {"name": "stride", "cycle_step": 2**63},
         {"name": "page_skip", "deltas": 5},
         {"name": "page_skip", "deltas": []},
         {"name": "pointer_walk", "steps": [1, 2.5]},
@@ -374,6 +435,15 @@ class TestGenerateTrace:
     def test_bad_parameters_rejected(self, spec):
         with pytest.raises(PatternError, match=f"^pattern {spec['name']}: "):
             generate_trace(spec, 10, seed=0)
+
+    def test_last_cycle_past_int64_rejected(self, tmp_path):
+        top = generate_trace({"name": "stride", "cycle_step": 2**63 - 1}, 2, seed=0)
+        assert [a.cycle for a in top] == [0, 2**63 - 1]
+        p = tmp_path / "t.csv"
+        write_trace(p, top)
+        assert read_trace(p) == top
+        with pytest.raises(PatternError, match=r"^pattern stride: cycle_step 4611686018427387904 over 3 "):
+            generate_trace({"name": "stride", "cycle_step": 2**62}, 3, seed=0)
 
     def test_bad_length(self):
         with pytest.raises(PatternError):
@@ -419,3 +489,72 @@ class TestGenerateTrace:
     def test_cycle_step(self):
         trace = generate_trace({"name": "stride", "cycle_step": 25}, 5, seed=0)
         assert [a.cycle for a in trace] == [0, 25, 50, 75, 100]
+
+
+PARITY_CASES = [*sorted(_GENERATORS), "read_trace-gz", "slice"]
+
+
+def parity_trace(case, tmp_path) -> Trace:
+    if case in _GENERATORS:
+        return generate_trace({"name": case, "cycle_step": 3}, 400, seed=3)
+    if case == "slice":  # ordinals start again from 0 in the slice
+        return generate_trace({"name": "interleaved", "cycle_step": 5}, 700, seed=4)[150:550]
+    p = tmp_path / "t.csv.gz"
+    write_trace(p, generate_trace({"name": "region_walks", "cycle_step": 2}, 400, seed=5))
+    return read_trace(p)
+
+
+class TestListTraceParity:
+    """A plain list of records and the Trace holding the same records give identical results."""
+
+    LABEL = LabelConfig(32, 32)
+    MODEL = ModelParams.init(ModelConfig(hidden_dim=8, num_heads=2, num_layers=1, output_dim=64,
+                                         history_len=4, input_dim=10), seed=1)
+
+    def prefetchers(self, trace, addr_cfg):
+        return {
+            "none": None,
+            "next_line": NextLinePrefetcher(2, addr_cfg=addr_cfg),
+            "stride": StridePrefetcher(addr_cfg=addr_cfg),
+            "best_offset": BestOffsetPrefetcher(addr_cfg=addr_cfg),
+            "oracle": OraclePrefetcher(trace, addr_cfg, window=16),
+            "model": ModelPrefetcher(self.MODEL, FeatureConfig("as", 6), self.LABEL, addr_cfg, top_k=3),
+        }
+
+    @pytest.fixture(params=PARITY_CASES)
+    def pair(self, request, tmp_path):
+        columns = parity_trace(request.param, tmp_path)
+        records = list(columns)
+        assert isinstance(columns, Trace) and records == columns
+        assert [a.ordinal for a in records] == list(range(len(records)))
+        return records, columns
+
+    def test_mean_cycles_per_access(self, pair):
+        records, columns = pair
+        split = split_trace(columns, (0.4, 0.1, 0.5))
+        for r in (None, split.train, split.validation, split.test, range(7, 8)):
+            assert mean_cycles_per_access(records, r) == mean_cycles_per_access(columns, r)
+
+    @pytest.mark.parametrize("mode", ["as", "delta"])
+    def test_build_datasets(self, pair, addr_cfg, mode):
+        split = split_trace(pair[1], (0.4, 0.1, 0.5))
+        a, b = (build_datasets(t, split, FeatureConfig(mode), self.LABEL, addr_cfg, history_len=4)
+                for t in pair)
+        for part in ("train", "validation", "test"):
+            for field in ("inputs", "contexts", "labels", "triggers"):
+                assert np.array_equal(getattr(getattr(a, part), field), getattr(getattr(b, part), field))
+        assert {n: d.to_pairs() for n, d in a.dictionaries.items()} == \
+            {n: d.to_pairs() for n, d in b.dictionaries.items()}
+
+    @pytest.mark.parametrize("latency", [LatencyModel(0, "H"), LatencyModel(20, "L")], ids=["0H", "20L"])
+    def test_simulate_with_event_log(self, pair, addr_cfg, latency):
+        records, columns = pair
+        by_list, by_trace = self.prefetchers(records, addr_cfg), self.prefetchers(columns, addr_cfg)
+        for name in by_list:
+            runs = []
+            for trace, pf in ((records, by_list[name]), (columns, by_trace[name])):
+                log = []
+                report = simulate(trace, pf, CacheConfig(sets=4, ways=2), latency, addr_cfg, event_log=log)
+                runs.append((report, log))
+            assert runs[0] == runs[1], name
+            assert runs[0][1], name
