@@ -445,6 +445,12 @@ class TestGenerateTrace:
         with pytest.raises(PatternError, match=r"^pattern stride: cycle_step 4611686018427387904 over 3 "):
             generate_trace({"name": "stride", "cycle_step": 2**62}, 3, seed=0)
 
+    @pytest.mark.parametrize("start", [-3, 2**63 - 2, 2**70 + 5, -2**70])
+    def test_block_outside_the_block_space_is_masked(self, addr_cfg, start):
+        trace = generate_trace({"name": "stride", "start_block": start}, 4, seed=0)
+        mask = addr_cfg.block_space - 1
+        assert [a.vaddr for a in trace] == [((start + i) & mask) << addr_cfg.block_offset_bits for i in range(4)]
+
     def test_bad_length(self):
         with pytest.raises(PatternError):
             generate_trace({"name": "stride"}, 0, seed=0)
