@@ -503,7 +503,7 @@ _PARAMS = {
 }
 
 
-def check_pattern(spec, length: int = 1) -> None:
+def check_pattern(spec, length: int) -> None:
     """The pattern rule: a mapping whose ``name`` is a known generator, and whose
     parameters, where given, have the types and ranges that generator uses. The
     last cycle of a ``length``-record trace, ``cycle_step * (length - 1)``, must

@@ -179,6 +179,8 @@ class TestTraceSequence:
             with pytest.raises(ValueError):
                 column[0] = 1
         assert (trace.cycle.dtype, trace.pc.dtype, trace.vaddr.dtype) == (np.int64, np.uint64, np.uint64)
+        with pytest.raises(ValueError, match="1-D and of one length"):
+            Trace([0, 1], [0x400000], [0x40, 0x80])
 
 
 READ_ACCEPTED = {
