@@ -245,7 +245,13 @@ class BestOffsetPrefetcher(Prefetcher):
 
 
 class OraclePrefetcher(Prefetcher):
-    """Fed the future: prefetches the blocks of the next ``window`` accesses."""
+    """Fed the future: prefetches the blocks of the next ``window`` accesses.
+
+    An access's ordinal indexes the trace the oracle was built from, so it must
+    be replayed on records numbered as in that trace: a list slice keeps the
+    ordinals of the list, while a :class:`~prefetchlab.trace.Trace` slice
+    numbers its records from 0.
+    """
 
     name = "oracle"
 
@@ -385,7 +391,11 @@ def simulate(
     state transitions are appended to it as tuples
     (ordinal, kind, block, evicted_block_or_None) with kind one of
     demand_hit / demand_miss / prefetch_insert / prefetch_drop;
-    :class:`MissTimeline` is such a sink, counting per-interval misses.
+    :class:`MissTimeline` is such a sink, counting per-interval misses. The
+    ordinal is the record's own: a list slice keeps the ordinals of the list it
+    was cut from, while a :class:`~prefetchlab.trace.Trace` slice numbers its
+    records from 0. Unless the prefetcher reads ordinals (the oracle does), the
+    two give the same report and event logs that differ only in their ordinals.
     """
     if not trace:
         raise ValueError("trace is empty")

@@ -302,7 +302,7 @@ def write_trace(path, trace: Sequence[MemoryAccess]):
 
     Records are formatted and encoded ``CHUNK`` lines at a time, so the whole
     file never sits in memory as one string; a record's ordinal is written as
-    its index. Gzip output pins mtime to 0 and omits the filename header field,
+    its index, so a list slice's records are numbered from 0 again. Gzip output pins mtime to 0 and omits the filename header field,
     so the bytes depend only on the records (rerun determinism). The file is
     written beside ``path`` under a temporary name and moved into place only
     once complete: a failed write leaves an existing ``path`` untouched and no

@@ -3,6 +3,7 @@ import copy
 import hashlib
 import json
 import os
+import pathlib
 import re
 import shutil
 
@@ -214,12 +215,12 @@ PROBES = {
 
 
 def _demo08_raw():
-    source = open(os.path.join(REPO, "demos", "08_pipeline_stages.py")).read()
+    source = pathlib.Path(REPO, "demos", "08_pipeline_stages.py").read_text()
     return ast.literal_eval(re.search(r"from_dict\((\{.*?\})\)\n", source, re.S).group(1))
 
 
 def _readme_raw():
-    readme = open(os.path.join(REPO, "README.md")).read()
+    readme = pathlib.Path(REPO, "README.md").read_text()
     return json.loads(re.search(r"A minimal config.*?```json\n(.*?)```", readme, re.S).group(1))
 
 
@@ -388,9 +389,9 @@ class TestStages:
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
         path = os.path.join(clone, manifest)
-        raw = open(path, "rb").read()
+        raw = pathlib.Path(path).read_bytes()
         fields = json.loads(raw)
-        used = json.load(open(os.path.join(full_run, f"manifest_{stage}.json")))["inputs"]
+        used = json.loads(pathlib.Path(full_run, f"manifest_{stage}.json").read_bytes())["inputs"]
         unread = {"inputs", "package_version", "stage", *(f"inputs/{n}" for n in fields["inputs"]),
                   *(f"outputs/{n}" for n in fields["outputs"] if n not in used)}
         cases = []
@@ -799,7 +800,7 @@ def numpy_build() -> str:
 
 
 def run_digests(run_dir) -> dict:
-    return {name: hashlib.sha256(open(os.path.join(run_dir, name), "rb").read()).hexdigest()
+    return {name: hashlib.sha256(pathlib.Path(run_dir, name).read_bytes()).hexdigest()
             for name in sorted(os.listdir(run_dir))}
 
 

@@ -22,7 +22,7 @@ from prefetchlab.simulator import (
     StridePrefetcher,
     simulate,
 )
-from prefetchlab.trace import AddressConfig, MemoryAccess, generate_trace, split_trace
+from prefetchlab.trace import AddressConfig, MemoryAccess, Trace, as_trace, generate_trace, split_trace
 from tests.conftest import make_trace
 
 
@@ -666,6 +666,23 @@ class TestModelPrefetcher:
                           LatencyModel(), addr_cfg)
         assert report.cold_start_triggers == self.CFG.history_len - 1
         assert sum(report.degree_hist.values()) == len(test) - (self.CFG.history_len - 1)
+
+    def test_trace_slice_counts_ordinals_from_zero(self, addr_cfg):
+        # a list slice keeps its records' ordinals, a Trace slice numbers them from 0;
+        # the replay is the same, and only the event log's ordinals differ
+        records = make_trace(list(range(100, 200)))
+        start = split_trace(records, (0.4, 0.1, 0.5)).test.start
+        listed, columnar = records[start:], as_trace(records)[start:]
+        assert isinstance(columnar, Trace) and columnar[0].ordinal == 0
+        logs, reports = [], []
+        for test in (listed, columnar):
+            log = []
+            reports.append(simulate(test, self.top_k_prefetcher(addr_cfg), CacheConfig(sets=4, ways=2),
+                                    LatencyModel(), addr_cfg, event_log=log))
+            logs.append(log)
+        assert reports[1] == reports[0]
+        assert reports[1].cold_start_triggers == self.CFG.history_len - 1
+        assert logs[1] == [(ordinal - start, *rest) for ordinal, *rest in logs[0]]
 
     def test_predict_without_prepare_raises(self, addr_cfg):
         pf = self.top_k_prefetcher(addr_cfg)

@@ -1,3 +1,4 @@
+import errno
 import gzip
 import re
 
@@ -313,7 +314,27 @@ class TestWriteTrace:
         assert read_trace(p) == trace
 
     @pytest.mark.parametrize("name", ["t.csv.gz", "t.csv"])
-    def test_failed_write_keeps_existing_file(self, tmp_path, name):
+    def test_failed_write_keeps_existing_file(self, tmp_path, name, monkeypatch):
+        p = tmp_path / name
+        write_trace(p, self.RECORDS)
+        before = p.read_bytes()
+        rows, seen = Trace._rows, []
+
+        def rows_then_disk_full(trace, lo):
+            if lo == CHUNK:  # the first chunk has gone to the temporary file
+                seen.extend(q.name for q in tmp_path.iterdir())
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return rows(trace, lo)
+
+        monkeypatch.setattr(Trace, "_rows", rows_then_disk_full)
+        with pytest.raises(OSError, match="No space"):
+            write_trace(p, generate_trace({"name": "stride"}, CHUNK + 10, seed=5))
+        assert sorted(seen)[0] == name and sorted(seen)[1].endswith(".tmp")
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("name", ["t.csv.gz", "t.csv"])
+    def test_bad_record_keeps_existing_file(self, tmp_path, name):
         p = tmp_path / name
         write_trace(p, self.RECORDS)
         before = p.read_bytes()
