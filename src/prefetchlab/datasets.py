@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prefetchlab.features import (
-    FeatureConfig,
-    TokenDictionary,
-    encode_contexts,
-    encode_inputs,
-    grow_dictionaries,
-    history_windows,
-)
+from prefetchlab.features import FeatureConfig, TokenDictionary, encode_windows, grow_dictionaries
 # Not called here. The benchmark's tracer (bench/tracing.py) wraps these names
 # in this module, so they stay importable from it.
 from prefetchlab.features import normalize_segments, pc_context, segment_blocks  # noqa: F401
@@ -142,16 +135,15 @@ def build_datasets(
     its label covers the look-forward window after t+skip. History windows may
     reach back across a split boundary (the online prefetcher sees the same
     stream), so the first triggers of each split are not dropped. The whole
-    trace is encoded once; each split takes its triggers' rows.
+    trace is encoded once by :func:`~prefetchlab.features.encode_windows`, as
+    in the online model prefetcher; each split takes its triggers' rows.
     """
     trace = as_trace(trace)
     blocks = block_addresses(trace, addr_cfg)
     dictionaries = grow_dictionaries(blocks, feature_cfg, addr_cfg, split.train.stop)
-    rows = encode_inputs(blocks, feature_cfg, addr_cfg, next(iter(dictionaries.values()), None))
+    inputs, contexts = encode_windows(trace.pc, blocks, feature_cfg, addr_cfg,
+                                      next(iter(dictionaries.values()), None), history_len)
     triggers = np.arange(feature_cfg.warmup(history_len) - 1, len(trace), dtype=np.int64)
-    windows = history_windows(triggers, history_len)
-    inputs = rows[windows]
-    contexts = encode_contexts(trace.pc, blocks, windows, addr_cfg, feature_cfg.hash_bits)
     labels, _ = label_bitmaps(blocks, triggers, label_cfg)
 
     def take(r: range) -> LabeledDataset:

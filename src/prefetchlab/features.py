@@ -7,9 +7,8 @@ storage cost.
 
 This module is the one place that turns accesses into model rows: the offline
 datasets (:func:`prefetchlab.datasets.build_datasets`) and the online model
-prefetcher both call :func:`encode_inputs` and :func:`encode_contexts` over
-history windows from :func:`history_windows`, so training and simulation see
-the same inputs: float64 math, rounded to float32 once, at the end of each encoder.
+prefetcher both call :func:`encode_windows`, so training and simulation see the
+same windows: float64 math, rounded to float32 once, at the end of each encoder.
 """
 
 from __future__ import annotations
@@ -354,3 +353,12 @@ def encode_contexts(
     pages = page_of_block(np.asarray(blocks, dtype=np.uint64), addr_cfg)
     pd = page_distance_context(pages[windows], pages[windows[..., :1]])
     return np.stack([pc_context(pcs, hash_bits)[windows], pd], axis=-1).astype(np.float32)
+
+
+def encode_windows(pcs: np.ndarray, blocks: np.ndarray, cfg: FeatureConfig, addr_cfg: AddressConfig,
+                   dictionary: TokenDictionary | None, history_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 inputs (n, N, input_dim) and contexts (n, N, 2) of every trigger with a full
+    history window: row ``i`` is access ``i + cfg.warmup(history_len) - 1``'s window."""
+    windows = history_windows(np.arange(cfg.warmup(history_len) - 1, len(blocks)), history_len)
+    inputs = encode_inputs(blocks, cfg, addr_cfg, dictionary)[windows]
+    return inputs, encode_contexts(pcs, blocks, windows, addr_cfg, cfg.hash_bits)

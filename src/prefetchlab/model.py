@@ -407,11 +407,12 @@ class AdamOptimizer:
 
 
 def _evaluate_loss(params: ModelParams, inputs, contexts, labels, batch_size: int) -> float:
+    frozen = ModelParams(params.cfg, {n: Tensor(t.data) for n, t in params.items()})  # builds no graph
     total, count = 0.0, 0
     for lo in range(0, inputs.shape[0], batch_size):
         hi = min(lo + batch_size, inputs.shape[0])
         ctx = None if contexts is None else contexts[lo:hi]
-        pred = forward(params, inputs[lo:hi], ctx)
+        pred = forward(frozen, inputs[lo:hi], ctx)
         total += float(bce_loss(pred, labels[lo:hi]).item()) * (hi - lo)
         count += hi - lo
     return total / max(count, 1)

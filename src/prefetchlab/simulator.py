@@ -15,8 +15,8 @@ block whose prefetch is still in flight is additionally tallied late.
 Prefetchers implement three calls, all made by :func:`simulate`:
 
 - ``prepare(trace, blocks)`` once per run, right after ``reset()``, with the
-  whole trace and its block addresses. The model prefetcher encodes every
-  access here, so per-trigger work is a gather.
+  whole :class:`~prefetchlab.trace.Trace` and its uint64 block column. The model
+  prefetcher encodes every trigger's window here, so per-trigger work is an index.
 - ``observe`` on every demand access, in order.
 - ``predict`` only on triggers the throughput bound admits.
 """
@@ -24,17 +24,18 @@ Prefetchers implement three calls, all made by :func:`simulate`:
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from prefetchlab.features import FeatureConfig, encode_contexts, encode_inputs, history_windows
+from prefetchlab.features import FeatureConfig, encode_windows
 from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, index_to_delta, prefetch_addresses
 from prefetchlab.model import ModelParams, predict as model_predict
 from prefetchlab.schema import config, field
-from prefetchlab.trace import AddressConfig, MemoryAccess, as_trace, block_addresses
+from prefetchlab.trace import CHUNK, AddressConfig, MemoryAccess, Trace, as_trace, block_addresses
 
 
 @config
@@ -100,8 +101,8 @@ class Prefetcher:
     def reset(self):
         pass
 
-    def prepare(self, trace: Sequence[MemoryAccess], blocks: Sequence[int]):
-        """Called once per simulation, after reset, with the trace about to be replayed."""
+    def prepare(self, trace: Trace, blocks: np.ndarray):
+        """Called once per simulation, after reset, with the trace and its uint64 block column."""
 
     def observe(self, access: MemoryAccess, block: int):
         pass
@@ -245,13 +246,9 @@ class BestOffsetPrefetcher(Prefetcher):
 
 
 class OraclePrefetcher(Prefetcher):
-    """Fed the future: prefetches the blocks of the next ``window`` accesses.
-
-    An access's ordinal indexes the trace the oracle was built from, so it must
-    be replayed on records numbered as in that trace: a list slice keeps the
-    ordinals of the list, while a :class:`~prefetchlab.trace.Trace` slice
-    numbers its records from 0.
-    """
+    """Fed the future: prefetches the blocks of the next ``window`` accesses of the
+    trace it was built from, indexed by the access's ordinal (its position in the
+    replayed trace), so it must be replayed on that trace."""
 
     name = "oracle"
 
@@ -273,11 +270,9 @@ class ModelPrefetcher(Prefetcher):
     k highest-confidence deltas. Returns None (cold start) until the history
     window has filled.
 
-    ``prepare`` encodes the whole trace once, into the float32 rows the datasets
-    store: one input row per access and the context rows of every trigger that
-    has a full window. Each
-    ``observe`` then moves a position forward, and ``predict`` gathers the
-    window ending at that position and runs the model on it.
+    ``prepare`` encodes every trigger's window once, with the encoder the datasets
+    use (:func:`~prefetchlab.features.encode_windows`), and ``predict`` runs the
+    model on the window of the trigger at ``access.ordinal``.
     """
 
     name = "model"
@@ -310,30 +305,21 @@ class ModelPrefetcher(Prefetcher):
         self.reset()
 
     def reset(self):
-        self._inputs = None    # (T, input_dim): one row per access
-        self._contexts = None  # (T - warmup + 1, N, 2): one window per trigger from warmup - 1 on
-        self._observed = 0
+        self._inputs = self._contexts = None  # one window per trigger from warmup - 1 on
 
     def prepare(self, trace, blocks):
-        blocks = np.asarray(blocks, dtype=np.uint64)
-        self._inputs = encode_inputs(blocks, self.feature_cfg, self.addr_cfg, self.dictionary)
-        windows = history_windows(np.arange(self._warmup - 1, len(blocks)), self.cfg.history_len)
-        self._contexts = encode_contexts(as_trace(trace).pc, blocks, windows, self.addr_cfg,
-                                         self.feature_cfg.hash_bits)
-
-    def observe(self, access, block):
-        self._observed += 1
+        self._inputs, self._contexts = encode_windows(trace.pc, blocks, self.feature_cfg, self.addr_cfg,
+                                                      self.dictionary, self.cfg.history_len)
 
     def predict(self, access, block):
         if self._inputs is None:
             raise RuntimeError("ModelPrefetcher.predict needs prepare(trace, blocks) first; "
                                "simulate() calls it")
-        if self._observed < self._warmup:
+        window = access.ordinal - (self._warmup - 1)
+        if window < 0:
             return None
-        trigger = self._observed - 1
-        history = self._inputs[history_windows(trigger, self.cfg.history_len)]
-        context = self._contexts[trigger - (self._warmup - 1)] if self.cfg.use_context else None
-        conf = model_predict(self.params, history, context)
+        context = self._contexts[window] if self.cfg.use_context else None
+        conf = model_predict(self.params, self._inputs[window], context)
         if self.top_k is not None:
             order = np.argsort(-conf, kind="stable")[: self.top_k]
             deltas = [index_to_delta(int(i), self.label_cfg.delta_bound) for i in order]
@@ -356,8 +342,8 @@ def _baseline_misses(cfg: CacheConfig, block_bytes: bytes) -> int:
     sets = [{} for _ in range(nsets)]  # the LRU idiom of simulate, without prefetch flags
     misses = 0
     blocks = np.frombuffer(block_bytes, dtype=np.uint64)
-    for start in range(0, len(blocks), 4096):  # a chunk at a time: no second whole-trace list
-        for b in blocks[start:start + 4096].tolist():
+    for start in range(0, len(blocks), CHUNK):  # a chunk at a time: no second whole-trace list
+        for b in blocks[start:start + CHUNK].tolist():
             entries = sets[b % nsets]
             if b in entries:
                 del entries[b]
@@ -391,20 +377,20 @@ def simulate(
     state transitions are appended to it as tuples
     (ordinal, kind, block, evicted_block_or_None) with kind one of
     demand_hit / demand_miss / prefetch_insert / prefetch_drop;
-    :class:`MissTimeline` is such a sink, counting per-interval misses. The
-    ordinal is the record's own: a list slice keeps the ordinals of the list it
-    was cut from, while a :class:`~prefetchlab.trace.Trace` slice numbers its
-    records from 0. Unless the prefetcher reads ordinals (the oracle does), the
-    two give the same report and event logs that differ only in their ordinals.
+    :class:`MissTimeline` is such a sink, counting per-interval misses. ``trace``
+    goes through :func:`~prefetchlab.trace.as_trace` first, so an ordinal is the
+    access's position in the trace passed in, and a bad record raises ``TraceError``.
     """
     if not trace:
         raise ValueError("trace is empty")
     if trigger_stream not in ("access", "miss"):
         raise ValueError(f"trigger_stream must be 'access' or 'miss', got {trigger_stream!r}")
 
+    trace = as_trace(trace)
     block_array = block_addresses(trace, addr_cfg)
-    blocks = block_array.tolist()
     baseline_misses = _baseline_misses(cache_cfg, block_array.tobytes())
+    blocks = itertools.chain.from_iterable(block_array[lo:lo + CHUNK].tolist()
+                                           for lo in range(0, len(trace), CHUNK))
 
     # The cache: one dict per set mapping block -> unused-prefetch flag, whose
     # insertion order is LRU order (least recent first). A hit pops and
@@ -413,7 +399,7 @@ def simulate(
     sets = [{} for _ in range(nsets)]
     if prefetcher is not None:
         prefetcher.reset()
-        prefetcher.prepare(trace, blocks)
+        prefetcher.prepare(trace, block_array)
         observe, predict = prefetcher.observe, prefetcher.predict
     log = None if event_log is None else event_log.append
     latency_cycles = latency.latency_cycles

@@ -3,9 +3,9 @@
 A trace is a :class:`Trace`: three numpy columns, ``cycle``, ``pc`` and ``vaddr``,
 with one entry per access, read as a sequence of :class:`MemoryAccess` records whose
 ordinal is their index. Functions that take a trace also take a plain list of
-records. The on-disk format is one CSV record per line,
-``ordinal,cycle,pc_hex,vaddr_hex``, with ``#`` comment lines and optional gzip
-compression (detected by magic bytes on read, selected by a ``.gz`` suffix on write).
+records, likewise numbered by position (:func:`as_trace`). On disk a trace is one
+CSV line per record, ``ordinal,cycle,pc_hex,vaddr_hex``, with ``#`` comment lines
+and optional gzip (detected by magic bytes on read, selected by a ``.gz`` suffix).
 """
 
 from __future__ import annotations
@@ -130,11 +130,23 @@ def _read_only(column: np.ndarray) -> np.ndarray:
 
 
 def as_trace(trace: Sequence[MemoryAccess]) -> Trace:
-    """``trace`` itself if it is a :class:`Trace`, else a Trace of the same records' fields."""
+    """``trace`` itself if it is a :class:`Trace`, else a Trace of the records' fields,
+    numbered by position. Raises :class:`TraceError`, naming the record and field, for a
+    value that is not an integer of its column's dtype and for a cycle below the one before."""
     if isinstance(trace, Trace):
         return trace
-    return Trace(*(np.fromiter(map(operator.attrgetter(name), trace), dtype, len(trace))
-                   for name, dtype in (("cycle", np.int64), ("pc", np.uint64), ("vaddr", np.uint64))))
+    columns = []
+    for name, dtype in (("cycle", np.int64), ("pc", np.uint64), ("vaddr", np.uint64)):
+        values, info = list(map(operator.attrgetter(name), trace)), np.iinfo(dtype)
+        fits = _ints(int(info.min), int(info.max) + 1)
+        if not all(map(fits, values)):
+            i = next(i for i, v in enumerate(values) if not fits(v))
+            raise TraceError(f"record {i}: {name} {values[i]!r} is not an integer that fits in {info.dtype}")
+        columns.append(np.array(values, dtype))
+    down = np.flatnonzero(columns[0][1:] < columns[0][:-1]) + 1
+    if down.size:
+        raise TraceError(f"record {down[0]}: cycle {columns[0][down[0]]} decreases")
+    return Trace(*columns)
 
 
 @config
@@ -300,10 +312,11 @@ def _parse_lines(path, fh, fmt: str) -> Trace:
 def write_trace(path, trace: Sequence[MemoryAccess]):
     """Write a trace as CSV; a ``.gz`` suffix selects gzip (level 3).
 
-    Records are formatted and encoded ``CHUNK`` lines at a time, so the whole
-    file never sits in memory as one string; a record's ordinal is written as
-    its index, so a list slice's records are numbered from 0 again. Gzip output pins mtime to 0 and omits the filename header field,
-    so the bytes depend only on the records (rerun determinism). The file is
+    Records are formatted and encoded ``CHUNK`` lines at a time, so the whole file
+    never sits in memory as one string. A list goes through :func:`as_trace` first:
+    ordinals are written as positions, and a bad record raises before any file opens.
+    Gzip output pins mtime to 0 and omits the filename header field, so the bytes
+    depend only on the records (rerun determinism). The file is
     written beside ``path`` under a temporary name and moved into place only
     once complete: a failed write leaves an existing ``path`` untouched and no
     temporary file behind."""

@@ -12,6 +12,7 @@ from prefetchlab.features import (
     desegment_blocks,
     encode_contexts,
     encode_inputs,
+    encode_windows,
     grow_dictionaries,
     history_windows,
     normalize_segments,
@@ -183,6 +184,24 @@ class TestEncoders:
         history = encode_inputs(blocks, FeatureConfig("as", 6), addr_cfg)[history_windows(3, 4)]
         assert history[0, -1] == 40 / 64  # low segment of the newest block
         assert history[-1, -1] == 10 / 64
+
+    @pytest.mark.parametrize("mode", ["as", "delta"])
+    def test_windows_start_at_the_first_full_window(self, addr_cfg, mode):
+        blocks = np.arange(100, 112, dtype=np.uint64) * np.uint64(7)
+        pcs = np.arange(12, dtype=np.uint64) << np.uint64(20)
+        cfg = FeatureConfig(mode)
+        dictionary = grow_dictionaries(blocks, cfg, addr_cfg, train_stop=12).get("delta")
+        inputs, contexts = encode_windows(pcs, blocks, cfg, addr_cfg, dictionary, history_len=4)
+        first = cfg.warmup(4) - 1
+        assert inputs.shape[:2] == contexts.shape[:2] == (12 - first, 4)
+        rows = encode_inputs(blocks, cfg, addr_cfg, dictionary)
+        for i, trigger in enumerate(range(first, 12)):
+            assert np.array_equal(inputs[i], rows[history_windows(trigger, 4)])
+            assert np.array_equal(contexts[i], encode_contexts(pcs, blocks, history_windows(trigger, 4),
+                                                               addr_cfg, cfg.hash_bits))
+        short_inputs, short_contexts = encode_windows(pcs[:first], blocks[:first], cfg, addr_cfg,
+                                                      dictionary, history_len=4)
+        assert short_inputs.shape[0] == short_contexts.shape[0] == 0
 
     def test_dictionaries_grow_over_training_range_only(self, addr_cfg):
         blocks = np.array([64, 65, 67, 200, 900], dtype=np.uint64)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from prefetchlab import autodiff as ad
+from prefetchlab import model as model_module
 from prefetchlab.autodiff import Tensor
 from prefetchlab.model import (
     CHECKPOINT_MAGIC,
@@ -350,6 +351,31 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=30, batch_size=64, seed=0, patience=2)
         _, log = train(TINY, x, c, y, xv, cv, yv, cfg=cfg)
         assert len(log) <= 30
+
+    def test_validation_loss_builds_no_graph(self, monkeypatch):
+        x, c, y = self.make_dataset(64)
+        xv, cv, yv = self.make_dataset(32, seed=9)
+        forward, evaluate_loss = model_module.forward, model_module._evaluate_loss
+        inside, requires_grad = [], []
+
+        def recording_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            if inside:
+                requires_grad.append(out.requires_grad)
+            return out
+
+        def flagged_evaluate_loss(*args, **kwargs):
+            inside.append(True)
+            try:
+                return evaluate_loss(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(model_module, "forward", recording_forward)
+        monkeypatch.setattr(model_module, "_evaluate_loss", flagged_evaluate_loss)
+        cfg = TrainConfig(max_epochs=2, batch_size=16, seed=0, patience=None)
+        train(TINY, x, c, y, xv, cv, yv, cfg=cfg)
+        assert requires_grad == [False] * 4  # two validation batches per epoch
 
     def test_position_sensitivity_after_training(self):
         x, c, y = self.make_dataset(256, seed=3)

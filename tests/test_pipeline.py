@@ -301,7 +301,7 @@ class TestStages:
         for stage in pipeline.STAGES:
             path = os.path.join(full_run, f"manifest_{stage}.json")
             assert os.path.exists(path), stage
-            manifest = json.load(open(path))
+            manifest = json.loads(pathlib.Path(path).read_text())
             assert manifest["stage"] == stage
             for name, digest in manifest["outputs"].items():
                 assert os.path.exists(os.path.join(full_run, name))
@@ -324,7 +324,7 @@ class TestStages:
                        "training_log.csv", "sweep_comparison.csv"},
         }
         for stage, names in want.items():
-            manifest = json.load(open(os.path.join(full_run, f"manifest_{stage}.json")))
+            manifest = json.loads(pathlib.Path(full_run, f"manifest_{stage}.json").read_text())
             assert set(manifest["inputs"]) == names, stage
             for name in names:
                 assert len(manifest["inputs"][name]) == 64
@@ -353,9 +353,9 @@ class TestStages:
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
         path = os.path.join(clone, name)
-        data = bytearray(open(path, "rb").read())
+        data = bytearray(pathlib.Path(path).read_bytes())
         data[len(data) // 2] ^= 0x01
-        open(path, "wb").write(bytes(data))
+        pathlib.Path(path).write_bytes(bytes(data))
         with pytest.raises(StaleArtifactsError, match=name):
             run_stage(stage, tiny_cfg, clone)
 
@@ -365,7 +365,7 @@ class TestStages:
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
         path = os.path.join(clone, "model.ckpt")
-        raw = open(path, "rb").read()
+        raw = pathlib.Path(path).read_bytes()
         cases = []
         for i, (name, lo, hi) in enumerate(byte_classes(raw)):
             bad = bytearray(raw)
@@ -427,7 +427,7 @@ class TestStages:
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
         path = os.path.join(clone, "manifest_gen.json")
-        manifest = json.load(open(path))
+        manifest = json.loads(pathlib.Path(path).read_text())
         with open(path, "w") as fh:
             json.dump(edit(manifest), fh)
         with pytest.raises(StaleArtifactsError, match="manifest_gen.json"):
@@ -436,7 +436,7 @@ class TestStages:
     def test_failed_stage_leaves_earlier_outputs(self, tiny_cfg, full_run, tmp_path, monkeypatch):
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
-        before = {n: open(os.path.join(clone, n), "rb").read()
+        before = {n: pathlib.Path(clone, n).read_bytes()
                   for n in ("sim_reports.json", "miss_timeline_model.csv")}
         real, calls = pipeline.simulate, []
 
@@ -453,7 +453,7 @@ class TestStages:
         assert not os.path.exists(os.path.join(clone, "manifest_simulate.json"))
         assert not [n for n in os.listdir(clone) if n.startswith(".partial.")]
         for n, data in before.items():
-            assert open(os.path.join(clone, n), "rb").read() == data
+            assert pathlib.Path(clone, n).read_bytes() == data
 
     def test_gen_requires_generate_source(self, tmp_path, tiny_cfg):
         cfg = ExperimentConfig.from_dict(
@@ -467,13 +467,13 @@ class TestStages:
             run_stage("deploy", tiny_cfg, str(tmp_path))
 
     def test_sweep_report_count(self, full_run, tiny_cfg):
-        reports = json.load(open(os.path.join(full_run, "sweep_reports.json")))
+        reports = json.loads(pathlib.Path(full_run, "sweep_reports.json").read_text())
         want = (len(tiny_cfg.sweep.latencies) * len(tiny_cfg.sweep.throughputs)
                 * len(tiny_cfg.sweep.distance))
         assert len(reports) == want
 
     def test_eval_covers_all_modes(self, full_run):
-        metrics = json.load(open(os.path.join(full_run, "eval_metrics.json")))
+        metrics = json.loads(pathlib.Path(full_run, "eval_metrics.json").read_text())
         modes = {row["mode"] for row in metrics["modes"]}
         assert modes == {"as6", "delta"}
         by_mode = {row["mode"]: row for row in metrics["modes"]}
@@ -485,7 +485,7 @@ class TestStages:
         for stage in ("gen", "preprocess", "eval"):
             run_stage(stage, tiny_cfg, str(tmp_path))
         fresh, reused = (
-            json.load(open(os.path.join(d, "eval_metrics.json")))["modes"][0]
+            json.loads(pathlib.Path(d, "eval_metrics.json").read_text())["modes"][0]
             for d in (str(tmp_path), full_run)
         )
         assert reused.pop("reused_main_model") is True
@@ -503,14 +503,14 @@ class TestStages:
             assert np.array_equal(t1.data, t2.data)
 
     def test_simulate_reports_per_prefetcher(self, full_run):
-        reports = json.load(open(os.path.join(full_run, "sim_reports.json")))
+        reports = json.loads(pathlib.Path(full_run, "sim_reports.json").read_text())
         assert set(reports) == {"model", "next_line"}
 
     def test_miss_timeline_artifacts(self, full_run):
         for name in ("model", "next_line"):
             path = os.path.join(full_run, f"miss_timeline_{name}.csv")
             assert os.path.exists(path)
-            rows = open(path).read().splitlines()
+            rows = pathlib.Path(path).read_text().splitlines()
             assert rows[0] == "access,misses,miss_rate"
             assert len(rows) > 1
 
@@ -524,7 +524,7 @@ class TestStages:
         assert (clone / "summary.json").exists()
 
     def test_summary_structure(self, full_run):
-        summary = json.load(open(os.path.join(full_run, "summary.json")))
+        summary = json.loads(pathlib.Path(full_run, "summary.json").read_text())
         assert {"threshold", "simulation", "input_ablation", "training", "sweep"} <= set(summary)
         assert (os.path.exists(os.path.join(full_run, "threshold_f1.svg"))
                 and os.path.exists(os.path.join(full_run, "sweep.svg")))
@@ -537,8 +537,8 @@ class TestIdempotence:
             for stage in ("gen", "preprocess", "train", "tune"):
                 run_stage(stage, tiny_cfg, d)
         for stage in ("gen", "preprocess", "train", "tune"):
-            m1 = json.load(open(os.path.join(d1, f"manifest_{stage}.json")))
-            m2 = json.load(open(os.path.join(d2, f"manifest_{stage}.json")))
+            m1 = json.loads(pathlib.Path(d1, f"manifest_{stage}.json").read_text())
+            m2 = json.loads(pathlib.Path(d2, f"manifest_{stage}.json").read_text())
             assert m1["outputs"] == m2["outputs"], stage
 
 

@@ -668,8 +668,8 @@ class TestModelPrefetcher:
         assert sum(report.degree_hist.values()) == len(test) - (self.CFG.history_len - 1)
 
     def test_trace_slice_counts_ordinals_from_zero(self, addr_cfg):
-        # a list slice keeps its records' ordinals, a Trace slice numbers them from 0;
-        # the replay is the same, and only the event log's ordinals differ
+        # a list slice keeps its records' ordinals and a Trace slice numbers them from 0,
+        # but simulate numbers both by position: the replays and event logs are equal
         records = make_trace(list(range(100, 200)))
         start = split_trace(records, (0.4, 0.1, 0.5)).test.start
         listed, columnar = records[start:], as_trace(records)[start:]
@@ -682,7 +682,8 @@ class TestModelPrefetcher:
             logs.append(log)
         assert reports[1] == reports[0]
         assert reports[1].cold_start_triggers == self.CFG.history_len - 1
-        assert logs[1] == [(ordinal - start, *rest) for ordinal, *rest in logs[0]]
+        assert logs[1] == logs[0]
+        assert logs[0][0][0] == 0
 
     def test_predict_without_prepare_raises(self, addr_cfg):
         pf = self.top_k_prefetcher(addr_cfg)
@@ -693,14 +694,14 @@ class TestModelPrefetcher:
             pf.predict(trace[-1], trace[-1].vaddr >> addr_cfg.block_offset_bits)
 
     def test_one_input_encoding_per_simulate(self, addr_cfg, monkeypatch):
-        calls = []
+        calls, encode_inputs = [], features.encode_inputs
 
         def counting_encode_inputs(*args, **kwargs):
             calls.append(len(args[0]))
-            return features.encode_inputs(*args, **kwargs)
+            return encode_inputs(*args, **kwargs)
 
-        # patched where the prefetcher looks the name up
-        monkeypatch.setattr(simulator, "encode_inputs", counting_encode_inputs)
+        # patched where the shared window encoder looks the name up
+        monkeypatch.setattr(features, "encode_inputs", counting_encode_inputs)
         pf = self.top_k_prefetcher(addr_cfg)
         for length in (60, 80):
             trace = make_trace(list(range(500, 500 + length)))

@@ -13,6 +13,7 @@ from prefetchlab.simulator import (
     BestOffsetPrefetcher,
     CacheConfig,
     LatencyModel,
+    MissTimeline,
     ModelPrefetcher,
     NextLinePrefetcher,
     OraclePrefetcher,
@@ -27,7 +28,9 @@ from prefetchlab.trace import (
     PatternError,
     SplitError,
     Trace,
+    TraceError,
     TraceParseError,
+    as_trace,
     block_address,
     block_addresses,
     generate_trace,
@@ -217,6 +220,23 @@ READ_REJECTED = {
                                 "line 2: cycle -9223372036854775809 does not fit in 64 signed bits"),
 }
 
+# records given as a list, field overrides of the second of three -> the TraceError as_trace raises
+LIST_REJECTED = {
+    "negative-pc": ({"pc": -1}, "record 1: pc -1 is not an integer that fits in uint64"),
+    "pc-past-64-bits": ({"pc": 2**64}, "record 1: pc 18446744073709551616 is not an integer that fits in uint64"),
+    "vaddr-past-64-bits": ({"vaddr": 2**64 + 64},
+                           "record 1: vaddr 18446744073709551680 is not an integer that fits in uint64"),
+    "pc-none": ({"pc": None}, "record 1: pc None is not an integer that fits in uint64"),
+    "vaddr-float": ({"vaddr": 64.0}, "record 1: vaddr 64.0 is not an integer that fits in uint64"),
+    "cycle-str": ({"cycle": "1"}, "record 1: cycle '1' is not an integer that fits in int64"),
+    "cycle-bool": ({"cycle": True}, "record 1: cycle True is not an integer that fits in int64"),
+    "cycle-past-int64": ({"cycle": 2**63},
+                         "record 1: cycle 9223372036854775808 is not an integer that fits in int64"),
+    "cycle-below-int64": ({"cycle": -2**63 - 1},
+                          "record 1: cycle -9223372036854775809 is not an integer that fits in int64"),
+    "decreasing-cycle": ({"cycle": -1}, "record 1: cycle -1 decreases"),
+}
+
 
 class TestReadEdgeCases:
     """Reader behaviour at the edges of the format, pinned before the reader parsed in chunks."""
@@ -233,6 +253,16 @@ class TestReadEdgeCases:
         p.write_bytes(text.encode())
         with pytest.raises(TraceParseError, match=re.escape(f"t.csv: parse error at {message}") + "$"):
             read_trace(p, fmt=fmt)
+
+    @pytest.mark.parametrize("fields, message", list(LIST_REJECTED.values()), ids=list(LIST_REJECTED))
+    def test_list_rejected_with_record(self, addr_cfg, fields, message):
+        records = [MemoryAccess(0, 0, 0x400000, 0x40), MemoryAccess(1, 5, 0x400000, 0x80),
+                   MemoryAccess(2, 9, 0x400000, 0xC0)]
+        records[1] = records[1]._replace(**fields)
+        with pytest.raises(TraceError, match=re.escape(message) + "$"):
+            as_trace(records)
+        with pytest.raises(TraceError, match=re.escape(message) + "$"):
+            simulate(records, NextLinePrefetcher(), CacheConfig(sets=4, ways=2), LatencyModel(), addr_cfg)
 
     @pytest.mark.parametrize("name", ["t.csv", "t.csv.gz"])
     def test_header_only_is_empty(self, tmp_path, name):
@@ -340,7 +370,7 @@ class TestWriteTrace:
         before = p.read_bytes()
         good = generate_trace({"name": "stride"}, CHUNK + 10, seed=5)
         bad = [*good[:CHUNK + 5], MemoryAccess(CHUNK + 5, 0, None, 0x40)]
-        with pytest.raises(TypeError):
+        with pytest.raises(TraceError, match=f"record {CHUNK + 5}: pc None"):
             write_trace(p, bad)
         assert p.read_bytes() == before
         assert [q.name for q in tmp_path.iterdir()] == [name]
@@ -520,17 +550,23 @@ class TestGenerateTrace:
         assert [a.cycle for a in trace] == [0, 25, 50, 75, 100]
 
 
-PARITY_CASES = [*sorted(_GENERATORS), "read_trace-gz", "slice"]
+PARITY_CASES = [*sorted(_GENERATORS), "read_trace-gz", "slice", "list-slice"]
 
 
-def parity_trace(case, tmp_path) -> Trace:
+def parity_pair(case, tmp_path) -> tuple[list[MemoryAccess], Trace]:
+    """The records of a case as a list, and as a Trace."""
     if case in _GENERATORS:
-        return generate_trace({"name": case, "cycle_step": 3}, 400, seed=3)
-    if case == "slice":  # ordinals start again from 0 in the slice
-        return generate_trace({"name": "interleaved", "cycle_step": 5}, 700, seed=4)[150:550]
-    p = tmp_path / "t.csv.gz"
-    write_trace(p, generate_trace({"name": "region_walks", "cycle_step": 2}, 400, seed=5))
-    return read_trace(p)
+        columns = generate_trace({"name": case, "cycle_step": 3}, 400, seed=3)
+    elif case in ("slice", "list-slice"):  # ordinals start again from 0 in the Trace slice
+        full = generate_trace({"name": "interleaved", "cycle_step": 5}, 700, seed=4)
+        if case == "list-slice":  # the list slice keeps the records' ordinals, 150 on
+            return list(full)[150:550], full[150:550]
+        columns = full[150:550]
+    else:
+        p = tmp_path / "t.csv.gz"
+        write_trace(p, generate_trace({"name": "region_walks", "cycle_step": 2}, 400, seed=5))
+        columns = read_trace(p)
+    return list(columns), columns
 
 
 class TestListTraceParity:
@@ -552,10 +588,10 @@ class TestListTraceParity:
 
     @pytest.fixture(params=PARITY_CASES)
     def pair(self, request, tmp_path):
-        columns = parity_trace(request.param, tmp_path)
-        records = list(columns)
-        assert isinstance(columns, Trace) and records == columns
-        assert [a.ordinal for a in records] == list(range(len(records)))
+        records, columns = parity_pair(request.param, tmp_path)
+        assert isinstance(columns, Trace) and [a[1:] for a in records] == [a[1:] for a in columns]
+        first = 150 if request.param == "list-slice" else 0
+        assert [a.ordinal for a in records] == list(range(first, first + len(records)))
         return records, columns
 
     def test_mean_cycles_per_access(self, pair):
@@ -582,8 +618,10 @@ class TestListTraceParity:
         for name in by_list:
             runs = []
             for trace, pf in ((records, by_list[name]), (columns, by_trace[name])):
-                log = []
+                log, timeline = [], MissTimeline(len(trace), 100)
                 report = simulate(trace, pf, CacheConfig(sets=4, ways=2), latency, addr_cfg, event_log=log)
-                runs.append((report, log))
+                for event in log:
+                    timeline.append(event)
+                runs.append((report, log, timeline.rows()))
             assert runs[0] == runs[1], name
             assert runs[0][1], name
