@@ -33,7 +33,7 @@ from prefetchlab.autodiff import NumericError, Tensor
 from prefetchlab.schema import config, field
 
 BCE_EPS = 1e-7
-PREDICT_BATCH = 512  # samples per forward pass when predict gets a batch
+PREDICT_BATCH = 512  # samples per forward pass in predict
 CHECKPOINT_MAGIC = b"PFLCKPT1"
 CHECKPOINT_VERSION = 1
 # version, hidden_dim, num_heads, num_layers, output_dim, history_len, input_dim,
@@ -268,22 +268,17 @@ def forward(
 ) -> Tensor:
     """Batched forward pass -> (batch, output_dim) confidences in [0, 1].
 
-    ``inputs`` is (batch, history_len, input_dim) or a single unbatched sample;
+    ``inputs`` is (batch, history_len, input_dim); one sample is a batch of one.
     ``contexts`` is (batch, history_len, 2) and is ignored when the model was
     configured without context enhancement. The classification token receives no
     context; every other token n gets its context pair embedded and added.
     """
     cfg = params.cfg
     inputs = np.asarray(inputs, dtype=np.float64)
-    single = inputs.ndim == 2
-    if single:
-        inputs = inputs[None]
-        contexts = None if contexts is None else np.asarray(contexts)[None]
-    batch, n, s = inputs.shape
-    if (n, s) != (cfg.history_len, cfg.input_dim):
-        raise ValueError(
-            f"input shape {(n, s)} != configured ({cfg.history_len}, {cfg.input_dim})"
-        )
+    if inputs.ndim != 3 or inputs.shape[1:] != (cfg.history_len, cfg.input_dim):
+        raise ValueError(f"input shape {inputs.shape} != (batch, history_len, input_dim) = "
+                         f"(batch, {cfg.history_len}, {cfg.input_dim})")
+    batch = inputs.shape[0]
     if not np.isfinite(inputs).all():
         raise NumericError("non-finite model input")
 
@@ -320,15 +315,12 @@ def forward(
         if not np.isfinite(x.data).all():
             raise NumericError(f"non-finite activations after transformer layer {i}")
 
-    conf = ad.sigmoid(ad.linear(x[:, 0, :], params["head_w"], params["head_b"]))
-    return conf[0] if single else conf
+    return ad.sigmoid(ad.linear(x[:, 0, :], params["head_w"], params["head_b"]))
 
 
 def predict(params: ModelParams, inputs, contexts=None) -> np.ndarray:
-    """Forward pass returning plain confidence arrays (no graph kept). A batch of
-    samples runs through ``forward`` PREDICT_BATCH at a time; one unbatched sample as is."""
-    if np.ndim(inputs) != 3:
-        return forward(params, inputs, contexts).data
+    """Confidences (batch, output_dim) as a plain array (no graph kept). The batch runs
+    through ``forward`` PREDICT_BATCH samples at a time; one sample is a batch of one."""
     out = np.empty((len(inputs), params.cfg.output_dim))
     for lo in range(0, len(inputs), PREDICT_BATCH):
         hi = lo + PREDICT_BATCH

@@ -5,8 +5,8 @@ directory, writes its outputs and a manifest (config hash, input/output hashes,
 package version), and is deterministic given config + seed, so rerunning a
 stage reproduces byte-identical artifacts. Run directories are content-addressed
 by config hash. A stage takes each upstream artifact through ``_Run.read``,
-which fails with a staleness error when the producing manifest was built under
-another config or the file no longer matches the hash that manifest recorded,
+which fails with a staleness error when the producing manifest names another
+stage or config or the file no longer matches the hash that manifest recorded,
 instead of silently mixing experiments. Outputs land atomically, manifest last.
 
 Stages: gen, preprocess, train, tune, eval, simulate, sweep, report.
@@ -259,8 +259,8 @@ def _write_json(path, obj):
 class _Run:
     """One stage's route into a run directory: checked reads, atomic writes, one manifest.
 
-    ``read`` is the only way a stage takes an upstream artifact. It checks the
-    producing stage's manifest against the current config, re-hashes the file
+    ``read`` is the only way a stage takes an upstream artifact. It checks that the
+    producing stage's manifest names that stage and the current config, re-hashes the file
     against the hash that manifest recorded, and records the hash as an input.
     ``out`` hands out a partial path beside each output; ``finish`` hashes the
     outputs, moves them into place and writes the manifest last, so a manifest
@@ -292,6 +292,8 @@ class _Run:
         if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs"), dict):
             raise StaleArtifactsError(f"{manifest_name} is not a stage manifest: "
                                       "expected an object with an 'outputs' object")
+        if manifest.get("stage") != stage:
+            raise StaleArtifactsError(f"{manifest_name} names stage {manifest.get('stage')!r}, not '{stage}'")
         if manifest.get("config_hash") != self.config_hash:
             raise StaleArtifactsError(f"artifacts of stage '{stage}' were built under config "
                                       f"{manifest.get('config_hash')!r}, current config is {self.config_hash!r}")
@@ -478,6 +480,11 @@ def _build_prefetcher(name, run: _Run):
     )
 
 
+def _hist_source(cfg: ExperimentConfig) -> str:
+    """The prefetcher whose degree histogram a run reports: the model, else the first configured."""
+    return "model" if "model" in cfg.simulate.prefetchers else cfg.simulate.prefetchers[0]
+
+
 def stage_simulate(run: _Run) -> None:
     cfg = run.cfg
     trace = run.trace()
@@ -495,9 +502,8 @@ def stage_simulate(run: _Run) -> None:
             _write_csv(run.out(f"miss_timeline_{name}.csv"), ["access", "misses", "miss_rate"],
                        timeline.rows())
     _write_json(run.out("sim_reports.json"), reports)
-    hist_source = "model" if "model" in reports else next(iter(reports))
     _write_csv(run.out("degree_hist.csv"), ["degree", "count"],
-               sorted(reports[hist_source]["degree_hist"].items(), key=lambda kv: int(kv[0])))
+               sorted(reports[_hist_source(cfg)]["degree_hist"].items(), key=lambda kv: int(kv[0])))
 
 
 def stage_sweep(run: _Run) -> None:
@@ -596,7 +602,7 @@ def stage_report(run: _Run) -> None:
         run.out("coverage_accuracy.svg"),
         "Prefetch accuracy and coverage", "value",
     )
-    hist_source = "model" if "model" in sim_reports else names[0]
+    hist_source = _hist_source(run.cfg)
     hist = {int(k): v for k, v in sim_reports[hist_source]["degree_hist"].items()}
     degrees = sorted(hist)
     plots.svg_bar_chart(

@@ -271,8 +271,8 @@ class ModelPrefetcher(Prefetcher):
     window has filled.
 
     ``prepare`` encodes every trigger's window once, with the encoder the datasets
-    use (:func:`~prefetchlab.features.encode_windows`), and ``predict`` runs the
-    model on the window of the trigger at ``access.ordinal``.
+    use (:func:`~prefetchlab.features.encode_windows`), and ``predict`` asks
+    ``model.predict`` for a batch of one: the window of the trigger at ``access.ordinal``.
     """
 
     name = "model"
@@ -318,13 +318,13 @@ class ModelPrefetcher(Prefetcher):
         window = access.ordinal - (self._warmup - 1)
         if window < 0:
             return None
-        context = self._contexts[window] if self.cfg.use_context else None
-        conf = model_predict(self.params, self._inputs[window], context)
+        rows = slice(window, window + 1)  # a batch of one
+        conf = model_predict(self.params, self._inputs[rows], self._contexts[rows])[0]
         if self.top_k is not None:
             order = np.argsort(-conf, kind="stable")[: self.top_k]
             deltas = [index_to_delta(int(i), self.label_cfg.delta_bound) for i in order]
         else:
-            deltas = sorted(bitmap_to_deltas(conf >= self.threshold, self.label_cfg))
+            deltas = bitmap_to_deltas(conf >= self.threshold, self.label_cfg)
         return sorted(prefetch_addresses(block, deltas, self.addr_cfg))
 
 

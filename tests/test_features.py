@@ -243,9 +243,9 @@ class TestOnlineOfflineParity:
                 self.ordinal = access.ordinal
                 return super().predict(access, block)
 
-        def recording_predict(params, history, context):
-            seen.append((pf.ordinal, history, context))
-            return model_predict(params, history, context)
+        def recording_predict(params, inputs, contexts):
+            seen.append((pf.ordinal, inputs, contexts))
+            return model_predict(params, inputs, contexts)
 
         monkeypatch.setattr(simulator, "model_predict", recording_predict)
         model_cfg = ModelConfig(hidden_dim=8, num_heads=2, num_layers=1,
@@ -259,11 +259,13 @@ class TestOnlineOfflineParity:
         assert [o for o, _, _ in seen] == sorted(stored)
         # warm-up: the first trigger with a prediction is the datasets' first trigger
         assert report.cold_start_triggers == seen[0][0] == bundle.train.triggers[0]
-        for o, history, context in seen:
+        for o, inputs, contexts in seen:  # one (1, N, S) batch per trigger: its dataset row
             ds, i = stored[o]
-            assert history.dtype == context.dtype == np.float32
-            assert np.array_equal(history, ds.inputs[i])
-            assert np.array_equal(context, ds.contexts[i])
+            assert inputs.dtype == contexts.dtype == np.float32
+            assert inputs.shape == (1, self.HISTORY, model_cfg.input_dim)
+            assert contexts.shape == (1, self.HISTORY, 2)
+            assert np.array_equal(inputs[0], ds.inputs[i])
+            assert np.array_equal(contexts[0], ds.contexts[i])
 
 
 class TestTokenDictionary:

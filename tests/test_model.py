@@ -38,6 +38,8 @@ from tests.test_autodiff import reachable, retaining_backward
 
 TINY = ModelConfig(hidden_dim=8, num_heads=2, num_layers=2, output_dim=16,
                    history_len=4, input_dim=5)
+# the refusal of one unbatched (history_len, input_dim) sample names the expected shape
+UNBATCHED = r"input shape \(4, 5\) != \(batch, history_len, input_dim\) = \(batch, 4, 5\)"
 
 
 def tiny_batch(n=3, cfg=TINY, seed=0):
@@ -174,8 +176,10 @@ class TestForward:
         x, c, _ = tiny_batch(6, cfg, seed=layers)
         want = reference_forward(params, x, c)
         assert np.abs(forward(params, x, c).data - want).max() < 1e-12
-        for i in range(len(x)):
-            assert np.abs(forward(params, x[i], c[i]).data - want[i]).max() < 1e-12
+        for i in range(len(x)):  # a batch of one, as the model prefetcher asks for
+            assert np.abs(forward(params, x[i:i + 1], c[i:i + 1]).data - want[i:i + 1]).max() < 1e-12
+        with pytest.raises(ValueError, match=UNBATCHED):
+            forward(params, x[0], c[0])
 
     @pytest.mark.parametrize("name", ["layer0.attn_wk", "layer1.attn_wq", "layer1.ffn_w1"])
     def test_nonfinite_weight_raises(self, name):
@@ -186,6 +190,8 @@ class TestForward:
             with pytest.raises(NumericError):
                 forward(params, x, c)
             with pytest.raises(NumericError):
+                forward(params, x[:1], c[:1])
+            with pytest.raises(ValueError, match=UNBATCHED):  # refused before any weight is read
                 forward(params, x[0], c[0])
 
     def test_outputs_in_unit_interval(self):
@@ -198,7 +204,11 @@ class TestForward:
     def test_single_sample_shape(self):
         params = ModelParams.init(TINY, seed=0)
         x, c, _ = tiny_batch(1)
-        assert predict(params, x[0], c[0]).shape == (16,)
+        assert predict(params, x, c).shape == (1, 16)
+        with pytest.raises(ValueError, match=UNBATCHED):
+            predict(params, x[0], c[0])
+        with pytest.raises(ValueError, match=UNBATCHED):
+            forward(params, x[0], c[0])
 
     def test_permutation_invariance_without_positions(self):
         cfg = ModelConfig(hidden_dim=8, num_heads=2, num_layers=2, output_dim=16,

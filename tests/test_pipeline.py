@@ -384,7 +384,7 @@ class TestStages:
         # one bit flipped in each byte class of the manifest, then the file cut at each
         # class boundary: the next stage refuses with a typed error, never a JSON, key or
         # numpy traceback. A flip in a field it does not read (the provenance fields
-        # inputs, package_version and stage, or an output it does not use) may leave the
+        # inputs and package_version, or an output it does not use) may leave the
         # manifest valid, and then the stage runs.
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
@@ -392,7 +392,7 @@ class TestStages:
         raw = pathlib.Path(path).read_bytes()
         fields = json.loads(raw)
         used = json.loads(pathlib.Path(full_run, f"manifest_{stage}.json").read_bytes())["inputs"]
-        unread = {"inputs", "package_version", "stage", *(f"inputs/{n}" for n in fields["inputs"]),
+        unread = {"inputs", "package_version", *(f"inputs/{n}" for n in fields["inputs"]),
                   *(f"outputs/{n}" for n in fields["outputs"] if n not in used)}
         cases = []
         for i, (name, lo, hi) in enumerate(manifest_byte_classes(raw)):
@@ -422,7 +422,8 @@ class TestStages:
         lambda m: [],
         lambda m: {k: v for k, v in m.items() if k != "outputs"},
         lambda m: dict(m, outputs=list(m["outputs"])),
-    ], ids=["list", "no-outputs", "outputs-not-object"])
+        lambda m: dict(m, stage="train"),
+    ], ids=["list", "no-outputs", "outputs-not-object", "other-stage"])
     def test_misshapen_manifest_refused(self, tiny_cfg, full_run, tmp_path, edit):
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
@@ -522,6 +523,20 @@ class TestStages:
         os.remove(clone / "trace.csv.gz")
         run_stage("report", tiny_cfg, str(clone))
         assert (clone / "summary.json").exists()
+
+    def test_degree_histogram_without_model_is_first_configured(self, tmp_path):
+        # simulate's csv and report's plot both show the first prefetcher in config order
+        raw = dict(TINY_RAW, trace=dict(TINY_RAW["trace"], length=600),
+                   simulate={"prefetchers": ["stride", "next_line"]})
+        cfg = ExperimentConfig.from_dict(raw)
+        for stage in ("gen", "preprocess", "train", "tune", "simulate", "report"):
+            run_stage(stage, cfg, str(tmp_path))
+        reports = json.loads((tmp_path / "sim_reports.json").read_text())
+        hist = reports["stride"]["degree_hist"]
+        assert hist != reports["next_line"]["degree_hist"]
+        rows = (tmp_path / "degree_hist.csv").read_text().splitlines()
+        assert rows == ["degree,count", *(f"{d},{hist[d]}" for d in sorted(hist, key=int))]
+        assert "Prefetch degree histogram (stride)" in (tmp_path / "degree_hist.svg").read_text()
 
     def test_summary_structure(self, full_run):
         summary = json.loads(pathlib.Path(full_run, "summary.json").read_text())
