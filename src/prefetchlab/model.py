@@ -36,9 +36,10 @@ BCE_EPS = 1e-7
 PREDICT_BATCH = 512  # samples per forward pass in predict
 CHECKPOINT_MAGIC = b"PFLCKPT1"
 CHECKPOINT_VERSION = 1
-# version, hidden_dim, num_heads, num_layers, output_dim, history_len, input_dim,
-# ffn_mult, use_context: the header that follows the magic
-_HEADER = struct.Struct("<9I")
+# the header that follows the magic: the version, then these ModelConfig fields
+_HEADER_FIELDS = ("hidden_dim", "num_heads", "num_layers", "output_dim", "history_len", "input_dim",
+                  "ffn_mult", "use_context")
+_HEADER = struct.Struct(f"<{1 + len(_HEADER_FIELDS)}I")
 
 
 class TrainingError(Exception):
@@ -46,21 +47,27 @@ class TrainingError(Exception):
 
 
 @config
-class ModelConfig:
+class ModelDims:
     hidden_dim: int = field(128, ge=1)
     num_heads: int = field(4, ge=1)
     num_layers: int = field(2, ge=0)
-    output_dim: int = field(256, ge=1)
-    history_len: int = field(9, ge=1)
-    input_dim: int = field(10, ge=1)
     ffn_mult: int = field(2, ge=1)
     use_context: bool = True
+    history_len: int = field(9, ge=1)
 
     def __post_init__(self):
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
+
+
+@config
+class ModelConfig(ModelDims):
+    """The shape plus the dims the data fixes: the label bitmap and the input row."""
+
+    output_dim: int = field(256, ge=1)
+    input_dim: int = field(10, ge=1)
 
     @property
     def seq_len(self) -> int:
@@ -116,7 +123,7 @@ class ModelParams:
         self._tensors = tensors
 
     @classmethod
-    def init(cls, cfg: ModelConfig, seed: int, trainable: bool = True) -> "ModelParams":
+    def init(cls, cfg: ModelConfig, seed: int) -> "ModelParams":
         """Uniform +-sqrt(1/fan_in) for linear maps; zeros for biases, the
         classification token and position embeddings; unit layer-norm gains."""
         rng = np.random.default_rng(seed)
@@ -129,7 +136,7 @@ class ModelParams:
                 data = np.ones(shape)
             else:
                 data = np.zeros(shape)
-            tensors[name] = Tensor(data, requires_grad=trainable)
+            tensors[name] = Tensor(data, requires_grad=True)
         return cls(cfg, tensors)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -151,12 +158,8 @@ class ModelParams:
         )
 
     def _payload(self) -> bytes:
-        cfg = self.cfg
         head = CHECKPOINT_MAGIC + _HEADER.pack(
-            CHECKPOINT_VERSION,
-            cfg.hidden_dim, cfg.num_heads, cfg.num_layers, cfg.output_dim,
-            cfg.history_len, cfg.input_dim, cfg.ffn_mult, int(cfg.use_context),
-        )
+            CHECKPOINT_VERSION, *(int(getattr(self.cfg, name)) for name in _HEADER_FIELDS))
         body = b"".join(
             t.data.astype("<f4").tobytes() for _, t in self.items()
         )
@@ -176,12 +179,12 @@ class ModelParams:
             fh.write(self.encode())
 
     @classmethod
-    def load(cls, path, trainable: bool = False) -> "ModelParams":
+    def load(cls, path) -> "ModelParams":
         with open(path, "rb") as fh:
-            return cls.decode(fh.read(), trainable, source=path)
+            return cls.decode(fh.read(), source=path)
 
     @classmethod
-    def decode(cls, raw: bytes, trainable: bool = False, source="checkpoint") -> "ModelParams":
+    def decode(cls, raw: bytes, source="checkpoint") -> "ModelParams":
         """Inverse of :meth:`encode`; every error is a ``ValueError`` that starts
         with ``source``. The header is checked, and the body length it implies is
         compared with the payload's, before any tensor is sized."""
@@ -199,11 +202,8 @@ class ModelParams:
         if fields[8] not in (0, 1):
             raise ValueError(f"{source}: use_context must be 0 or 1, got {fields[8]}")
         try:
-            cfg = ModelConfig(
-                hidden_dim=fields[1], num_heads=fields[2], num_layers=fields[3],
-                output_dim=fields[4], history_len=fields[5], input_dim=fields[6],
-                ffn_mult=fields[7], use_context=bool(fields[8]),
-            )
+            dims = dict(zip(_HEADER_FIELDS, fields[1:]))
+            cfg = ModelConfig(**(dims | {"use_context": bool(dims["use_context"])}))
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
         expected = 4 * _param_count(cfg)
@@ -215,7 +215,7 @@ class ModelParams:
             count = int(np.prod(shape))
             data = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
             offset += 4 * count
-            tensors[name] = Tensor(data.astype(np.float64).reshape(shape), requires_grad=trainable)
+            tensors[name] = Tensor(data.astype(np.float64).reshape(shape))
         return cls(cfg, tensors)
 
 
@@ -261,6 +261,12 @@ def feed_forward(x: Tensor, w1, b1, w2, b2) -> Tensor:
     return ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(x, w1), b1)), w2), b2)
 
 
+def _check_batch(cfg: ModelConfig, inputs: np.ndarray):
+    if inputs.ndim != 3 or inputs.shape[1:] != (cfg.history_len, cfg.input_dim):
+        raise ValueError(f"input shape {inputs.shape} != (batch, history_len, input_dim) = "
+                         f"(batch, {cfg.history_len}, {cfg.input_dim})")
+
+
 def forward(
     params: ModelParams,
     inputs: np.ndarray,
@@ -275,9 +281,7 @@ def forward(
     """
     cfg = params.cfg
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 3 or inputs.shape[1:] != (cfg.history_len, cfg.input_dim):
-        raise ValueError(f"input shape {inputs.shape} != (batch, history_len, input_dim) = "
-                         f"(batch, {cfg.history_len}, {cfg.input_dim})")
+    _check_batch(cfg, inputs)
     batch = inputs.shape[0]
     if not np.isfinite(inputs).all():
         raise NumericError("non-finite model input")
@@ -320,7 +324,9 @@ def forward(
 
 def predict(params: ModelParams, inputs, contexts=None) -> np.ndarray:
     """Confidences (batch, output_dim) as a plain array (no graph kept). The batch runs
-    through ``forward`` PREDICT_BATCH samples at a time; one sample is a batch of one."""
+    through ``forward`` PREDICT_BATCH samples at a time; one sample is a batch of one.
+    The batch's shape is checked first, so an empty batch is checked too."""
+    _check_batch(params.cfg, np.asarray(inputs))
     out = np.empty((len(inputs), params.cfg.output_dim))
     for lo in range(0, len(inputs), PREDICT_BATCH):
         hi = lo + PREDICT_BATCH
@@ -428,7 +434,7 @@ def train(
     n = train_inputs.shape[0]
     if n == 0:
         raise TrainingError("empty training set")
-    params = ModelParams.init(model_cfg, seed=cfg.seed, trainable=True)
+    params = ModelParams.init(model_cfg, seed=cfg.seed)
     opt = AdamOptimizer(params, cfg)
     rng = np.random.default_rng(cfg.seed)
     has_val = val_inputs is not None and val_inputs.shape[0] > 0

@@ -27,7 +27,7 @@ from prefetchlab import plots, schema
 from prefetchlab.datasets import LabeledDataset, build_datasets, mean_cycles_per_access
 from prefetchlab.features import FeatureConfig, TokenDictionary
 from prefetchlab.labeling import LabelConfig
-from prefetchlab.model import ModelConfig, ModelParams, TrainConfig, TrainingError, predict, train
+from prefetchlab.model import ModelConfig, ModelDims, ModelParams, TrainConfig, TrainingError, predict, train
 from prefetchlab.simulator import (
     BestOffsetPrefetcher,
     CacheConfig,
@@ -90,6 +90,11 @@ class SweepConfig:
     throughputs: tuple[str, ...] = field(("L", "H"), one_of=("L", "H"))
     distance: tuple[bool, ...] = (True, False)
 
+    def __post_init__(self):  # stage_sweep loops over each list
+        for name in ("latencies", "throughputs", "distance"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must list at least one value, got []")
+
 
 @config
 class SimulateConfig:
@@ -103,15 +108,9 @@ class SimulateConfig:
     best_offset_round_length: int = field(4, ge=1)
     best_offset_score_threshold: int = field(2, ge=0)
 
-
-@config
-class ModelDims:
-    hidden_dim: int = field(128, ge=1)
-    num_heads: int = field(4, ge=1)
-    num_layers: int = field(2, ge=0)
-    ffn_mult: int = field(2, ge=1)
-    use_context: bool = True
-    history_len: int = field(9, ge=1)
+    def __post_init__(self):
+        if not self.prefetchers:
+            raise ValueError("prefetchers must list at least one value, got []")
 
 
 @config
@@ -140,21 +139,12 @@ class ExperimentConfig:
                 fc.input_dim(self.address)  # the derived input dims
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-        self.model_config()  # head divisibility
         self.train_config()
 
     def model_config(self, feature_cfg: FeatureConfig | None = None) -> ModelConfig:
         fc = feature_cfg or self.features
-        return ModelConfig(
-            hidden_dim=self.model.hidden_dim,
-            num_heads=self.model.num_heads,
-            num_layers=self.model.num_layers,
-            output_dim=self.label.bitmap_size,
-            history_len=self.model.history_len,
-            input_dim=fc.input_dim(self.address),
-            ffn_mult=self.model.ffn_mult,
-            use_context=self.model.use_context,
-        )
+        return ModelConfig(**asdict(self.model), output_dim=self.label.bitmap_size,
+                           input_dim=fc.input_dim(self.address))
 
     def train_config(self) -> TrainConfig:
         return _build(TrainConfig, self.train, "train", seed=self.seed)
@@ -519,7 +509,7 @@ def stage_sweep(run: _Run) -> None:
         for t in cfg.sweep.latencies:
             skip = math.ceil(t / cpa) if dp else 0
             combos.append((dp, t, skip))
-    trained: dict[int, tuple] = {}
+    trained: dict[int, ModelPrefetcher] = {}  # one prefetcher per skip serves every latency and throughput
     for _, _, skip in combos:
         if skip in trained:
             continue
@@ -535,18 +525,16 @@ def stage_sweep(run: _Run) -> None:
                 f"widen the bound"
             )
         params, _ = _fit(cfg, cfg.features, bundle.train, bundle.validation)
-        threshold = _tune(cfg, params, bundle.validation).optimal_threshold
-        trained[skip] = (params, threshold, bundle.dictionaries)
+        trained[skip] = ModelPrefetcher(
+            params, cfg.features, label_cfg, cfg.address,
+            threshold=_tune(cfg, params, bundle.validation).optimal_threshold,
+            dictionary=next(iter(bundle.dictionaries.values()), None),
+        )
 
     rows = []
     reports = {}
     for dp, t, skip in combos:
-        params, threshold, dictionaries = trained[skip]
-        pf = ModelPrefetcher(
-            params, cfg.features, replace(cfg.label, skip=skip), cfg.address,
-            threshold=threshold,
-            dictionary=next(iter(dictionaries.values())) if dictionaries else None,
-        )
+        pf = trained[skip]
         for thr in cfg.sweep.throughputs:
             report = simulate(
                 trace, pf, cfg.cache, LatencyModel(t, thr), cfg.address, cfg.trigger_stream
@@ -558,7 +546,7 @@ def stage_sweep(run: _Run) -> None:
                 "throughput": thr,
                 "distance": int(dp),
                 "skip_accesses": skip,
-                "threshold": threshold,
+                "threshold": pf.threshold,
                 "coverage": report.coverage,
                 "accuracy": report.accuracy,
                 "issued": report.prefetches_issued,

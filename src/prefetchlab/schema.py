@@ -2,13 +2,13 @@
 
 ``@config`` makes a frozen dataclass whose constructor checks every field
 against its annotation, then against the range declared with :func:`field`,
-and only then runs the class's own ``__post_init__``, which keeps the rules
-that span several fields. Annotations may be ``int``, ``float``, ``bool``,
-``str``, ``dict``, ``X | None``, ``tuple[X, ...]`` or another config class. A
-bool is never a number; ``float`` accepts an int and keeps it as given; ``int``
-accepts numpy integers and stores a Python int. A range applies to each element
-of a tuple and never to ``None``. A violation raises ``ValueError`` whose message
-starts with the field's name.
+and only then runs the ``__post_init__`` of each config base class, then the
+class's own: these keep the rules that span several fields. Annotations may be
+``int``, ``float``, ``bool``, ``str``, ``dict``, ``X | None``, ``tuple[X, ...]``
+or another config class. A bool is never a number; ``float`` accepts an int and
+keeps it as given; ``int`` accepts numpy integers and stores a Python int. A
+range applies to each element of a tuple and never to ``None``. A violation
+raises ``ValueError`` whose message starts with the field's name.
 """
 
 from __future__ import annotations
@@ -39,16 +39,17 @@ def hints(cls) -> dict:
 def config(cls):
     """Frozen dataclass that checks its fields at construction (see the module docstring)."""
     own = cls.__dict__.get("__post_init__")
+    rules = getattr(cls, "_config_rules", ()) + ((own,) if own else ())  # a base class's rules first
 
     def __post_init__(self):
         annotations = hints(type(self))
         for f in dataclasses.fields(self):
             checked = _check(getattr(self, f.name), annotations[f.name], f.name, f.metadata)
             object.__setattr__(self, f.name, checked)
-        if own is not None:
-            own(self)
+        for rule in rules:
+            rule(self)
 
-    cls.__post_init__ = __post_init__
+    cls.__post_init__, cls._config_rules = __post_init__, rules
     return dataclasses.dataclass(frozen=True)(cls)
 
 

@@ -14,9 +14,10 @@ block whose prefetch is still in flight is additionally tallied late.
 
 Prefetchers implement three calls, all made by :func:`simulate`:
 
-- ``prepare(trace, blocks)`` once per run, right after ``reset()``, with the
-  whole :class:`~prefetchlab.trace.Trace` and its uint64 block column. The model
-  prefetcher encodes every trigger's window here, so per-trigger work is an index.
+- ``prepare(trace, blocks)`` once per run, before the first access, with the
+  whole :class:`~prefetchlab.trace.Trace` and its uint64 block column; it starts
+  the prefetcher's state afresh. The model prefetcher encodes every trigger's
+  window here, so per-trigger work is an index.
 - ``observe`` on every demand access, in order.
 - ``predict`` only on triggers the throughput bound admits.
 """
@@ -98,11 +99,8 @@ class Prefetcher:
 
     name = "base"
 
-    def reset(self):
-        pass
-
     def prepare(self, trace: Trace, blocks: np.ndarray):
-        """Called once per simulation, after reset, with the trace and its uint64 block column."""
+        """Start afresh, once per simulation, on the trace and its uint64 block column."""
 
     def observe(self, access: MemoryAccess, block: int):
         pass
@@ -146,7 +144,7 @@ class StridePrefetcher(Prefetcher):
         self.addr_cfg = addr_cfg or AddressConfig()
         self._table: OrderedDict[int, list] = OrderedDict()  # pc -> [last, stride, count]
 
-    def reset(self):
+    def prepare(self, trace, blocks):
         self._table.clear()
 
     def observe(self, access, block):
@@ -205,9 +203,9 @@ class BestOffsetPrefetcher(Prefetcher):
         self.score_threshold = score_threshold
         self.recent_size = recent_size
         self.addr_cfg = addr_cfg or AddressConfig()
-        self.reset()
+        self.prepare(None, None)
 
-    def reset(self):
+    def prepare(self, trace, blocks):
         self._recent = deque()
         self._recent_set = set()
         self._scores = {d: 0 for d in self.offsets}
@@ -292,7 +290,6 @@ class ModelPrefetcher(Prefetcher):
         if threshold is not None and not 0.0 < threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
         self.params = params
-        self.cfg = params.cfg
         self.feature_cfg = feature_cfg
         self.label_cfg = label_cfg
         self.addr_cfg = addr_cfg
@@ -301,15 +298,12 @@ class ModelPrefetcher(Prefetcher):
         self.dictionary = dictionary
         if feature_cfg.needs_dictionary and dictionary is None:
             raise ValueError(f"input mode {feature_cfg.mode!r} needs a token dictionary")
-        self._warmup = feature_cfg.warmup(self.cfg.history_len)
-        self.reset()
-
-    def reset(self):
+        self._warmup = feature_cfg.warmup(params.cfg.history_len)
         self._inputs = self._contexts = None  # one window per trigger from warmup - 1 on
 
     def prepare(self, trace, blocks):
         self._inputs, self._contexts = encode_windows(trace.pc, blocks, self.feature_cfg, self.addr_cfg,
-                                                      self.dictionary, self.cfg.history_len)
+                                                      self.dictionary, self.params.cfg.history_len)
 
     def predict(self, access, block):
         if self._inputs is None:
@@ -398,7 +392,6 @@ def simulate(
     nsets, ways = cache_cfg.sets, cache_cfg.ways
     sets = [{} for _ in range(nsets)]
     if prefetcher is not None:
-        prefetcher.reset()
         prefetcher.prepare(trace, block_array)
         observe, predict = prefetcher.observe, prefetcher.predict
     log = None if event_log is None else event_log.append

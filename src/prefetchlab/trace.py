@@ -494,7 +494,7 @@ def _list_of(check, min_len=1):
 
 
 def _mapping(required=(), **checks):
-    return lambda m: (isinstance(m, dict) and all(k in m for k in required)
+    return lambda m: (isinstance(m, dict) and all(k in m for k in required) and m.keys() <= checks.keys()
                       and all(check(m[k]) for k, check in checks.items() if k in m))
 
 
@@ -507,17 +507,19 @@ _PARAMS = {
     "page_skip": {"start_block": _INT, "deltas": _INT_LIST},
     "interleaved": {"streams": (
         _list_of(_mapping(pc=_PC[0], start_block=_ints(), stride=_ints())),
-        "a non-empty list of mappings with integer pc, start_block and stride")},
+        "a non-empty list of mappings with integer pc, start_block and stride, and no other key")},
     "random": {"region_start_block": _INT, "region_blocks": (_ints(1), "an integer >= 1")},
     "region_walks": {"regions": (
         _list_of(_mapping(("start_page", "pages", "walk"),
                           start_page=_ints(0), pages=_ints(1), walk=_list_of(_ints(), 0))),
-        "a non-empty list of mappings with start_page >= 0, pages >= 1 and a walk list of integers")},
+        "a non-empty list of mappings with start_page >= 0, pages >= 1, a walk list of integers "
+        "and no other key")},
 }
 
 
 def check_pattern(spec, length: int) -> None:
-    """The pattern rule: a mapping whose ``name`` is a known generator, and whose
+    """The pattern rule: a mapping whose ``name`` is a known generator, whose other
+    keys are ``pc``, ``cycle_step`` or parameters that generator reads, and whose
     parameters, where given, have the types and ranges that generator uses. The
     last cycle of a ``length``-record trace, ``cycle_step * (length - 1)``, must
     fit in int64."""
@@ -526,6 +528,9 @@ def check_pattern(spec, length: int) -> None:
         raise PatternError(f"pattern must be a mapping whose name is one of {known}, got {spec!r}")
     step = (_ints(0, 1 << 63), "an integer in [0, 2**63)")
     rules = {"pc": _PC, "cycle_step": step, **_PARAMS[spec["name"]]}
+    unknown = [key for key in spec if key != "name" and key not in rules]
+    if unknown:
+        raise PatternError(f"pattern {spec['name']}: unknown keys {unknown}; it reads {sorted(rules)}")
     for key, (check, what) in rules.items():
         if key in spec and not check(spec[key]):
             raise PatternError(f"pattern {spec['name']}: {key} must be {what}, got {spec[key]!r}")

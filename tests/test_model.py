@@ -246,6 +246,14 @@ class TestForward:
         out = predict(params, np.zeros((0, 4, 5)), np.zeros((0, 4, 2)))
         assert out.shape == (0, 16)
 
+    def test_empty_batch_of_the_wrong_shape_rejected(self):
+        params = ModelParams.init(TINY, seed=0)  # history 4, input dim 5
+        wrong = r"input shape \(0, 3, 7\) != \(batch, history_len, input_dim\) = \(batch, 4, 5\)"
+        with pytest.raises(ValueError, match=wrong):
+            forward(params, np.zeros((0, 3, 7)), np.zeros((0, 3, 2)))
+        with pytest.raises(ValueError, match=wrong):
+            predict(params, np.zeros((0, 3, 7)))
+
     def test_bad_shapes_rejected(self):
         params = ModelParams.init(TINY, seed=0)
         with pytest.raises(ValueError):
@@ -588,7 +596,7 @@ class TestFreedGraph:
         """One training step's graph: returns the trainable params, the loss and
         the tracemalloc rise during ``backward(loss)`` over the memory before it."""
         x, c, y = tiny_batch(n, cfg=cfg, seed=3)
-        params = ModelParams.init(cfg, seed=4, trainable=True)
+        params = ModelParams.init(cfg, seed=4)
         tracemalloc.start()
         try:
             loss = bce_loss(forward(params, x, c), y)

@@ -209,6 +209,12 @@ PROBES = {
         "trace.pattern"),
     "trace.pattern.cycle_step-past-int64": (
         {"trace": {"pattern": {"name": "stride", "cycle_step": 2**62}, "length": 3}}, "trace.pattern"),
+    "trace.pattern.strid=3": ({"trace": {"pattern": {"name": "stride", "strid": 3}}}, "trace.pattern"),
+    "model.hidden_dim=30": ({"model": {"hidden_dim": 30}}, "model.hidden_dim"),
+    "simulate.prefetchers=[]": ({"simulate": {"prefetchers": []}}, "simulate.prefetchers"),
+    "sweep.latencies=[]": ({"sweep": {"latencies": []}}, "sweep.latencies"),
+    "sweep.throughputs=[]": ({"sweep": {"throughputs": []}}, "sweep.throughputs"),
+    "sweep.distance=[]": ({"sweep": {"distance": []}}, "sweep.distance"),
     "features.segment_bits=60": ({"features": {"segment_bits": 60}}, "features"),
     "eval_modes[0].segment_bits=60": ({"eval_modes": [{"segment_bits": 60}]}, "eval_modes[0]"),
 }

@@ -484,6 +484,10 @@ class TestGenerateTrace:
         {"name": "region_walks", "regions": [{"start_page": -1, "pages": 4, "walk": [1]}]},
         {"name": "region_walks", "regions": [{"start_page": 1, "pages": 0, "walk": [1]}]},
         {"name": "region_walks", "regions": [{"start_page": 1, "pages": 4, "walk": 1}]},
+        {"name": "stride", "strid": 3},
+        {"name": "random", "stride": 3},
+        {"name": "interleaved", "streams": [{"pc": 1, "start_block": 0, "strid": 3}]},
+        {"name": "region_walks", "regions": [{"start_page": 1, "pages": 4, "walk": [1], "wlak": [2]}]},
     ], ids=lambda spec: "-".join(map(str, spec.values())))
     def test_bad_parameters_rejected(self, spec):
         with pytest.raises(PatternError, match=f"^pattern {spec['name']}: "):
