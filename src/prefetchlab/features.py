@@ -177,7 +177,6 @@ class TokenDictionary:
     def __init__(self, capacity: int | None = None):
         self.capacity = capacity
         self._to_token: dict[int, int] = {}
-        self._to_value: dict[int, int] = {}
         self._frozen = False
 
     def __len__(self) -> int:
@@ -207,15 +206,11 @@ class TokenDictionary:
             )
         tok = len(self._to_token)
         self._to_token[value] = tok
-        self._to_value[tok] = value
         return tok
 
-    def value_of(self, token: int) -> int:
-        return self._to_value[token]
-
     def to_pairs(self) -> list[list[int]]:
-        """(value, token) pairs in token order, for artifact serialization."""
-        return [[self._to_value[t], t] for t in range(len(self._to_value))]
+        """(value, token) pairs in token (that is, insertion) order, for artifact serialization."""
+        return [[value, t] for value, t in self._to_token.items()]
 
     @classmethod
     def from_pairs(cls, pairs, capacity: int | None = None, frozen: bool = True) -> "TokenDictionary":

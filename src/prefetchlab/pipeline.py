@@ -410,6 +410,17 @@ def stage_tune(run: _Run) -> None:
                report.grid)
 
 
+def _model(run: _Run, fc: FeatureConfig, label_cfg: LabelConfig, train_ds, val: LabeledDataset):
+    """The model for (features, label), its tuned threshold on ``val`` and whether it is train's:
+    ``model.ckpt`` holds the weights ``_fit`` returns for the main features and label, so it is
+    read once train has run. Otherwise the model is fitted on ``train_ds()``, called only then."""
+    cfg = run.cfg
+    reused = fc == cfg.features and label_cfg == cfg.label and run.has("train")
+    params = (ModelParams.load(run.read("train", "model.ckpt")) if reused
+              else _fit(cfg, fc, train_ds(), val)[0])
+    return params, _tune(cfg, params, val), reused
+
+
 def stage_eval(run: _Run) -> None:
     """Input-mode ablation: train, tune, and score one model per feature mode."""
     cfg = run.cfg
@@ -417,15 +428,10 @@ def stage_eval(run: _Run) -> None:
     rows = []
     for fc in cfg.all_feature_modes():
         tag = mode_tag(fc)
-        val = run.dataset(fc, "validation")
-        # a shortcut only: model.ckpt holds the weights _fit would return
-        reused_main = fc == cfg.features and run.has("train")
-        if reused_main:
-            params = ModelParams.load(run.read("train", "model.ckpt"))
-        else:
-            params, _ = _fit(cfg, fc, run.dataset(fc, "train"), val)
+        params, tuned, reused_main = _model(run, fc, cfg.label, lambda: run.dataset(fc, "train"),
+                                            run.dataset(fc, "validation"))
+        if not reused_main:
             params.save(run.out(f"eval_model_{tag}.ckpt"))
-        tuned = _tune(cfg, params, val)
         test = run.dataset(fc, "test")
         test_conf = predict(params, test.inputs, test.contexts)
         precision, recall, f1 = micro_metrics(test_conf >= tuned.optimal_threshold, test.labels)
@@ -497,8 +503,8 @@ def stage_simulate(run: _Run) -> None:
 
 
 def stage_sweep(run: _Run) -> None:
-    """Latency sweep: retrain with distance labels per unique skip, simulate every
-    (latency, throughput, distance) combination."""
+    """Latency sweep: label every unique skip and check them all for in-bound deltas, then take
+    one model per skip through ``_model`` and simulate every (latency, throughput, distance)."""
     cfg = run.cfg
     trace = run.trace()
     split = split_trace(trace, cfg.split)
@@ -509,9 +515,9 @@ def stage_sweep(run: _Run) -> None:
         for t in cfg.sweep.latencies:
             skip = math.ceil(t / cpa) if dp else 0
             combos.append((dp, t, skip))
-    trained: dict[int, ModelPrefetcher] = {}  # one prefetcher per skip serves every latency and throughput
+    bundles = {}  # skip -> (label config, datasets), all checked before the first fit
     for _, _, skip in combos:
-        if skip in trained:
+        if skip in bundles:
             continue
         label_cfg = replace(cfg.label, skip=skip)
         bundle = build_datasets(
@@ -524,10 +530,12 @@ def stage_sweep(run: _Run) -> None:
                 f"bound +-{cfg.label.delta_bound}); lower the sweep latencies or "
                 f"widen the bound"
             )
-        params, _ = _fit(cfg, cfg.features, bundle.train, bundle.validation)
+        bundles[skip] = label_cfg, bundle
+    trained: dict[int, ModelPrefetcher] = {}  # one prefetcher per skip serves every latency and throughput
+    for skip, (label_cfg, bundle) in bundles.items():
+        params, tuned, _ = _model(run, cfg.features, label_cfg, lambda: bundle.train, bundle.validation)
         trained[skip] = ModelPrefetcher(
-            params, cfg.features, label_cfg, cfg.address,
-            threshold=_tune(cfg, params, bundle.validation).optimal_threshold,
+            params, cfg.features, label_cfg, cfg.address, threshold=tuned.optimal_threshold,
             dictionary=next(iter(bundle.dictionaries.values()), None),
         )
 

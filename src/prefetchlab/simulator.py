@@ -45,10 +45,6 @@ class CacheConfig:
     ways: int = field(16, ge=1)
     line_bytes: int = field(64, ge=1)
 
-    @property
-    def capacity_bytes(self) -> int:
-        return self.sets * self.ways * self.line_bytes
-
 
 @config
 class LatencyModel:

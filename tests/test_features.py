@@ -291,7 +291,9 @@ class TestTokenDictionary:
         d = TokenDictionary()
         values = [5, -3, 99, 0]
         toks = tokenize(values, d)
-        assert [d.value_of(int(t)) for t in toks] == values
+        assert d.to_pairs() == [[v, int(t)] for v, t in zip(values, toks)]
+        d2 = TokenDictionary.from_pairs(d.to_pairs())
+        assert tokenize(values, d2).tolist() == toks.tolist()
 
     def test_pairs_roundtrip(self):
         d = TokenDictionary()

@@ -16,7 +16,7 @@ from prefetchlab import cli, pipeline
 from prefetchlab.datasets import LabeledDataset
 from prefetchlab.features import FeatureConfig, SegmentationConfig
 from prefetchlab.labeling import LabelConfig
-from prefetchlab.model import LatencyCosts, ModelConfig, ModelParams, TrainConfig
+from prefetchlab.model import LatencyCosts, ModelConfig, ModelParams, TrainConfig, TrainingError
 from prefetchlab.pipeline import (
     ConfigError,
     ExperimentConfig,
@@ -325,7 +325,7 @@ class TestStages:
                      "dataset_as6_test.bin", "dataset_delta_train.bin",
                      "dataset_delta_validation.bin", "dataset_delta_test.bin"},
             "simulate": {"trace.csv.gz", "model.ckpt", "threshold.json"},
-            "sweep": {"trace.csv.gz"},
+            "sweep": {"trace.csv.gz", "model.ckpt"},
             "report": {"threshold.json", "sim_reports.json", "eval_metrics.json",
                        "training_log.csv", "sweep_comparison.csv"},
         }
@@ -354,6 +354,7 @@ class TestStages:
         ("model.ckpt", "tune"),
         ("threshold.json", "simulate"),
         ("dictionaries.json", "eval"),
+        ("model.ckpt", "sweep"),
     ])
     def test_corrupt_artifact_refused(self, tiny_cfg, full_run, tmp_path, name, stage):
         clone = str(tmp_path / "clone")
@@ -487,10 +488,32 @@ class TestStages:
         assert by_mode["as6"]["dictionary_entries"] == 0
         assert by_mode["delta"]["dictionary_entries"] > 0
 
-    def test_eval_retrain_matches_reused_checkpoint(self, tiny_cfg, full_run, tmp_path):
-        # without a train manifest eval fits the main mode itself: same weights, same row
-        for stage in ("gen", "preprocess", "eval"):
-            run_stage(stage, tiny_cfg, str(tmp_path))
+    def test_sweep_after_train_fits_only_new_labels(self, tiny_cfg, full_run, tmp_path, monkeypatch):
+        # skip 0 is train's label, so the sweep reads model.ckpt and fits its one distance skip
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        real, fits = pipeline._fit, []
+        monkeypatch.setattr(pipeline, "_fit", lambda *args: fits.append(1) or real(*args))
+        run_stage("sweep", tiny_cfg, clone)
+        assert len(fits) == 1
+
+    def test_sweep_checks_every_skip_before_fitting(self, tmp_path, monkeypatch):
+        # the default config's distance skips leave no in-bound deltas on its stride-3 trace
+        cfg = ExperimentConfig.from_dict({})
+        run_stage("gen", cfg, str(tmp_path))
+        monkeypatch.setattr(pipeline, "_fit", lambda *args: pytest.fail("sweep fitted before checking skips"))
+        with pytest.raises(TrainingError, match="skip=50 accesses"):
+            run_stage("sweep", cfg, str(tmp_path))
+
+    @pytest.mark.parametrize("stage", ["eval", "sweep"])
+    def test_retrain_matches_reused_checkpoint(self, tiny_cfg, full_run, tmp_path, stage):
+        # without a train manifest a stage fits the main model itself: same weights, same outputs
+        for name in ("gen", "preprocess", stage):
+            run_stage(name, tiny_cfg, str(tmp_path))
+        if stage == "sweep":
+            for name in ("sweep_reports.json", "sweep_comparison.csv"):
+                assert (tmp_path / name).read_bytes() == pathlib.Path(full_run, name).read_bytes(), name
+            return
         fresh, reused = (
             json.loads(pathlib.Path(d, "eval_metrics.json").read_text())["modes"][0]
             for d in (str(tmp_path), full_run)
@@ -682,7 +705,7 @@ RUN_PINS = {
         "manifest_simulate.json":
             "50d799cd27bdefe44659598cc9765c854cced3252e4ea57307720057ca689934",
         "manifest_sweep.json":
-            "c549a5a990f7d44c22a81ea4fb7050e527368dd82d0378201b52989ab20fd159",
+            "73d8c10171fe46f15223b6a12e3e1308672a36d8e3ea206dad58d71a420a7be9",
         "manifest_train.json":
             "1faeade6e16181972f19b9dd095c6a12cdc7dfa653f4f52b26b14ec970da96bf",
         "manifest_tune.json":

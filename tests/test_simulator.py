@@ -720,9 +720,6 @@ class TestModelPrefetcher:
 
 
 class TestCacheConfig:
-    def test_capacity(self):
-        assert CacheConfig(64, 16, 64).capacity_bytes == 64 * 1024
-
     def test_validation(self):
         with pytest.raises(ValueError):
             CacheConfig(sets=0)
