@@ -90,10 +90,13 @@ class SweepConfig:
     throughputs: tuple[str, ...] = field(("L", "H"), one_of=("L", "H"))
     distance: tuple[bool, ...] = (True, False)
 
-    def __post_init__(self):  # stage_sweep loops over each list
+    def __post_init__(self):  # stage_sweep loops over each list, one report key per grid point
         for name in ("latencies", "throughputs", "distance"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must list at least one value, got []")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
 
 
 @config
@@ -503,8 +506,10 @@ def stage_simulate(run: _Run) -> None:
 
 
 def stage_sweep(run: _Run) -> None:
-    """Latency sweep: label every unique skip and check them all for in-bound deltas, then take
-    one model per skip through ``_model`` and simulate every (latency, throughput, distance)."""
+    """Latency sweep: label every unique skip and check them all for in-bound deltas, then, one
+    skip at a time, take its model through ``_model`` and simulate each distinct (latency,
+    throughput) its grid points name. Grid points that share a skip, latency and throughput
+    share one simulation, and a skip's prefetcher is dropped after its last one."""
     cfg = run.cfg
     trace = run.trace()
     split = split_trace(trace, cfg.split)
@@ -531,22 +536,29 @@ def stage_sweep(run: _Run) -> None:
                 f"widen the bound"
             )
         bundles[skip] = label_cfg, bundle
-    trained: dict[int, ModelPrefetcher] = {}  # one prefetcher per skip serves every latency and throughput
-    for skip, (label_cfg, bundle) in bundles.items():
+    thresholds: dict[int, float] = {}
+    results = {}  # (skip, latency, throughput) -> SimReport: one per distinct prefetcher and latency model
+    for skip in list(bundles):  # one skip at a time: its bundle and prefetcher go after its last point
+        label_cfg, bundle = bundles.pop(skip)
         params, tuned, _ = _model(run, cfg.features, label_cfg, lambda: bundle.train, bundle.validation)
-        trained[skip] = ModelPrefetcher(
+        pf = ModelPrefetcher(
             params, cfg.features, label_cfg, cfg.address, threshold=tuned.optimal_threshold,
             dictionary=next(iter(bundle.dictionaries.values()), None),
         )
+        thresholds[skip] = pf.threshold
+        for _, t, point_skip in combos:
+            for thr in cfg.sweep.throughputs:
+                if point_skip == skip and (skip, t, thr) not in results:
+                    results[skip, t, thr] = simulate(
+                        trace, pf, cfg.cache, LatencyModel(t, thr), cfg.address, cfg.trigger_stream
+                    )
+        del bundle, pf
 
     rows = []
     reports = {}
     for dp, t, skip in combos:
-        pf = trained[skip]
         for thr in cfg.sweep.throughputs:
-            report = simulate(
-                trace, pf, cfg.cache, LatencyModel(t, thr), cfg.address, cfg.trigger_stream
-            )
+            report = results[skip, t, thr]
             key = f"T{t}_{thr}_{'dp' if dp else 'nodp'}"
             reports[key] = report.to_dict()
             rows.append({
@@ -554,7 +566,7 @@ def stage_sweep(run: _Run) -> None:
                 "throughput": thr,
                 "distance": int(dp),
                 "skip_accesses": skip,
-                "threshold": pf.threshold,
+                "threshold": thresholds[skip],
                 "coverage": report.coverage,
                 "accuracy": report.accuracy,
                 "issued": report.prefetches_issued,

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from prefetchlab.features import FeatureConfig, encode_windows
-from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, index_to_delta, prefetch_addresses
+from prefetchlab.labeling import LabelConfig
 from prefetchlab.model import ModelParams, predict as model_predict
 from prefetchlab.schema import config, field
 from prefetchlab.trace import CHUNK, AddressConfig, MemoryAccess, Trace, as_trace, block_addresses
@@ -296,6 +296,8 @@ class ModelPrefetcher(Prefetcher):
             raise ValueError(f"input mode {feature_cfg.mode!r} needs a token dictionary")
         self._warmup = feature_cfg.warmup(params.cfg.history_len)
         self._inputs = self._contexts = None  # one window per trigger from warmup - 1 on
+        index = np.arange(label_cfg.bitmap_size)
+        self._deltas = index - label_cfg.delta_bound + (index >= label_cfg.delta_bound)  # bit -> delta
 
     def prepare(self, trace, blocks):
         self._inputs, self._contexts = encode_windows(trace.pc, blocks, self.feature_cfg, self.addr_cfg,
@@ -311,11 +313,14 @@ class ModelPrefetcher(Prefetcher):
         rows = slice(window, window + 1)  # a batch of one
         conf = model_predict(self.params, self._inputs[rows], self._contexts[rows])[0]
         if self.top_k is not None:
-            order = np.argsort(-conf, kind="stable")[: self.top_k]
-            deltas = [index_to_delta(int(i), self.label_cfg.delta_bound) for i in order]
+            chosen = np.sort(np.argsort(-conf, kind="stable")[: self.top_k])
         else:
-            deltas = bitmap_to_deltas(conf >= self.threshold, self.label_cfg)
-        return sorted(prefetch_addresses(block, deltas, self.addr_cfg))
+            chosen = np.flatnonzero(conf >= self.threshold)
+        deltas = self._deltas[chosen]  # ascending: the bit layout orders deltas by index
+        # the bounds stay Python ints, so a block near 2**64 never enters int64 arithmetic
+        bound = self.label_cfg.delta_bound
+        lo, hi = max(-block, -bound), min(self.addr_cfg.block_space - block, bound + 1)
+        return [block + d for d in deltas[(deltas >= lo) & (deltas < hi)].tolist()]
 
 
 # ---------------------------------------------------------------------------

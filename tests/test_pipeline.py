@@ -215,6 +215,9 @@ PROBES = {
     "sweep.latencies=[]": ({"sweep": {"latencies": []}}, "sweep.latencies"),
     "sweep.throughputs=[]": ({"sweep": {"throughputs": []}}, "sweep.throughputs"),
     "sweep.distance=[]": ({"sweep": {"distance": []}}, "sweep.distance"),
+    "sweep.latencies=[0,0]": ({"sweep": {"latencies": [0, 0]}}, "sweep.latencies"),
+    "sweep.throughputs=[L,L]": ({"sweep": {"throughputs": ["L", "L"]}}, "sweep.throughputs"),
+    "sweep.distance=[true,true]": ({"sweep": {"distance": [True, True]}}, "sweep.distance"),
     "features.segment_bits=60": ({"features": {"segment_bits": 60}}, "features"),
     "eval_modes[0].segment_bits=60": ({"eval_modes": [{"segment_bits": 60}]}, "eval_modes[0]"),
 }
@@ -496,6 +499,17 @@ class TestStages:
         monkeypatch.setattr(pipeline, "_fit", lambda *args: fits.append(1) or real(*args))
         run_stage("sweep", tiny_cfg, clone)
         assert len(fits) == 1
+
+    def test_sweep_simulates_each_distinct_point_once(self, tiny_cfg, full_run, tmp_path, monkeypatch):
+        # at latency 0 the dp and nodp points share skip 0 and one latency model: one simulation
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        real, runs = pipeline.simulate, []
+        monkeypatch.setattr(pipeline, "simulate", lambda *args: runs.append(1) or real(*args))
+        run_stage("sweep", tiny_cfg, clone)
+        assert len(runs) == 3
+        reports = json.loads(pathlib.Path(clone, "sweep_reports.json").read_text())
+        assert reports["T0_L_dp"] == reports["T0_L_nodp"]
 
     def test_sweep_checks_every_skip_before_fitting(self, tmp_path, monkeypatch):
         # the default config's distance skips leave no in-bound deltas on its stride-3 trace

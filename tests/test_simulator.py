@@ -7,7 +7,7 @@ import pytest
 
 from prefetchlab import features, simulator
 from prefetchlab.features import FeatureConfig
-from prefetchlab.labeling import LabelConfig, prefetch_addresses
+from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, index_to_delta, prefetch_addresses
 from prefetchlab.model import ModelConfig, ModelParams
 from prefetchlab.simulator import (
     BestOffsetPrefetcher,
@@ -22,7 +22,9 @@ from prefetchlab.simulator import (
     StridePrefetcher,
     simulate,
 )
-from prefetchlab.trace import AddressConfig, MemoryAccess, Trace, as_trace, generate_trace, split_trace
+from prefetchlab.trace import (
+    AddressConfig, MemoryAccess, Trace, as_trace, block_addresses, generate_trace, split_trace
+)
 from tests.conftest import make_trace
 
 
@@ -709,6 +711,30 @@ class TestModelPrefetcher:
             simulate(trace, pf, CacheConfig(sets=4, ways=2), LatencyModel(), addr_cfg,
                      trigger_stream="miss")
         assert calls == [60, 60, 80, 80]
+
+    @pytest.mark.parametrize("offset_bits", [6, 0])  # 0: blocks reach 2**64 - 1
+    @pytest.mark.parametrize("mode", ["threshold", "top_k"])
+    def test_decode_matches_scalar_reference(self, monkeypatch, offset_bits, mode):
+        addr_cfg, label_cfg = AddressConfig(block_offset_bits=offset_bits), LabelConfig(32, 32)
+        bound, space = label_cfg.delta_bound, addr_cfg.block_space
+        conf = np.random.default_rng(offset_bits).random(label_cfg.bitmap_size)
+        conf[[0, bound - 1, bound, 2 * bound - 1]] = 0.99  # deltas -bound, -1, +1, +bound, tied
+        monkeypatch.setattr(simulator, "model_predict", lambda params, inputs, contexts: conf[None])
+        if mode == "threshold":
+            pf = ModelPrefetcher(ModelParams.init(self.CFG, seed=1), FeatureConfig("as", 6), label_cfg,
+                                 addr_cfg, threshold=0.5)
+            deltas = bitmap_to_deltas(conf >= 0.5, label_cfg)
+        else:
+            pf = ModelPrefetcher(ModelParams.init(self.CFG, seed=1), FeatureConfig("as", 6), label_cfg,
+                                 addr_cfg, top_k=10)
+            deltas = [index_to_delta(int(i), bound) for i in np.argsort(-conf, kind="stable")[:10]]
+        trace = as_trace(make_trace(list(range(100, 110)), addr_cfg=addr_cfg))
+        pf.prepare(trace, block_addresses(trace, addr_cfg))
+        for block in (0, bound - 1, space - bound, space - 1):
+            want = sorted(prefetch_addresses(block, deltas, addr_cfg))
+            got = pf.predict(trace[len(trace) - 1], block)
+            assert want and got == want
+            assert all(type(b) is int for b in got)
 
     def test_dictionary_required_for_delta_mode(self, addr_cfg):
         cfg = ModelConfig(hidden_dim=8, num_heads=2, num_layers=1, output_dim=64,
