@@ -323,8 +323,8 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(y, (a,), bw)
 
 
-def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
+def layer_norm(a, gain, bias) -> Tensor:
+    """Normalize over the last axis (epsilon 1e-5), then scale and shift."""
     a, gain, bias = _wrap(a), _wrap(gain), _wrap(bias)
     x = a.data
     n = x.shape[-1]
@@ -332,7 +332,7 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     # variance from the centred x gives the bits of np.var
     centred = x - x.sum(axis=-1, keepdims=True) / n
     var = (centred * centred).sum(axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centred * inv_std
     out_data = xhat * gain.data + bias.data
 

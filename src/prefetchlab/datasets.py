@@ -39,7 +39,7 @@ class LabeledDataset:
     inputs: np.ndarray    # (n, N, S) float32
     contexts: np.ndarray  # (n, N, 2) float32
     labels: np.ndarray    # (n, B) bool
-    triggers: np.ndarray  # (n,) int64 trigger ordinals (in-memory bookkeeping only)
+    triggers: np.ndarray  # (n,) int64 trigger ordinals if built; a loaded split numbers its rows from 0
 
     def __post_init__(self):
         if not (len(self.inputs) == len(self.contexts) == len(self.labels) == len(self.triggers)):

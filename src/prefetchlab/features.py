@@ -213,14 +213,14 @@ class TokenDictionary:
         return [[value, t] for value, t in self._to_token.items()]
 
     @classmethod
-    def from_pairs(cls, pairs, capacity: int | None = None, frozen: bool = True) -> "TokenDictionary":
+    def from_pairs(cls, pairs, capacity: int | None = None) -> "TokenDictionary":
+        """The frozen dictionary ``to_pairs`` serialized."""
         d = cls(capacity)
         for value, token in pairs:
             got = d.lookup(int(value))
             if got != int(token):
                 raise ValueError(f"non-contiguous token ids in serialized dictionary: {token} != {got}")
-        if frozen:
-            d.freeze()
+        d.freeze()
         return d
 
 

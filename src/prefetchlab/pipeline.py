@@ -26,7 +26,7 @@ from prefetchlab import __version__ as PACKAGE_VERSION
 from prefetchlab import plots, schema
 from prefetchlab.datasets import LabeledDataset, build_datasets, mean_cycles_per_access
 from prefetchlab.features import FeatureConfig, TokenDictionary
-from prefetchlab.labeling import LabelConfig
+from prefetchlab.labeling import LabelConfig, label_bitmaps
 from prefetchlab.model import ModelConfig, ModelDims, ModelParams, TrainConfig, TrainingError, predict, train
 from prefetchlab.simulator import (
     BestOffsetPrefetcher,
@@ -41,7 +41,8 @@ from prefetchlab.simulator import (
 from prefetchlab.schema import config, field
 from prefetchlab.throttle import ThresholdReport, micro_metrics, tune_threshold
 from prefetchlab.trace import (
-    AddressConfig, check_pattern, check_split_ratios, generate_trace, read_trace, split_trace, write_trace
+    AddressConfig, block_addresses, check_pattern, check_split_ratios, generate_trace, read_trace,
+    split_trace, write_trace
 )
 
 STAGES = ("gen", "preprocess", "train", "tune", "eval", "simulate", "sweep", "report")
@@ -505,46 +506,46 @@ def stage_simulate(run: _Run) -> None:
                sorted(reports[_hist_source(cfg)]["degree_hist"].items(), key=lambda kv: int(kv[0])))
 
 
+def _relabel(ds: LabeledDataset, blocks, label_cfg: LabelConfig) -> LabeledDataset:
+    """``ds`` under ``label_cfg``: a label reads only its trigger and the block column, so these
+    are the labels ``build_datasets`` gives under ``label_cfg``, given a split it built."""
+    return replace(ds, labels=label_bitmaps(blocks, ds.triggers, label_cfg)[0])
+
+
 def stage_sweep(run: _Run) -> None:
-    """Latency sweep: label every unique skip and check them all for in-bound deltas, then, one
-    skip at a time, take its model through ``_model`` and simulate each distinct (latency,
-    throughput) its grid points name. Grid points that share a skip, latency and throughput
-    share one simulation, and a skip's prefetcher is dropped after its last one."""
+    """Latency sweep: encode the datasets once, since a distance skip changes only the labels, and
+    check every unique skip's training labels for in-bound deltas. Then, one skip at a time,
+    relabel the train and validation splits, take its model through ``_model`` and simulate each
+    distinct (latency, throughput) its grid points name; grid points that share all three share
+    one simulation. Only built splits are relabeled: a loaded split numbers its rows from 0, not
+    by trigger, so relabeling it would give wrong labels without any error."""
     cfg = run.cfg
     trace = run.trace()
     split = split_trace(trace, cfg.split)
     cpa = mean_cycles_per_access(trace, split.train)
 
-    combos = []
-    for dp in cfg.sweep.distance:
-        for t in cfg.sweep.latencies:
-            skip = math.ceil(t / cpa) if dp else 0
-            combos.append((dp, t, skip))
-    bundles = {}  # skip -> (label config, datasets), all checked before the first fit
-    for _, _, skip in combos:
-        if skip in bundles:
-            continue
-        label_cfg = replace(cfg.label, skip=skip)
-        bundle = build_datasets(
-            trace, split, cfg.features, label_cfg, cfg.address, cfg.model.history_len
-        )
-        if not bundle.train.nonempty_mask.any():
+    combos = [(dp, t, math.ceil(t / cpa) if dp else 0)  # (distance, latency, skip) in grid order
+              for dp in cfg.sweep.distance for t in cfg.sweep.latencies]
+    bundle = build_datasets(trace, split, cfg.features, cfg.label, cfg.address, cfg.model.history_len)
+    blocks = block_addresses(trace, cfg.address)
+    skips = list(dict.fromkeys(skip for _, _, skip in combos))
+    for skip in skips:  # all checked before the first fit; the labels are not kept
+        if not _relabel(bundle.train, blocks, replace(cfg.label, skip=skip)).nonempty_mask.any():
             raise TrainingError(
                 f"distance labeling with skip={skip} accesses leaves no in-bound "
                 f"deltas on this trace (look_forward={cfg.label.look_forward}, "
                 f"bound +-{cfg.label.delta_bound}); lower the sweep latencies or "
                 f"widen the bound"
             )
-        bundles[skip] = label_cfg, bundle
     thresholds: dict[int, float] = {}
     results = {}  # (skip, latency, throughput) -> SimReport: one per distinct prefetcher and latency model
-    for skip in list(bundles):  # one skip at a time: its bundle and prefetcher go after its last point
-        label_cfg, bundle = bundles.pop(skip)
-        params, tuned, _ = _model(run, cfg.features, label_cfg, lambda: bundle.train, bundle.validation)
-        pf = ModelPrefetcher(
-            params, cfg.features, label_cfg, cfg.address, threshold=tuned.optimal_threshold,
-            dictionary=next(iter(bundle.dictionaries.values()), None),
-        )
+    for skip in skips:  # one skip at a time: its labels and prefetcher go after its last point
+        label_cfg = replace(cfg.label, skip=skip)
+        params, tuned, _ = _model(run, cfg.features, label_cfg,
+                                  lambda: _relabel(bundle.train, blocks, label_cfg),
+                                  _relabel(bundle.validation, blocks, label_cfg))
+        pf = ModelPrefetcher(params, cfg.features, label_cfg, cfg.address, threshold=tuned.optimal_threshold,
+                             dictionary=next(iter(bundle.dictionaries.values()), None))
         thresholds[skip] = pf.threshold
         for _, t, point_skip in combos:
             for thr in cfg.sweep.throughputs:
@@ -552,7 +553,7 @@ def stage_sweep(run: _Run) -> None:
                     results[skip, t, thr] = simulate(
                         trace, pf, cfg.cache, LatencyModel(t, thr), cfg.address, cfg.trigger_stream
                     )
-        del bundle, pf
+        del pf
 
     rows = []
     reports = {}

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from prefetchlab.features import FeatureConfig, encode_windows
-from prefetchlab.labeling import LabelConfig
+from prefetchlab.labeling import LabelConfig, index_to_delta
 from prefetchlab.model import ModelParams, predict as model_predict
 from prefetchlab.schema import config, field
 from prefetchlab.trace import CHUNK, AddressConfig, MemoryAccess, Trace, as_trace, block_addresses
@@ -183,13 +183,13 @@ class BestOffsetPrefetcher(Prefetcher):
     """
 
     name = "best_offset"
+    RECENT_SIZE = 64  # recent blocks an offset is scored against
 
     def __init__(
         self,
         offsets: Sequence[int] | None = None,
         round_length: int = 4,
         score_threshold: int = 2,
-        recent_size: int = 64,
         addr_cfg: AddressConfig | None = None,
     ):
         self.offsets = list(offsets) if offsets is not None else list(DEFAULT_OFFSETS)
@@ -197,7 +197,6 @@ class BestOffsetPrefetcher(Prefetcher):
             raise ValueError("offset list must be non-empty and exclude 0")
         self.round_length = round_length
         self.score_threshold = score_threshold
-        self.recent_size = recent_size
         self.addr_cfg = addr_cfg or AddressConfig()
         self.prepare(None, None)
 
@@ -214,7 +213,7 @@ class BestOffsetPrefetcher(Prefetcher):
             return
         self._recent.append(block)
         self._recent_set.add(block)
-        if len(self._recent) > self.recent_size:
+        if len(self._recent) > self.RECENT_SIZE:
             self._recent_set.discard(self._recent.popleft())
 
     def observe(self, access, block):
@@ -296,8 +295,8 @@ class ModelPrefetcher(Prefetcher):
             raise ValueError(f"input mode {feature_cfg.mode!r} needs a token dictionary")
         self._warmup = feature_cfg.warmup(params.cfg.history_len)
         self._inputs = self._contexts = None  # one window per trigger from warmup - 1 on
-        index = np.arange(label_cfg.bitmap_size)
-        self._deltas = index - label_cfg.delta_bound + (index >= label_cfg.delta_bound)  # bit -> delta
+        self._deltas = np.array([index_to_delta(i, label_cfg.delta_bound)  # bit -> delta
+                                 for i in range(label_cfg.bitmap_size)])
 
     def prepare(self, trace, blocks):
         self._inputs, self._contexts = encode_windows(trace.pc, blocks, self.feature_cfg, self.addr_cfg,
@@ -332,7 +331,7 @@ class ModelPrefetcher(Prefetcher):
 def _baseline_misses(cfg: CacheConfig, block_bytes: bytes) -> int:
     """Demand misses with no prefetcher. Memoized on the blocks' bytes, so the
     repeated simulations of one trace and cache (one per prefetcher, one per
-    sweep job) replay the baseline once; a hit is an exact content match."""
+    distinct sweep point) replay the baseline once; a hit is an exact content match."""
     nsets, ways = cfg.sets, cfg.ways
     sets = [{} for _ in range(nsets)]  # the LRU idiom of simulate, without prefetch flags
     misses = 0

@@ -6,6 +6,7 @@ import os
 import pathlib
 import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import tests.test_acceptance as acceptance
 from tests.test_model import byte_classes
 from prefetchlab import cli, pipeline
-from prefetchlab.datasets import LabeledDataset
+from prefetchlab.datasets import LabeledDataset, build_datasets
 from prefetchlab.features import FeatureConfig, SegmentationConfig
 from prefetchlab.labeling import LabelConfig
 from prefetchlab.model import LatencyCosts, ModelConfig, ModelParams, TrainConfig, TrainingError
@@ -27,7 +28,7 @@ from prefetchlab.pipeline import (
     run_stage,
 )
 from prefetchlab.simulator import CacheConfig, LatencyModel
-from prefetchlab.trace import AddressConfig
+from prefetchlab.trace import AddressConfig, block_addresses, generate_trace, split_trace
 
 TINY_RAW = {
     "seed": 11,
@@ -511,6 +512,15 @@ class TestStages:
         reports = json.loads(pathlib.Path(clone, "sweep_reports.json").read_text())
         assert reports["T0_L_dp"] == reports["T0_L_nodp"]
 
+    def test_sweep_builds_its_datasets_once(self, tiny_cfg, full_run, tmp_path, monkeypatch):
+        # skips 0 and ceil(100 / cpa) share one encoding; only their labels differ
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        real, builds = pipeline.build_datasets, []
+        monkeypatch.setattr(pipeline, "build_datasets", lambda *args: builds.append(1) or real(*args))
+        run_stage("sweep", tiny_cfg, clone)
+        assert len(builds) == 1
+
     def test_sweep_checks_every_skip_before_fitting(self, tmp_path, monkeypatch):
         # the default config's distance skips leave no in-bound deltas on its stride-3 trace
         cfg = ExperimentConfig.from_dict({})
@@ -586,6 +596,28 @@ class TestStages:
         assert {"threshold", "simulation", "input_ablation", "training", "sweep"} <= set(summary)
         assert (os.path.exists(os.path.join(full_run, "threshold_f1.svg"))
                 and os.path.exists(os.path.join(full_run, "sweep.svg")))
+
+
+class TestSweepRelabel:
+    @pytest.mark.parametrize("mode", ["as", "delta"])
+    @pytest.mark.parametrize("skip", [0, 3, 17])
+    def test_relabel_matches_a_build_at_that_skip(self, mode, skip):
+        addr_cfg = AddressConfig()
+        trace = generate_trace({"name": "interleaved"}, 400, seed=3)
+        split = split_trace(trace, (0.5, 0.2, 0.3))
+        fc, base = FeatureConfig(mode), LabelConfig(look_forward=16, delta_bound=64, skip=5)
+        built = build_datasets(trace, split, fc, base, addr_cfg, history_len=5)
+        label_cfg = replace(base, skip=skip)
+        want = build_datasets(trace, split, fc, label_cfg, addr_cfg, history_len=5)
+        blocks = block_addresses(trace, addr_cfg)
+        for part in ("train", "validation", "test"):
+            got, ref = pipeline._relabel(getattr(built, part), blocks, label_cfg), getattr(want, part)
+            assert not np.array_equal(getattr(built, part).labels, ref.labels), part  # skip 5 labels differ
+            for name in ("labels", "inputs", "contexts", "triggers"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (part, name)
+        assert ({k: d.to_pairs() for k, d in built.dictionaries.items()}
+                == {k: d.to_pairs() for k, d in want.dictionaries.items()})
 
 
 class TestIdempotence:
