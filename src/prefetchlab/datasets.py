@@ -2,9 +2,9 @@
 
 A sample pairs one history window of per-position input features and context
 pairs with the delta bitmap collected from the trigger's look-forward window.
-Token dictionaries for the ablation input modes grow only while scanning the
-training split, then freeze; later splits map unseen values to the reserved
-out-of-vocabulary token.
+Token dictionaries for the ablation input modes are built from the training
+split and frozen from the start; every split maps values outside them to the
+reserved out-of-vocabulary token.
 
 Cache file layout (little-endian): magic ``PFDS``, u32 version, u32 history
 length N, u32 input dim S, u32 bitmap size B, u64 sample count; then per sample

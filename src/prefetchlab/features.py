@@ -24,7 +24,7 @@ from prefetchlab.trace import AddressConfig, page_of_block
 
 
 class CapacityError(Exception):
-    """A token dictionary exceeded its configured capacity during growth."""
+    """The training values hold more distinct values than a token dictionary's capacity."""
 
 
 @config
@@ -167,66 +167,54 @@ def page_distance_context(page_n, page_1):
 
 
 class TokenDictionary:
-    """Bijective value<->token map with first-seen ordering.
+    """Bijective value<->token map, built whole from the training values.
 
-    Growth is only legal before :meth:`freeze` (i.e. while scanning the training
-    split); afterwards unknown values map to the reserved out-of-vocabulary token,
-    which is one past the last assigned id.
+    Tokens number the distinct ``values`` in order of first sight; any other value
+    maps to the reserved out-of-vocabulary token, one past the last assigned id.
     """
 
-    def __init__(self, capacity: int | None = None):
-        self.capacity = capacity
-        self._to_token: dict[int, int] = {}
-        self._frozen = False
+    def __init__(self, values=(), capacity: int | None = None):
+        distinct, first = np.unique(np.asarray(values, dtype=np.int64), return_index=True)
+        if capacity is not None and len(distinct) > capacity:
+            raise CapacityError(f"{len(distinct)} distinct values exceed token dictionary capacity {capacity}")
+        order = np.argsort(first)
+        self._values = distinct[order]  # value of each token
+        self._sorted = distinct
+        self._tokens = np.empty(len(distinct), dtype=np.int64)  # token of each sorted value
+        self._tokens[order] = np.arange(len(distinct))
 
     def __len__(self) -> int:
-        return len(self._to_token)
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self):
-        self._frozen = True
+        return len(self._values)
 
     @property
     def oov_token(self) -> int:
-        return len(self._to_token)
+        return len(self._values)
 
     def lookup(self, value: int) -> int:
-        value = int(value)
-        tok = self._to_token.get(value)
-        if tok is not None:
-            return tok
-        if self._frozen:
-            return self.oov_token
-        if self.capacity is not None and len(self._to_token) >= self.capacity:
-            raise CapacityError(
-                f"token dictionary capacity {self.capacity} exceeded while growing"
-            )
-        tok = len(self._to_token)
-        self._to_token[value] = tok
-        return tok
+        return int(tokenize([value], self)[0])
 
     def to_pairs(self) -> list[list[int]]:
-        """(value, token) pairs in token (that is, insertion) order, for artifact serialization."""
-        return [[value, t] for value, t in self._to_token.items()]
+        """(value, token) pairs in token order, for artifact serialization."""
+        return [[int(value), t] for t, value in enumerate(self._values)]
 
     @classmethod
-    def from_pairs(cls, pairs, capacity: int | None = None) -> "TokenDictionary":
-        """The frozen dictionary ``to_pairs`` serialized."""
-        d = cls(capacity)
-        for value, token in pairs:
-            got = d.lookup(int(value))
-            if got != int(token):
-                raise ValueError(f"non-contiguous token ids in serialized dictionary: {token} != {got}")
-        d.freeze()
+    def from_pairs(cls, pairs) -> "TokenDictionary":
+        """The dictionary ``to_pairs`` serialized."""
+        if [int(token) for _, token in pairs] != list(range(len(pairs))):
+            raise ValueError("serialized dictionary tokens are not 0, 1, ... in order")
+        d = cls([int(value) for value, _ in pairs])
+        if len(d) != len(pairs):
+            raise ValueError("serialized dictionary repeats a value")
         return d
 
 
 def tokenize(values, dictionary: TokenDictionary) -> np.ndarray:
-    """Map values to tokens, growing the dictionary unless it is frozen."""
-    return np.array([dictionary.lookup(v) for v in values], dtype=np.int64)
+    """Map values to tokens; values outside the dictionary map to its oov_token."""
+    values = np.asarray(values, dtype=np.int64)
+    if not len(dictionary):
+        return np.zeros(values.shape, dtype=np.int64)
+    at = np.minimum(np.searchsorted(dictionary._sorted, values), len(dictionary) - 1)
+    return np.where(dictionary._sorted[at] == values, dictionary._tokens[at], dictionary.oov_token)
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +269,16 @@ def _token_values(blocks: np.ndarray, cfg: FeatureConfig, addr_cfg: AddressConfi
 def grow_dictionaries(
     blocks: np.ndarray, cfg: FeatureConfig, addr_cfg: AddressConfig, train_stop: int
 ) -> dict[str, TokenDictionary]:
-    """The mode's token dictionary, grown over the training range and frozen.
+    """The mode's token dictionary, built from the training range.
 
-    Delta jumps grow over accesses [1, train_stop), pages over [0, train_stop).
+    Delta jumps come from accesses [1, train_stop), pages from [0, train_stop).
     Returns {} for AS input, else {"delta": ...} or {"page": ...}.
     """
     if not cfg.needs_dictionary:
         return {}
     blocks = np.asarray(blocks, dtype=np.uint64)
     first = 1 if cfg.mode == "delta" else 0
-    dictionary = TokenDictionary(cfg.dictionary_capacity)
-    tokenize(_token_values(blocks, cfg, addr_cfg)[first:train_stop], dictionary)
-    dictionary.freeze()
+    dictionary = TokenDictionary(_token_values(blocks, cfg, addr_cfg)[first:train_stop], cfg.dictionary_capacity)
     return {"delta" if cfg.mode == "delta" else "page": dictionary}
 
 
@@ -305,7 +291,7 @@ def encode_inputs(
     """Per-access input rows, (m, input_dim) float32, for ``blocks`` in trace order.
 
     AS rows are the normalized segments. Dictionary modes map each value through
-    the frozen ``dictionary`` and scale the token by oov_token + 1; page_offset
+    ``dictionary`` and scale the token by oov_token + 1; page_offset
     rows add the in-page block index scaled into [0, 1). The first delta row
     holds no real jump and only fills the slot.
     """

@@ -379,12 +379,10 @@ def _fit(cfg: ExperimentConfig, fc: FeatureConfig, train_ds: LabeledDataset, val
     checkpoint codec, so every stage runs the float32 weights ``model.ckpt`` stores."""
     model_cfg = cfg.model_config(fc)
     train_ds = train_ds.training_view()
-    ctx = train_ds.contexts if model_cfg.use_context else None
-    vctx = val_ds.contexts if model_cfg.use_context else None
     params, log = train(
         model_cfg,
-        train_ds.inputs, ctx, train_ds.labels,
-        val_ds.inputs, vctx, val_ds.labels,
+        train_ds.inputs, train_ds.contexts, train_ds.labels,
+        val_ds.inputs, val_ds.contexts, val_ds.labels,
         cfg.train_config(),
     )
     return ModelParams.decode(params.encode()), log
@@ -469,7 +467,7 @@ def _build_prefetcher(name, run: _Run):
     dictionary = None
     if cfg.features.needs_dictionary:
         pairs = _read_json(run.read("preprocess", "dictionaries.json"))[mode_tag(cfg.features)]["pairs"]
-        dictionary = TokenDictionary.from_pairs(next(iter(pairs.values())), cfg.features.dictionary_capacity)
+        dictionary = TokenDictionary.from_pairs(next(iter(pairs.values())))
     params = ModelParams.load(run.read("train", "model.ckpt"))
     threshold = None
     if sim.top_k is None:

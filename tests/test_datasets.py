@@ -70,7 +70,10 @@ class TestBuildDatasets:
         sizes = bundle.dictionary_sizes()
         assert sizes["delta"] >= 1
         d = bundle.dictionaries["delta"]
-        assert d.frozen
+        # built from the training range's jumps alone
+        train_jumps = np.diff(np.array(blocks[:split.train.stop]))
+        assert {v for v, _ in d.to_pairs()} == set(train_jumps.tolist())
+        assert d.lookup(7) == d.oov_token
         # out-of-vocabulary jumps in the test split map to the reserved token
         oov_feature = (d.oov_token) / (d.oov_token + 1)
         assert np.any(np.isclose(bundle.test.inputs, oov_feature))

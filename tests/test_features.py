@@ -209,7 +209,9 @@ class TestEncoders:
         assert delta.to_pairs() == [[1, 0], [2, 1]]  # jumps into accesses 1 and 2
         page = grow_dictionaries(blocks, FeatureConfig("page_offset"), addr_cfg, train_stop=4)["page"]
         assert page.to_pairs() == [[1, 0], [3, 1]]
-        assert delta.frozen and page.frozen
+        # values first seen after train_stop are out of vocabulary
+        assert delta.lookup(133) == delta.oov_token == 2
+        assert page.lookup(900 >> addr_cfg.block_index_bits) == page.oov_token == 2
         assert grow_dictionaries(blocks, FeatureConfig("as"), addr_cfg, train_stop=3) == {}
 
 
@@ -270,38 +272,75 @@ class TestOnlineOfflineParity:
 
 class TestTokenDictionary:
     def test_first_seen_ordering(self):
-        d = TokenDictionary()
+        d = TokenDictionary([+1, +1, -2])
         assert tokenize([+1, +1, -2], d).tolist() == [0, 0, 1]
         assert len(d) == 2
+        assert d.to_pairs() == [[1, 0], [-2, 1]]
 
     def test_frozen_maps_unknown_to_oov(self):
-        d = TokenDictionary()
+        d = TokenDictionary([+1])
         assert d.lookup(+1) == 0
-        d.freeze()
         assert d.lookup(-2) == d.oov_token == 1
-        assert len(d) == 1  # no growth after freeze
+        assert tokenize([-2, +1, 5], d).tolist() == [1, 0, 1]
+        assert len(d) == 1  # lookups never add a value
 
     def test_capacity_overflow(self):
-        d = TokenDictionary(capacity=2)
-        tokenize([1, 2], d)
+        assert len(TokenDictionary([1, 2, 2, 1], capacity=2)) == 2  # repeats do not count
         with pytest.raises(CapacityError):
-            d.lookup(3)
+            TokenDictionary([1, 2, 3, 1], capacity=2)
 
     def test_bijective(self):
-        d = TokenDictionary()
         values = [5, -3, 99, 0]
+        d = TokenDictionary(values)
         toks = tokenize(values, d)
         assert d.to_pairs() == [[v, int(t)] for v, t in zip(values, toks)]
         d2 = TokenDictionary.from_pairs(d.to_pairs())
         assert tokenize(values, d2).tolist() == toks.tolist()
 
     def test_pairs_roundtrip(self):
-        d = TokenDictionary()
-        tokenize([7, -1, 12], d)
-        d.freeze()
+        d = TokenDictionary([7, -1, 12])
         d2 = TokenDictionary.from_pairs(d.to_pairs())
+        assert d2.to_pairs() == d.to_pairs()
         assert d2.lookup(-1) == d.lookup(-1)
         assert d2.lookup(555) == d2.oov_token
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_first_seen_dict_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        edges = np.array([0, -1, 1, 2**52 - 1, 2**52, 2**52 + 1, -2**52 - 1, -2**52, -2**52 + 1])
+        pool = np.concatenate([edges, rng.integers(-2**62, 2**62, 40), rng.integers(-50, 50, 40)])
+        train = rng.choice(pool, 300)  # repeats
+        queries = np.concatenate([rng.choice(pool, 300), rng.integers(-2**63, 2**63 - 1, 50)])
+        ref: dict[int, int] = {}
+        for v in train.tolist():
+            ref.setdefault(v, len(ref))
+        d = TokenDictionary(train)
+        assert len(d) == d.oov_token == len(ref)
+        assert d.to_pairs() == [[v, t] for v, t in ref.items()]
+        want = [ref.get(v, len(ref)) for v in queries.tolist()]
+        assert tokenize(queries, d).tolist() == want
+        assert [d.lookup(v) for v in queries[:20].tolist()] == want[:20]
+        d2 = TokenDictionary.from_pairs(d.to_pairs())
+        assert d2.to_pairs() == d.to_pairs()
+        assert tokenize(queries, d2).tolist() == want
+
+    def test_empty_dictionary_maps_everything_to_zero(self):
+        d = TokenDictionary([])
+        assert len(d) == d.oov_token == 0
+        assert tokenize([0, -5, 2**52], d).tolist() == [0, 0, 0]
+        assert tokenize([], d).tolist() == []
+        assert d.to_pairs() == [] and TokenDictionary.from_pairs([]).oov_token == 0
+
+    def test_capacity_at_the_distinct_count(self):
+        values = [4, -4, 4, 9, 0, 9]
+        assert len(TokenDictionary(values, capacity=4)) == 4
+        with pytest.raises(CapacityError):
+            TokenDictionary(values, capacity=3)
+
+    @pytest.mark.parametrize("pairs", [[[5, 0], [5, 1]], [[5, 0], [6, 2]], [[5, 1]]])
+    def test_from_pairs_rejects_repeats_and_gaps(self, pairs):
+        with pytest.raises(ValueError):
+            TokenDictionary.from_pairs(pairs)
 
 
 class TestFeatureConfig:

@@ -591,6 +591,30 @@ class TestStages:
         assert rows == ["degree,count", *(f"{d},{hist[d]}" for d in sorted(hist, key=int))]
         assert "Prefetch degree histogram (stride)" in (tmp_path / "degree_hist.svg").read_text()
 
+    @pytest.mark.parametrize("mode", ["delta", "page_offset"])
+    def test_dictionary_mode_simulates_with_the_preprocess_dictionary(self, mode, tmp_path, monkeypatch):
+        # simulate rebuilds the model prefetcher's dictionary from dictionaries.json
+        raw = dict(TINY_RAW, trace=dict(TINY_RAW["trace"], length=600), features={"mode": mode},
+                   simulate={"prefetchers": ["model"]})
+        cfg = ExperimentConfig.from_dict(raw)
+        reloaded, simulate = [], pipeline.simulate
+
+        def recording_simulate(trace, pf, *args, **kwargs):
+            reloaded.append(pf.dictionary)
+            return simulate(trace, pf, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate", recording_simulate)
+        for stage in ("gen", "preprocess", "train", "tune", "simulate"):
+            run_stage(stage, cfg, str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest_simulate.json").read_text())
+        assert "dictionaries.json" in manifest["inputs"]
+        trace = pipeline.read_trace(str(tmp_path / "trace.csv.gz"))
+        grown = build_datasets(trace, split_trace(trace, cfg.split), cfg.features, cfg.label,
+                               cfg.address, cfg.model.history_len).dictionaries
+        [dictionary] = reloaded
+        assert len(dictionary) > 0
+        assert dictionary.to_pairs() == next(iter(grown.values())).to_pairs()
+
     def test_summary_structure(self, full_run):
         summary = json.loads(pathlib.Path(full_run, "summary.json").read_text())
         assert {"threshold", "simulation", "input_ablation", "training", "sweep"} <= set(summary)
