@@ -347,7 +347,7 @@ def layer_norm(a, gain, bias) -> Tensor:
     return _node(out_data, (a, gain, bias), bw)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
 

@@ -144,7 +144,7 @@ def build_datasets(
     inputs, contexts = encode_windows(trace.pc, blocks, feature_cfg, addr_cfg,
                                       next(iter(dictionaries.values()), None), history_len)
     triggers = np.arange(feature_cfg.warmup(history_len) - 1, len(trace), dtype=np.int64)
-    labels, _ = label_bitmaps(blocks, triggers, label_cfg)
+    labels = label_bitmaps(blocks, triggers, label_cfg)
 
     def take(r: range) -> LabeledDataset:
         lo, hi = np.searchsorted(triggers, [r.start, r.stop])

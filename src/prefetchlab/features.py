@@ -128,7 +128,7 @@ def normalize_segments(segments: np.ndarray, cfg: SegmentationConfig) -> np.ndar
     return np.asarray(segments, dtype=np.float64) / float(1 << cfg.segment_bits)
 
 
-def pc_context(pc, hash_bits: int = 16):
+def pc_context(pc, hash_bits: int):
     """Fold a 64-bit program counter into [0, 1).
 
     The PC is split into ceil(64/hash_bits) chunks of ``hash_bits`` bits, low to
@@ -155,10 +155,8 @@ def pc_context(pc, hash_bits: int = 16):
 
 def page_distance_context(page_n, page_1):
     """Inverse page distance 1/(|page_n - page_1| + 1); equals 1 on the current page."""
-    if isinstance(page_n, np.ndarray) or isinstance(page_1, np.ndarray):
-        diff = np.abs(np.asarray(page_n, dtype=np.int64) - np.asarray(page_1, dtype=np.int64))
-        return 1.0 / (diff.astype(np.float64) + 1.0)
-    return 1.0 / (abs(int(page_n) - int(page_1)) + 1)
+    diff = np.abs(np.asarray(page_n, dtype=np.int64) - np.asarray(page_1, dtype=np.int64))
+    return 1.0 / (diff.astype(np.float64) + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ class TokenDictionary:
     maps to the reserved out-of-vocabulary token, one past the last assigned id.
     """
 
-    def __init__(self, values=(), capacity: int | None = None):
+    def __init__(self, values, capacity: int | None = None):
         distinct, first = np.unique(np.asarray(values, dtype=np.int64), return_index=True)
         if capacity is not None and len(distinct) > capacity:
             raise CapacityError(f"{len(distinct)} distinct values exceed token dictionary capacity {capacity}")

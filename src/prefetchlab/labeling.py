@@ -62,11 +62,6 @@ def collect_future_deltas(
     return out
 
 
-def window_truncated(trace_len: int, trigger: int, cfg: LabelConfig) -> bool:
-    """Whether the look-forward window at this trigger runs past the trace end."""
-    return trigger + cfg.skip + cfg.look_forward >= trace_len
-
-
 def deltas_to_bitmap(deltas, cfg: LabelConfig) -> np.ndarray:
     """Delta set -> boolean bitmap with exactly one bit per delta."""
     bits = np.zeros(cfg.bitmap_size, dtype=bool)
@@ -93,21 +88,17 @@ def prefetch_addresses(current_block: int, deltas, addr_cfg: AddressConfig) -> s
     }
 
 
-def label_bitmaps(
-    blocks: np.ndarray, triggers: np.ndarray, cfg: LabelConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized label construction over many triggers.
+def label_bitmaps(blocks: np.ndarray, triggers: np.ndarray, cfg: LabelConfig) -> np.ndarray:
+    """Vectorized label construction over many triggers: an (n, bitmap_size) bool array.
 
-    Returns (labels, truncated): labels is (n, bitmap_size) bool, truncated flags
-    triggers whose window ran past the end of the trace. The loop runs over the
-    ``look_forward`` window offsets, setting one bit per trigger at each offset.
+    The loop runs over the ``look_forward`` window offsets, setting one bit per
+    trigger at each offset; a window that runs past the trace end is cut short.
     """
     blocks = np.asarray(blocks, dtype=np.uint64).astype(np.int64)
     triggers = np.asarray(triggers, dtype=np.int64)
     n_trace = blocks.shape[0]
     bound = cfg.delta_bound
     labels = np.zeros((len(triggers), cfg.bitmap_size), dtype=bool)
-    truncated = triggers + cfg.skip + cfg.look_forward >= n_trace
     rows = np.arange(len(triggers))
     for offset in range(cfg.skip + 1, cfg.skip + cfg.look_forward + 1):
         live = triggers + offset < n_trace
@@ -116,4 +107,4 @@ def label_bitmaps(
         keep = (d != 0) & (d >= -bound) & (d <= bound)
         d = d[keep]
         labels[rows[live][keep], np.where(d < 0, d + bound, d + bound - 1)] = True
-    return labels, truncated
+    return labels

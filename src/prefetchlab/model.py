@@ -157,21 +157,11 @@ class ModelParams:
             {n: Tensor(t.data.copy(), requires_grad=t.requires_grad) for n, t in self.items()},
         )
 
-    def _payload(self) -> bytes:
-        head = CHECKPOINT_MAGIC + _HEADER.pack(
-            CHECKPOINT_VERSION, *(int(getattr(self.cfg, name)) for name in _HEADER_FIELDS))
-        body = b"".join(
-            t.data.astype("<f4").tobytes() for _, t in self.items()
-        )
-        return head + body
-
-    def checksum(self) -> str:
-        """Hex digest of the float32 serialized form (the determinism fingerprint)."""
-        return hashlib.sha256(self._payload()).hexdigest()
-
     def encode(self) -> bytes:
-        """Checkpoint file bytes: the payload, then its SHA-256."""
-        payload = self._payload()
+        """Checkpoint file bytes: the payload (magic, header, float32 tensors), then its SHA-256."""
+        payload = CHECKPOINT_MAGIC + _HEADER.pack(
+            CHECKPOINT_VERSION, *(int(getattr(self.cfg, name)) for name in _HEADER_FIELDS))
+        payload += b"".join(t.data.astype("<f4").tobytes() for _, t in self.items())
         return payload + hashlib.sha256(payload).digest()
 
     def save(self, path):
@@ -563,13 +553,11 @@ class LatencyCosts:
     norm: float = field(5.0, ge=0)
 
     @classmethod
-    def log_tree(cls, hidden_dim: int, **overrides) -> "LatencyCosts":
+    def log_tree(cls, hidden_dim: int) -> "LatencyCosts":
         """Log-depth tree reduction cost model: every matrix multiply costs
         1 + log2(hidden_dim) cycles; adds and activations cost 1 cycle."""
         mm = 1.0 + math.log2(hidden_dim)
-        base = dict(matmul_embed=mm, matmul_head=mm, matmul_attn=mm, matmul_ffn=mm)
-        base.update(overrides)
-        return cls(**base)
+        return cls(matmul_embed=mm, matmul_head=mm, matmul_attn=mm, matmul_ffn=mm)
 
 
 def estimate_latency(costs: LatencyCosts, cfg: ModelConfig) -> float:

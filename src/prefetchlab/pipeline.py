@@ -39,7 +39,7 @@ from prefetchlab.simulator import (
     simulate,
 )
 from prefetchlab.schema import config, field
-from prefetchlab.throttle import ThresholdReport, micro_metrics, tune_threshold
+from prefetchlab.throttle import ThresholdReport, micro_metrics, threshold_grid, tune_threshold
 from prefetchlab.trace import (
     AddressConfig, block_addresses, check_pattern, check_split_ratios, generate_trace, read_trace,
     split_trace, write_trace
@@ -83,6 +83,9 @@ class TraceSource:
 class ThresholdConfig:
     grid_step: float = field(0.01, gt=0, lt=1)
     max_degree: int | None = field(None, ge=0)
+
+    def __post_init__(self):  # tune_threshold scores every threshold of this grid
+        threshold_grid(self.grid_step)
 
 
 @config
@@ -137,6 +140,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_split_ratios(self.split)
+        block_bytes = 1 << self.address.block_offset_bits  # the simulator caches whole blocks
+        if self.cache.line_bytes != block_bytes:
+            raise ValueError(f"cache.line_bytes must equal 2 ** address.block_offset_bits = {block_bytes}, "
+                             f"got {self.cache.line_bytes}")
         for where, fc in [("features", self.features),
                           *((f"eval_modes[{i}]", fc) for i, fc in enumerate(self.eval_modes))]:
             try:
@@ -441,7 +448,7 @@ def stage_eval(run: _Run) -> None:
         rows.append({
             "mode": tag,
             "input_dim": fc.input_dim(cfg.address),
-            "dictionary_entries": sum(entries.values()) if entries else 0,
+            "dictionary_entries": sum(entries.values()),
             "threshold": tuned.optimal_threshold,
             "precision": precision,
             "recall": recall,
@@ -507,7 +514,7 @@ def stage_simulate(run: _Run) -> None:
 def _relabel(ds: LabeledDataset, blocks, label_cfg: LabelConfig) -> LabeledDataset:
     """``ds`` under ``label_cfg``: a label reads only its trigger and the block column, so these
     are the labels ``build_datasets`` gives under ``label_cfg``, given a split it built."""
-    return replace(ds, labels=label_bitmaps(blocks, ds.triggers, label_cfg)[0])
+    return replace(ds, labels=label_bitmaps(blocks, ds.triggers, label_cfg))
 
 
 def stage_sweep(run: _Run) -> None:

@@ -170,31 +170,20 @@ class StridePrefetcher(Prefetcher):
         return targets if stride > 0 else targets[::-1]
 
 
-DEFAULT_OFFSETS = [d for k in range(1, 9) for d in (k, -k)] + [12, -12, 16, -16, 24, -24, 32, -32]
-
-
 class BestOffsetPrefetcher(Prefetcher):
     """Offset prefetcher that scores candidate offsets against recent requests.
 
-    One candidate offset is tested per access round-robin; a learning phase lasts
-    ``round_length`` passes over the offset list, after which the best-scoring
-    offset becomes active if its score clears the threshold. Ties prefer the
-    smaller |offset| (timelier within the trigger's neighborhood).
+    One candidate offset of the fixed ``OFFSETS`` is tested per access round-robin;
+    a learning phase lasts ``round_length`` passes over the list, after which the
+    best-scoring offset becomes active if its score clears the threshold. Ties
+    prefer the smaller |offset| (timelier within the trigger's neighborhood).
     """
 
     name = "best_offset"
+    OFFSETS = (*(d for k in range(1, 9) for d in (k, -k)), 12, -12, 16, -16, 24, -24, 32, -32)
     RECENT_SIZE = 64  # recent blocks an offset is scored against
 
-    def __init__(
-        self,
-        offsets: Sequence[int] | None = None,
-        round_length: int = 4,
-        score_threshold: int = 2,
-        addr_cfg: AddressConfig | None = None,
-    ):
-        self.offsets = list(offsets) if offsets is not None else list(DEFAULT_OFFSETS)
-        if not self.offsets or any(d == 0 for d in self.offsets):
-            raise ValueError("offset list must be non-empty and exclude 0")
+    def __init__(self, round_length: int = 4, score_threshold: int = 2, addr_cfg: AddressConfig | None = None):
         self.round_length = round_length
         self.score_threshold = score_threshold
         self.addr_cfg = addr_cfg or AddressConfig()
@@ -203,7 +192,7 @@ class BestOffsetPrefetcher(Prefetcher):
     def prepare(self, trace, blocks):
         self._recent = deque()
         self._recent_set = set()
-        self._scores = {d: 0 for d in self.offsets}
+        self._scores = dict.fromkeys(self.OFFSETS, 0)
         self._cursor = 0
         self._rounds = 0
         self.active_offset: int | None = None
@@ -217,17 +206,17 @@ class BestOffsetPrefetcher(Prefetcher):
             self._recent_set.discard(self._recent.popleft())
 
     def observe(self, access, block):
-        candidate = self.offsets[self._cursor]
+        candidate = self.OFFSETS[self._cursor]
         if (block - candidate) in self._recent_set:
             self._scores[candidate] += 1
         self._cursor += 1
-        if self._cursor == len(self.offsets):
+        if self._cursor == len(self.OFFSETS):
             self._cursor = 0
             self._rounds += 1
             if self._rounds >= self.round_length:
                 best = max(self._scores.items(), key=lambda kv: (kv[1], -abs(kv[0])))
                 self.active_offset = best[0] if best[1] >= self.score_threshold else None
-                self._scores = {d: 0 for d in self.offsets}
+                self._scores = dict.fromkeys(self.OFFSETS, 0)
                 self._rounds = 0
         self._push_recent(block)
 
@@ -247,7 +236,6 @@ class OraclePrefetcher(Prefetcher):
 
     def __init__(self, trace: Sequence[MemoryAccess], addr_cfg: AddressConfig, window: int = 128):
         self.window = window
-        self.addr_cfg = addr_cfg
         self._blocks = block_addresses(trace, addr_cfg).tolist()
 
     def predict(self, access, block):
@@ -407,7 +395,6 @@ def simulate(
     issued = useful = late = useless_evicted = dropped_on_arrival = 0
     dropped_triggers = cold_start = 0
     degree_hist: dict[int, int] = {}
-    total_degree = 0
 
     for access, block in zip(trace, blocks):
         cycle = access.cycle
@@ -470,7 +457,6 @@ def simulate(
             continue
         degree = len(predictions)
         degree_hist[degree] = degree_hist.get(degree, 0) + 1
-        total_degree += degree
         ready = cycle + latency_cycles
         for pblock in predictions:
             entries = sets[pblock % nsets]
@@ -511,7 +497,8 @@ def simulate(
         accuracy=(useful / issued) if issued else 0.0,
         accuracy_defined=issued > 0,
         coverage=(useful / baseline_misses) if baseline_misses else 0.0,
-        mean_degree=(total_degree / triggers_with_degree) if triggers_with_degree else 0.0,
+        mean_degree=(sum(d * n for d, n in degree_hist.items()) / triggers_with_degree
+                     if triggers_with_degree else 0.0),
         degree_hist=degree_hist,
     )
 

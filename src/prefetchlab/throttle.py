@@ -71,10 +71,11 @@ def micro_metrics(pred: np.ndarray, labels: np.ndarray) -> tuple[float, float, f
 
 
 def threshold_grid(grid_step: float) -> np.ndarray:
-    """Thresholds {step, 2*step, ..., 1 - step}, rounded to kill float drift."""
-    if not 0.0 < grid_step < 1.0:
-        raise ValueError(f"grid_step must lie in (0, 1), got {grid_step}")
-    count = int(round(1.0 / grid_step)) - 1
+    """Thresholds {step, 2*step, ..., 1 - step}, rounded to kill float drift. A step
+    above about 2/3 leaves no threshold in (0, 1) and raises, like one outside (0, 1)."""
+    count = int(round(1.0 / grid_step)) - 1 if 0.0 < grid_step < 1.0 else 0
+    if count < 1:
+        raise ValueError(f"grid_step must lie in (0, 2/3] so the grid holds a threshold, got {grid_step}")
     return np.round(np.arange(1, count + 1) * grid_step, 12)
 
 

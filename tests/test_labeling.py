@@ -10,7 +10,6 @@ from prefetchlab.labeling import (
     index_to_delta,
     label_bitmaps,
     prefetch_addresses,
-    window_truncated,
 )
 from prefetchlab.trace import block_address, block_addresses, generate_trace
 
@@ -52,8 +51,6 @@ class TestCollectFutureDeltas:
         trace = trace_from_blocks([10, 11])
         cfg = LabelConfig(look_forward=100)
         assert collect_future_deltas(trace, 0, cfg, addr_cfg) == {+1}
-        assert window_truncated(len(trace), 0, cfg)
-        assert not window_truncated(1000, 0, cfg)
 
     def test_out_of_bound_deltas_dropped(self, trace_from_blocks, addr_cfg):
         trace = trace_from_blocks([0, 1000, 3])
@@ -163,11 +160,10 @@ class TestLabelBitmaps:
         trace = trace_from_blocks(blocks.tolist())
         cfg = LabelConfig(look_forward=12, delta_bound=32, skip=1)
         triggers = np.arange(0, 300, 7)
-        labels, truncated = label_bitmaps(blocks.astype(np.uint64), triggers, cfg)
+        labels = label_bitmaps(blocks.astype(np.uint64), triggers, cfg)
         for row, t in enumerate(triggers):
             expect = deltas_to_bitmap(collect_future_deltas(trace, int(t), cfg, addr_cfg), cfg)
             assert np.array_equal(labels[row], expect)
-            assert truncated[row] == window_truncated(300, int(t), cfg)
 
     @pytest.mark.parametrize("pattern", [{"name": "random", "region_blocks": 300},
                                          {"name": "region_walks"}])
@@ -178,13 +174,13 @@ class TestLabelBitmaps:
         cfg = LabelConfig(look_forward=24, delta_bound=128, skip=skip)
         # unsorted, repeated, and reaching the last access: truncated and empty windows
         triggers = np.concatenate([np.arange(0, 400, 3), [399, 0, 380, 398]])
-        labels, truncated = label_bitmaps(blocks, triggers, cfg)
+        labels = label_bitmaps(blocks, triggers, cfg)
         signed = blocks.astype(np.int64)
         for row, t in enumerate(triggers):
             d = signed[t + skip + 1: t + skip + 1 + cfg.look_forward] - signed[t]
             d = d[(d != 0) & (np.abs(d) <= cfg.delta_bound)]
             assert np.array_equal(labels[row], deltas_to_bitmap(set(d.tolist()), cfg))
-            assert truncated[row] == (t + skip + cfg.look_forward >= len(blocks))
+        truncated = triggers + skip + cfg.look_forward >= len(blocks)  # windows cut at the trace end
         assert truncated.any() and not truncated.all()
         assert labels.any()
 
@@ -193,8 +189,8 @@ class TestLabelBitmaps:
         blocks = (999 + rng.integers(-50, 50, size=200).cumsum()).clip(0).astype(np.uint64)
         plain = LabelConfig(look_forward=20, delta_bound=64, skip=0)
         triggers = np.arange(200)
-        a, _ = label_bitmaps(blocks, triggers, plain)
-        b, _ = label_bitmaps(blocks, triggers, LabelConfig(look_forward=20, delta_bound=64))
+        a = label_bitmaps(blocks, triggers, plain)
+        b = label_bitmaps(blocks, triggers, LabelConfig(look_forward=20, delta_bound=64))
         assert np.array_equal(a, b)
 
     def test_config_validation(self):

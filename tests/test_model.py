@@ -324,14 +324,14 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=2, batch_size=64, seed=7)
         p1, log1 = train(TINY, x, c, y, cfg=cfg)
         p2, log2 = train(TINY, x, c, y, cfg=cfg)
-        assert p1.checksum() == p2.checksum()
+        assert p1.encode() == p2.encode()
         assert log1 == log2
 
     def test_different_seed_differs(self):
         x, c, y = self.make_dataset()
         p1, _ = train(TINY, x, c, y, cfg=TrainConfig(max_epochs=1, seed=1))
         p2, _ = train(TINY, x, c, y, cfg=TrainConfig(max_epochs=1, seed=2))
-        assert p1.checksum() != p2.checksum()
+        assert p1.encode() != p2.encode()
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
@@ -459,7 +459,7 @@ class TestCheckpoint:
         for (n1, t1), (n2, t2) in zip(params.items(), loaded.items()):
             assert n1 == n2
             assert np.array_equal(t1.data.astype(np.float32), t2.data.astype(np.float32))
-        assert loaded.checksum() == params.checksum()
+        assert loaded.encode() == params.encode()
 
     def test_corruption_detected(self, tmp_path):
         params = ModelParams.init(TINY, seed=5)

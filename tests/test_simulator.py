@@ -598,12 +598,6 @@ class TestRulePrefetchers:
         pf.active_offset = offset
         assert pf.predict(None, block) == sorted(prefetch_addresses(block, [offset], self.SMALL))
 
-    def test_best_offset_validation(self):
-        with pytest.raises(ValueError):
-            BestOffsetPrefetcher(offsets=[0, 1])
-        with pytest.raises(ValueError):
-            BestOffsetPrefetcher(offsets=[])
-
 
 class TestModelPrefetcher:
     CFG = ModelConfig(hidden_dim=8, num_heads=2, num_layers=1, output_dim=64,

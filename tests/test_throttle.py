@@ -84,6 +84,11 @@ class TestThresholdGrid:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             threshold_grid(0.0)
+        assert len(threshold_grid(0.6)) == 1
+        with pytest.raises(ValueError, match="grid_step"):  # an empty grid
+            threshold_grid(0.7)
+        with pytest.raises(ValueError, match="grid_step"):  # not a 0.5 that scored nothing
+            tune_threshold(np.full((2, 3), 0.9), np.ones((2, 3), dtype=bool), grid_step=0.7)
 
 
 class TestTuneThreshold:
