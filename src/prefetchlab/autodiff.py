@@ -7,13 +7,23 @@ nodes for the model's hot path: ``linear`` (x W + b) and ``multi_head_attention`
 Gradients are exact for every op (the whole point: they are validated against
 central finite differences by the model's gradient check).
 
+An op's output value and its place in the graph are separate objects, as with
+PyTorch's ``grad_fn``. A ``Tensor`` holds the value. An op output that needs a
+gradient also gets a small ``_Node``: its gradient, its parents' nodes and its
+backward closure. A leaf (a parameter, or any input built with
+``requires_grad``) is its own node and keeps its ``.grad``. Each closure keeps
+only the arrays and shapes its backward reads and its parents' nodes, never a
+parent ``Tensor``, so an op output that no backward reads (an ``add``,
+``concat``, ``reshape`` or ``broadcast_to`` result, say) is freed as soon as
+the forward pass drops it. An op whose inputs need no gradient builds no node
+and no closure at all, which is every op of inference.
+
 ``Tensor.backward`` frees the graph as it goes, as PyTorch does by default: once
 a node has passed its gradient to its parents, it drops that gradient, its
-backward closure (and with it the activations the closure saved) and its
-parent links. Afterwards only leaves (parameters and any ``requires_grad``
-input) keep a ``.grad``; the root's and every intermediate's ``.grad`` are
-``None``. A graph is backpropagated once: a second ``backward()`` through it,
-or through a new graph built on one of its nodes, raises ``RuntimeError``.
+backward closure (and with it the arrays the closure saved) and its parent
+links. Afterwards only leaves keep a ``.grad``. A graph is backpropagated
+once: a second ``backward()`` through it, or through a new graph built on one
+of its outputs, raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -39,16 +49,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """A node in the computation graph wrapping a float64 ndarray."""
+    """A float64 ndarray, plus the graph node of the op that made it when that
+    op's output needs a gradient. A leaf is its own graph node: it has no
+    parents and no backward, and its gradient accumulates in ``.grad``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+    # a leaf's side of the node protocol, as class attributes: a leaf that
+    # pointed ``_node`` at itself would be a reference cycle, freed only by gc
+    _parents = ()
+    _fn = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents = ()
-        self._backward = None
+        self._node = None
 
     @property
     def shape(self):
@@ -60,16 +75,16 @@ class Tensor:
     def backward(self, grad=None):
         """Accumulate gradients into every reachable leaf with requires_grad.
 
-        Walks the graph once in reverse topological order and frees it on the
-        way: each non-leaf node drops its ``grad``, backward closure and
-        parents as soon as its gradient has reached its parents, so each
-        activation and intermediate gradient is released once nothing upstream
-        needs it. Afterwards the root's and the intermediates' ``.grad`` are
-        ``None``; leaves keep theirs. Raises RuntimeError when the graph, or part
-        of it, was freed by an earlier ``backward()``.
+        Walks the graph's nodes once in reverse topological order and frees
+        them on the way: each op node drops its ``grad``, backward closure and
+        parents as soon as its gradient has reached its parents, so each saved
+        array and intermediate gradient is released once nothing upstream needs
+        it. Leaves keep their ``.grad``. Raises RuntimeError when the graph, or
+        part of it, was freed by an earlier ``backward()``.
         """
+        root = self if self._node is None else self._node
         topo, visited = [], set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -77,23 +92,23 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._backward is _freed:
+            if node._fn is _freed:
                 _freed()  # refuse before any gradient moves
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=np.float64)
+        root.grad = np.ones_like(self.data) if grad is None else np.asarray(grad, dtype=np.float64)
         while topo:
             node = topo.pop()  # pop, not reversed(): the walk list must not keep the node
-            bw = node._backward
-            if bw is None:
+            fn = node._fn
+            if fn is None:
                 continue
             g, node.grad = node.grad, None
-            node._backward, node._parents = _freed, ()
+            node._fn, node._parents = _freed, ()
             if g is not None:
-                bw(g)
+                fn(g)
 
     # -- operator sugar ------------------------------------------------------
     def __add__(self, other):
@@ -109,6 +124,17 @@ class Tensor:
         return getitem(self, key)
 
 
+class _Node:
+    """The graph side of an op output that needs a gradient."""
+
+    __slots__ = ("grad", "_parents", "_fn")
+
+    def __init__(self, parents: tuple, fn):
+        self.grad = None
+        self._parents = parents
+        self._fn = fn
+
+
 def _freed(g=None):
     """The backward of a node that an earlier ``Tensor.backward`` freed."""
     raise RuntimeError("backward() through a graph that an earlier backward() already freed; "
@@ -119,51 +145,66 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, parents, backward) -> Tensor:
-    out = Tensor(data)
-    for p in parents:  # a plain loop: any() over a generator costs more per node
-        if p.requires_grad:
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-            break
+def _node_of(t: Tensor):
+    """Where ``t``'s gradient goes: its op's node, ``t`` itself for a leaf that
+    needs a gradient, or None when it needs none."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
+def _attach(out: Tensor, parents, fn) -> Tensor:
+    """Make ``out`` an op output that needs a gradient: ``fn`` is its backward,
+    ``parents`` its inputs' nodes (None for an input that needs no gradient)."""
+    out.requires_grad = True
+    out._node = _Node(tuple(p for p in parents if p is not None), fn)
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+def _accum(node, g: np.ndarray):
+    if node is not None:
+        node.grad = g if node.grad is None else node.grad + g
 
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out_data = a.data + b.data
+    out = Tensor(a.data + b.data)
+    if not (a.requires_grad or b.requires_grad):
+        return out
+    na, nb, a_shape, b_shape = _node_of(a), _node_of(b), a.data.shape, b.data.shape
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(na, _unbroadcast(g, a_shape))
+        _accum(nb, _unbroadcast(g, b_shape))
 
-    return _node(out_data, (a, b), bw)
+    return _attach(out, (na, nb), bw)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out_data = a.data * b.data
+    out = Tensor(a.data * b.data)
+    if not (a.requires_grad or b.requires_grad):
+        return out
+    na, nb, da, db = _node_of(a), _node_of(b), a.data, b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(na, _unbroadcast(g * db, da.shape))
+        _accum(nb, _unbroadcast(g * da, db.shape))
 
-    return _node(out_data, (a, b), bw)
+    return _attach(out, (na, nb), bw)
 
 
 def scale(a, k: float) -> Tensor:
     a = _wrap(a)
+    out = Tensor(a.data * k)
+    if not a.requires_grad:
+        return out
+    na = _node_of(a)
 
     def bw(g):
-        _accum(a, g * k)
+        _accum(na, g * k)
 
-    return _node(a.data * k, (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -171,13 +212,16 @@ def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    out_data = a.data @ b.data
+    out = Tensor(a.data @ b.data)
+    if not (a.requires_grad or b.requires_grad):
+        return out
+    na, nb, da, db = _node_of(a), _node_of(b), a.data, b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        _accum(na, _unbroadcast(g @ np.swapaxes(db, -1, -2), da.shape))
+        _accum(nb, _unbroadcast(np.swapaxes(da, -1, -2) @ g, db.shape))
 
-    return _node(out_data, (a, b), bw)
+    return _attach(out, (na, nb), bw)
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -188,22 +232,26 @@ def linear(x, w, b=None) -> Tensor:
     """
     x, w = _wrap(x), _wrap(w)
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    out = x2 @ w.data
-    parents = (x, w)
-    if b is not None:
+    y = x2 @ w.data
+    has_bias = b is not None
+    if has_bias:
         b = _wrap(b)
-        out += b.data
-        parents = (x, w, b)
+        y += b.data
+    out = Tensor(y.reshape(x.data.shape[:-1] + y.shape[-1:]))
+    if not (x.requires_grad or w.requires_grad or has_bias and b.requires_grad):
+        return out
+    nx, nw, nb = _node_of(x), _node_of(w), _node_of(b) if has_bias else None
+    wd, x_shape = w.data, x.data.shape
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        if x.requires_grad:
-            _accum(x, (g2 @ w.data.T).reshape(x.data.shape))
-        _accum(w, x2.T @ g2)
-        if b is not None:
-            _accum(b, g2.sum(axis=0))
+        if nx is not None:
+            _accum(nx, (g2 @ wd.T).reshape(x_shape))
+        _accum(nw, x2.T @ g2)
+        if has_bias:
+            _accum(nb, g2.sum(axis=0))
 
-    return _node(out.reshape(x.data.shape[:-1] + out.shape[-1:]), parents, bw)
+    return _attach(out, (nx, nw, nb), bw)
 
 
 def multi_head_attention(xq, x, wq, wk, wv, num_heads: int) -> Tensor:
@@ -245,36 +293,52 @@ def multi_head_attention(xq, x, wq, wk, wv, num_heads: int) -> Tensor:
     def merge(t):  # (B, H, rows, dh) -> (B * rows, D)
         return t.transpose(0, 2, 1, 3).reshape(-1, dim)
 
-    out = merge(a @ v).reshape(tuple(lead) + (m, dim))
+    out = Tensor(merge(a @ v).reshape(tuple(lead) + (m, dim)))
+    if not (xq.requires_grad or x.requires_grad or wq.requires_grad or wk.requires_grad
+            or wv.requires_grad):
+        return out
+    nxq, nx, nwq, nwk, nwv = (_node_of(t) for t in (xq, x, wq, wk, wv))
+    nw_from_x = (nwq, nwk, nwv) if fused else (nwk, nwv)
+    wq_data, x_shape, xq_shape = wq.data, x.data.shape, xq.data.shape
+    parts = len(w_from_x)
 
     def bw(g):
         g_h = g.reshape(-1, m, num_heads, dh).transpose(0, 2, 1, 3)
         d_a = g_h @ v.transpose(0, 1, 3, 2)
         d_scores = a * (d_a - (d_a * a).sum(axis=-1, keepdims=True)) * factor
-        d_q = merge(d_scores @ k)
-        d_k = merge(d_scores.transpose(0, 1, 3, 2) @ q)
-        d_v = merge(a.transpose(0, 1, 3, 2) @ g_h)
-        d_proj = np.concatenate([d_q, d_k, d_v] if fused else [d_k, d_v], axis=1)
-        for w, d_w in zip(w_from_x, np.split(x2.T @ d_proj, len(w_from_x), axis=1)):
-            _accum(w, d_w)
-        if x.requires_grad:
-            _accum(x, (d_proj @ w_in.T).reshape(x.data.shape))
+        # [d_q |] d_k | d_v, each head-merged straight into its columns
+        d_proj = np.empty((x2.shape[0], parts * dim))
+        d_heads = d_proj.reshape(-1, n, parts, num_heads, dh)  # a view: (B, n, part, H, dh)
+        d_heads[:, :, -2] = (d_scores.transpose(0, 1, 3, 2) @ q).transpose(0, 2, 1, 3)
+        d_heads[:, :, -1] = (a.transpose(0, 1, 3, 2) @ g_h).transpose(0, 2, 1, 3)
+        if fused:
+            d_heads[:, :, 0] = (d_scores @ k).transpose(0, 2, 1, 3)
+        else:
+            d_q = merge(d_scores @ k)
+        for node, d_w in zip(nw_from_x, np.split(x2.T @ d_proj, parts, axis=1)):
+            _accum(node, d_w)
+        if nx is not None:
+            _accum(nx, (d_proj @ w_in.T).reshape(x_shape))
         if not fused:
-            _accum(wq, xq2.T @ d_q)
-            if xq.requires_grad:
-                _accum(xq, (d_q @ wq.data.T).reshape(xq.data.shape))
+            _accum(nwq, xq2.T @ d_q)
+            if nxq is not None:
+                _accum(nxq, (d_q @ wq_data.T).reshape(xq_shape))
 
-    return _node(out, (x, wq, wk, wv) if fused else (xq, x, wq, wk, wv), bw)
+    return _attach(out, (nx, nwq, nwk, nwv) if fused else (nxq, nx, nwq, nwk, nwv), bw)
 
 
 def relu(a) -> Tensor:
     a = _wrap(a)
     mask = a.data > 0
+    out = Tensor(a.data * mask)
+    if not a.requires_grad:
+        return out
+    na = _node_of(a)
 
     def bw(g):
-        _accum(a, g * mask)
+        _accum(na, g * mask)
 
-    return _node(a.data * mask, (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def sigmoid(a) -> Tensor:
@@ -282,32 +346,43 @@ def sigmoid(a) -> Tensor:
     x = a.data
     z = np.exp(-np.abs(x))
     y = np.where(x >= 0, 1.0, z) / (1.0 + z)
+    out = Tensor(y)
+    if not a.requires_grad:
+        return out
+    na = _node_of(a)
 
     def bw(g):
-        _accum(a, g * y * (1.0 - y))
+        _accum(na, g * y * (1.0 - y))
 
-    return _node(y, (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
+    out = Tensor(np.log(a.data))
+    if not a.requires_grad:
+        return out
+    na, da = _node_of(a), a.data
 
     def bw(g):
-        _accum(a, g / a.data)
+        _accum(na, g / da)
 
-    return _node(np.log(a.data), (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp values; the gradient is exactly that of the clamped expression
     (1 inside the interval, 0 where the clamp is active)."""
     a = _wrap(a)
-    mask = (a.data >= lo) & (a.data <= hi)
+    out = Tensor(np.clip(a.data, lo, hi))
+    if not a.requires_grad:
+        return out
+    na, mask = _node_of(a), (a.data >= lo) & (a.data <= hi)
 
     def bw(g):
-        _accum(a, g * mask)
+        _accum(na, g * mask)
 
-    return _node(np.clip(a.data, lo, hi), (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -315,12 +390,16 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
+    out = Tensor(y)
+    if not a.requires_grad:
+        return out
+    na = _node_of(a)
 
     def bw(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        _accum(a, y * (g - inner))
+        _accum(na, y * (g - inner))
 
-    return _node(y, (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def layer_norm(a, gain, bias) -> Tensor:
@@ -334,95 +413,126 @@ def layer_norm(a, gain, bias) -> Tensor:
     var = (centred * centred).sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centred * inv_std
-    out_data = xhat * gain.data + bias.data
+    out = Tensor(xhat * gain.data + bias.data)
+    if not (a.requires_grad or gain.requires_grad or bias.requires_grad):
+        return out
+    na, ngain, nbias = _node_of(a), _node_of(gain), _node_of(bias)
+    gd, bias_shape = gain.data, bias.data.shape
 
     def bw(g):
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
-        dxhat = g * gain.data
+        _accum(ngain, _unbroadcast(g * xhat, gd.shape))
+        _accum(nbias, _unbroadcast(g, bias_shape))
+        dxhat = g * gd
         m1 = dxhat.sum(axis=-1, keepdims=True) / n
         m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-        _accum(a, inv_std * (dxhat - m1 - xhat * m2))
+        _accum(na, inv_std * (dxhat - m1 - xhat * m2))
 
-    return _node(out_data, (a, gain, bias), bw)
+    return _attach(out, (na, ngain, nbias), bw)
 
 
 def concat(tensors, axis: int) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
+    for t in tensors:  # a plain loop: any() over a generator costs more per call
+        if t.requires_grad:
+            break
+    else:
+        return out
+    nodes = [_node_of(t) for t in tensors]
+    sizes = [t.data.shape[axis] for t in tensors]
 
     def bw(g):
-        bounds = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        for t, piece in zip(tensors, np.split(g, bounds, axis=axis)):
-            _accum(t, piece)
+        for node, piece in zip(nodes, np.split(g, np.cumsum(sizes)[:-1], axis=axis)):
+            _accum(node, piece)
 
-    return _node(out_data, tuple(tensors), bw)
+    return _attach(out, nodes, bw)
 
 
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
+    out = Tensor(a.data.reshape(shape))
+    if not a.requires_grad:
+        return out
+    na, a_shape = _node_of(a), a.data.shape
 
     def bw(g):
-        _accum(a, g.reshape(a.data.shape))
+        _accum(na, g.reshape(a_shape))
 
-    return _node(a.data.reshape(shape), (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def transpose(a, axes) -> Tensor:
     a = _wrap(a)
-    inverse = np.argsort(axes)
+    out = Tensor(a.data.transpose(axes))
+    if not a.requires_grad:
+        return out
+    na, inverse = _node_of(a), np.argsort(axes)
 
     def bw(g):
-        _accum(a, g.transpose(inverse))
+        _accum(na, g.transpose(inverse))
 
-    return _node(a.data.transpose(axes), (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def broadcast_to(a, shape) -> Tensor:
     a = _wrap(a)
+    data = np.empty(shape)
+    data[...] = a.data  # the copy np.broadcast_to(...).copy() makes, without its Python wrapper
+    out = Tensor(data)
+    if not a.requires_grad:
+        return out
+    na, a_shape = _node_of(a), a.data.shape
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(na, _unbroadcast(g, a_shape))
 
-    out = np.empty(shape)
-    out[...] = a.data  # the copy np.broadcast_to(...).copy() makes, without its Python wrapper
-    return _node(out, (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def getitem(a, key) -> Tensor:
     """Basic slicing only (no integer-array indexing), so grads scatter exactly once."""
     a = _wrap(a)
+    out = Tensor(a.data[key])
+    if not a.requires_grad:
+        return out
+    na, a_shape = _node_of(a), a.data.shape
 
     def bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(a_shape)
         ga[key] += g
-        _accum(a, ga)
+        _accum(na, ga)
 
-    return _node(a.data[key], (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def mean(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out_data = a.data.mean(axis=axis)
-    count = a.data.size if axis is None else a.data.shape[axis]
+    out = Tensor(a.data.mean(axis=axis))
+    if not a.requires_grad:
+        return out
+    na, a_shape = _node_of(a), a.data.shape
+    count = a.data.size if axis is None else a_shape[axis]
 
     def bw(g):
         if axis is None:
-            _accum(a, np.full_like(a.data, float(g) / count))
+            _accum(na, np.full(a_shape, float(g) / count))
         else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis) / count, a.data.shape).copy())
+            _accum(na, np.broadcast_to(np.expand_dims(g, axis) / count, a_shape).copy())
 
-    return _node(out_data, (a,), bw)
+    return _attach(out, (na,), bw)
 
 
 def sum_(a, axis=None) -> Tensor:
     a = _wrap(a)
-    out_data = a.data.sum(axis=axis)
+    out = Tensor(a.data.sum(axis=axis))
+    if not a.requires_grad:
+        return out
+    na, a_shape = _node_of(a), a.data.shape
 
     def bw(g):
         if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
+            _accum(na, np.broadcast_to(g, a_shape).copy())
         else:
-            _accum(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
+            _accum(na, np.broadcast_to(np.expand_dims(g, axis), a_shape).copy())
 
-    return _node(out_data, (a,), bw)
+    return _attach(out, (na,), bw)

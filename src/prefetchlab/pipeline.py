@@ -517,6 +517,12 @@ def _relabel(ds: LabeledDataset, blocks, label_cfg: LabelConfig) -> LabeledDatas
     return replace(ds, labels=label_bitmaps(blocks, ds.triggers, label_cfg))
 
 
+def _unlabeled_copy(ds: LabeledDataset) -> LabeledDataset:
+    """``ds``'s rows with no labels (a (n, 0) bitmap), in arrays that are views of nothing."""
+    return replace(ds, inputs=ds.inputs.copy(), contexts=ds.contexts.copy(),
+                   labels=ds.labels[:, :0].copy(), triggers=ds.triggers.copy())
+
+
 def stage_sweep(run: _Run) -> None:
     """Latency sweep: encode the datasets once, since a distance skip changes only the labels, and
     check every unique skip's training labels for in-bound deltas. Then, one skip at a time,
@@ -542,15 +548,19 @@ def stage_sweep(run: _Run) -> None:
                 f"bound +-{cfg.label.delta_bound}); lower the sweep latencies or "
                 f"widen the bound"
             )
+    # the sweep reads neither the test split nor label.skip's labels: keep the train and
+    # validation rows in arrays of their own, so the whole-trace arrays of the bundle are freed
+    train, val = (_unlabeled_copy(ds) for ds in (bundle.train, bundle.validation))
+    dictionary = next(iter(bundle.dictionaries.values()), None)
+    del bundle
     thresholds: dict[int, float] = {}
     results = {}  # (skip, latency, throughput) -> SimReport: one per distinct prefetcher and latency model
-    for skip in skips:  # one skip at a time: its labels and prefetcher go after its last point
+    for skip in skips:  # one skip at a time: its labels, model and prefetcher go after its last point
         label_cfg = replace(cfg.label, skip=skip)
-        params, tuned, _ = _model(run, cfg.features, label_cfg,
-                                  lambda: _relabel(bundle.train, blocks, label_cfg),
-                                  _relabel(bundle.validation, blocks, label_cfg))
+        params, tuned, _ = _model(run, cfg.features, label_cfg, lambda: _relabel(train, blocks, label_cfg),
+                                  _relabel(val, blocks, label_cfg))
         pf = ModelPrefetcher(params, cfg.features, label_cfg, cfg.address, threshold=tuned.optimal_threshold,
-                             dictionary=next(iter(bundle.dictionaries.values()), None))
+                             dictionary=dictionary)
         thresholds[skip] = pf.threshold
         for _, t, point_skip in combos:
             for thr in cfg.sweep.throughputs:
@@ -558,7 +568,7 @@ def stage_sweep(run: _Run) -> None:
                     results[skip, t, thr] = simulate(
                         trace, pf, cfg.cache, LatencyModel(t, thr), cfg.address, cfg.trigger_stream
                     )
-        del pf
+        del pf, params, tuned  # the next skip's fit must not run beside this skip's model
 
     rows = []
     reports = {}

@@ -197,6 +197,31 @@ class TestShapeOps:
         check_op(lambda a: ad.sum_(a, axis=0), [(3, 4)])
 
 
+# every op, as (build, input shapes); the first input is the one a gradient reaches
+OPS = {
+    "add": (ad.add, [(2, 3), (3,)]),
+    "mul": (ad.mul, [(2, 3), (2, 3)]),
+    "scale": (lambda a: ad.scale(a, 2.0), [(2, 3)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "linear": (ad.linear, [(2, 3), (3, 4), (4,)]),
+    "multi_head_attention": (lambda x, wq, wk, wv: ad.multi_head_attention(x, x, wq, wk, wv, 2),
+                             [(1, 3, 4), (4, 4), (4, 4), (4, 4)]),
+    "relu": (ad.relu, [(2, 3)]),
+    "sigmoid": (ad.sigmoid, [(2, 3)]),
+    "log": (ad.log, [(2, 3)]),
+    "clip": (lambda a: ad.clip(a, 0.3, 0.8), [(2, 3)]),
+    "softmax": (ad.softmax, [(2, 3)]),
+    "layer_norm": (ad.layer_norm, [(2, 3), (3,), (3,)]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    "reshape": (lambda a: ad.reshape(a, (3, 2)), [(2, 3)]),
+    "transpose": (lambda a: ad.transpose(a, (1, 0)), [(2, 3)]),
+    "broadcast_to": (lambda a: ad.broadcast_to(a, (4, 2, 3)), [(1, 2, 3)]),
+    "getitem": (lambda a: a[:, 1:], [(2, 3)]),
+    "mean": (ad.mean, [(2, 3)]),
+    "sum": (ad.sum_, [(2, 3)]),
+}
+
+
 class TestGraph:
     def test_gradient_accumulates_on_reuse(self):
         a = Tensor(np.array([[2.0]]), requires_grad=True)
@@ -214,7 +239,35 @@ class TestGraph:
     def test_no_graph_without_requires_grad(self):
         a = Tensor(np.ones((2, 2)))
         out = ad.mul(a, a)
-        assert out._backward is None and out._parents == ()
+        assert out._node is None and not out.requires_grad
+
+    @pytest.mark.parametrize("build, shapes", list(OPS.values()), ids=list(OPS))
+    def test_op_on_constants_builds_no_node(self, build, shapes):
+        rng = np.random.default_rng(5)
+        arrays = [rng.uniform(0.2, 1.0, size=s) for s in shapes]
+        out = build(*(Tensor(x) for x in arrays))
+        assert out._node is None and not out.requires_grad
+        # the same op on one input that needs a gradient builds a node
+        leaves = [Tensor(x, requires_grad=i == 0) for i, x in enumerate(arrays)]
+        out = build(*leaves)
+        assert out.requires_grad and out._node._parents[0] is leaves[0]
+
+    @pytest.mark.parametrize("build, shapes", list(OPS.values()), ids=list(OPS))
+    def test_backward_keeps_no_tensor(self, build, shapes):
+        """A node's closure holds arrays, shapes and its parents' nodes, never a
+        parent Tensor: here every input is an op output, whose node is not itself."""
+        rng = np.random.default_rng(6)
+        inputs = [ad.scale(Tensor(rng.uniform(0.2, 1.0, size=s), requires_grad=True), 1.0)
+                  for s in shapes]
+        out = build(*inputs)
+        assert out._node._parents == tuple(t._node for t in inputs)
+        cells = []
+        for cell in out._node._fn.__closure__:
+            try:
+                cells.append(cell.cell_contents)
+            except ValueError:  # a name the closure reads only on a branch this op did not take
+                pass
+        assert not any(isinstance(c, Tensor) for c in cells), cells
 
     def test_operator_sugar(self):
         a = Tensor(np.full((2, 2), 3.0), requires_grad=True)
@@ -225,10 +278,12 @@ class TestGraph:
 
 
 def retaining_backward(root):
-    """The backward loop before the graph was freed: same walk, same order, but
-    every node keeps its grad, closure and parents. A reference for the tests."""
+    """The backward loop before the graph was freed: the same walk over the same
+    nodes in the same order, but every node keeps its grad, closure and parents.
+    A reference for the tests."""
+    start = root._node
     topo, visited = [], set()
-    stack = [(root, False)]
+    stack = [(start, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -241,15 +296,16 @@ def retaining_backward(root):
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    root.grad = np.ones_like(root.data)
+    start.grad = np.ones_like(root.data)
     for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._fn is not None and node.grad is not None:
+            node._fn(node.grad)
 
 
 def reachable(root):
-    """Every node reachable from root through parent links, root included."""
-    seen, stack = {id(root): root}, [root]
+    """Every graph node reachable from root's through parent links, root's included."""
+    start = root if root._node is None else root._node
+    seen, stack = {id(start): start}, [start]
     while stack:
         for p in stack.pop()._parents:
             if id(p) not in seen:
@@ -278,9 +334,12 @@ class TestFreedGraph:
 
     def test_graph_freed_after_backward(self):
         a, w, h, out = self.diamond()
+        nodes = reachable(out)
+        assert any(n is a for n in nodes) and any(n is w for n in nodes)
+        assert any(n is h._node for n in nodes) and len(nodes) == 8
         out.backward()
-        assert out.grad is None and h.grad is None
-        assert h._parents == () and reachable(out) == [out]
+        assert out._node.grad is None and h._node.grad is None
+        assert h._node._parents == () and reachable(out) == [out._node]
         assert a.grad is not None and w.grad is not None
 
     def test_second_backward_raises(self):

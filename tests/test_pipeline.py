@@ -9,6 +9,7 @@ import pathlib
 import pkgutil
 import re
 import shutil
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -539,6 +540,22 @@ class TestStages:
         monkeypatch.setattr(pipeline, "build_datasets", lambda *args: builds.append(1) or real(*args))
         run_stage("sweep", tiny_cfg, clone)
         assert len(builds) == 1
+
+    def test_sweep_frees_each_skips_model_before_the_next_fit(self, tiny_cfg, tmp_path, monkeypatch):
+        # with no train checkpoint the sweep fits both skips; when the second fit starts,
+        # nothing may still hold the params of the first
+        run_stage("gen", tiny_cfg, str(tmp_path))
+        real, fitted = pipeline._fit, []
+
+        def fit(*args):
+            assert all(ref() is None for ref in fitted), "the previous skip's params are alive"
+            params, log = real(*args)
+            fitted.append(weakref.ref(params))
+            return params, log
+
+        monkeypatch.setattr(pipeline, "_fit", fit)
+        run_stage("sweep", tiny_cfg, str(tmp_path))
+        assert len(fitted) == 2
 
     def test_sweep_checks_every_skip_before_fitting(self, tmp_path, monkeypatch):
         # the default config's distance skips leave no in-bound deltas on its stride-3 trace
