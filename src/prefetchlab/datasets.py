@@ -6,17 +6,15 @@ Token dictionaries for the ablation input modes are built from the training
 split and frozen from the start; every split maps values outside them to the
 reserved out-of-vocabulary token.
 
-Cache file layout (little-endian): magic ``PFDS``, u32 version, u32 history
-length N, u32 input dim S, u32 bitmap size B, u64 sample count; then per sample
-the N*S float32 input row, the N*2 float32 context row, and the label bitmap
-packed 8 bits per byte (bit i in byte i // 8 at bit i % 8), with no padding;
-then the 32-byte SHA-256 of everything before it.
+A cache file is sealed (:mod:`prefetchlab.seal`) under magic ``PFDS``. Its
+header is u32 version, u32 history length N, u32 input dim S, u32 bitmap size B
+and u64 sample count. Its body holds per sample the N*S float32 input row, the
+N*2 float32 context row, and the label bitmap packed 8 bits per byte (bit i in
+byte i // 8 at bit i % 8), with no padding.
 """
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,6 +25,7 @@ from prefetchlab.features import FeatureConfig, TokenDictionary, encode_windows,
 # in this module, so they stay importable from it.
 from prefetchlab.features import normalize_segments, pc_context, segment_blocks  # noqa: F401
 from prefetchlab.labeling import LabelConfig, label_bitmaps
+from prefetchlab.seal import seal, unseal
 from prefetchlab.trace import AddressConfig, MemoryAccess, TraceSplit, as_trace, block_addresses
 
 CACHE_MAGIC = b"PFDS"
@@ -67,35 +66,27 @@ class LabeledDataset:
         records["inputs"] = self.inputs
         records["contexts"] = self.contexts
         records["labels"] = np.packbits(self.labels, axis=1, bitorder="little")
-        payload = CACHE_MAGIC + struct.pack(_HEADER, CACHE_VERSION, hist, dim, bits, n) + records.tobytes()
         with open(path, "wb") as fh:
-            fh.write(payload + hashlib.sha256(payload).digest())
+            fh.write(seal(CACHE_MAGIC, _HEADER, (CACHE_VERSION, hist, dim, bits, n), records))
 
     @classmethod
     def load(cls, path) -> "LabeledDataset":
         with open(path, "rb") as fh:
-            raw = fh.read()
-        if raw[:4] != CACHE_MAGIC:
-            raise ValueError(f"{path}: not a dataset cache file")
-        offset = 4 + struct.calcsize(_HEADER)
-        if len(raw) < offset:
-            raise ValueError(f"{path}: truncated dataset cache")
-        version, hist, dim, bits, n = struct.unpack_from(_HEADER, raw, 4)
-        if version != CACHE_VERSION:
-            raise ValueError(f"{path}: unsupported dataset cache version {version}")
-        dtype = _record_dtype(hist, dim, bits)
-        if len(raw) - offset != n * dtype.itemsize + 32:
-            raise ValueError(f"{path}: truncated dataset cache")
-        if hashlib.sha256(raw[:-32]).digest() != raw[-32:]:
-            raise ValueError(f"{path}: dataset cache checksum mismatch")
-        records = np.frombuffer(raw, dtype, n, offset)
+            (hist, dim, bits, n), body = unseal(fh.read(), CACHE_MAGIC, CACHE_VERSION, _HEADER,
+                                                path, "dataset cache")
+        if 0 in (hist, dim, bits):
+            raise ValueError(f"{path}: zero history length, input dim or bitmap size {hist, dim, bits}")
+        try:
+            dtype = _record_dtype(hist, dim, bits)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if len(body) != n * dtype.itemsize:
+            raise ValueError(f"{path}: dataset cache body is {len(body)} bytes, "
+                             f"its header implies {n * dtype.itemsize}")
+        records = np.frombuffer(body, dtype, n)
         labels = np.unpackbits(records["labels"], axis=1, bitorder="little")[:, :bits]
-        return cls(
-            records["inputs"].copy(),
-            records["contexts"].copy(),
-            labels.astype(bool),
-            np.arange(n, dtype=np.int64),
-        )
+        return cls(records["inputs"].copy(), records["contexts"].copy(), labels.astype(bool),
+                   np.arange(n, dtype=np.int64))
 
 
 def _record_dtype(hist: int, dim: int, bits: int) -> np.dtype:

@@ -22,15 +22,14 @@ cross-entropy over the bitmap dimensions, deterministic given the seed.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import struct
 from dataclasses import dataclass
 import numpy as np
 
 from prefetchlab import autodiff as ad
 from prefetchlab.autodiff import NumericError, Tensor
 from prefetchlab.schema import config, field
+from prefetchlab.seal import seal, unseal
 
 BCE_EPS = 1e-7
 PREDICT_BATCH = 512  # samples per forward pass in predict
@@ -39,7 +38,7 @@ CHECKPOINT_VERSION = 1
 # the header that follows the magic: the version, then these ModelConfig fields
 _HEADER_FIELDS = ("hidden_dim", "num_heads", "num_layers", "output_dim", "history_len", "input_dim",
                   "ffn_mult", "use_context")
-_HEADER = struct.Struct(f"<{1 + len(_HEADER_FIELDS)}I")
+_HEADER = f"<{1 + len(_HEADER_FIELDS)}I"
 
 
 class TrainingError(Exception):
@@ -158,11 +157,11 @@ class ModelParams:
         )
 
     def encode(self) -> bytes:
-        """Checkpoint file bytes: the payload (magic, header, float32 tensors), then its SHA-256."""
-        payload = CHECKPOINT_MAGIC + _HEADER.pack(
-            CHECKPOINT_VERSION, *(int(getattr(self.cfg, name)) for name in _HEADER_FIELDS))
-        payload += b"".join(t.data.astype("<f4").tobytes() for _, t in self.items())
-        return payload + hashlib.sha256(payload).digest()
+        """Checkpoint bytes, sealed (:mod:`prefetchlab.seal`): the header is the version, then
+        ``_HEADER_FIELDS`` as u32; the body is every tensor as float32, in canonical order."""
+        fields = (CHECKPOINT_VERSION, *(int(getattr(self.cfg, name)) for name in _HEADER_FIELDS))
+        return seal(CHECKPOINT_MAGIC, _HEADER, fields,
+                    b"".join(t.data.astype("<f4").tobytes() for _, t in self.items()))
 
     def save(self, path):
         with open(path, "wb") as fh:
@@ -176,36 +175,25 @@ class ModelParams:
     @classmethod
     def decode(cls, raw: bytes, source="checkpoint") -> "ModelParams":
         """Inverse of :meth:`encode`; every error is a ``ValueError`` that starts
-        with ``source``. The header is checked, and the body length it implies is
-        compared with the payload's, before any tensor is sized."""
-        payload, digest = raw[:-32], raw[-32:]
-        if hashlib.sha256(payload).digest() != digest:
-            raise ValueError(f"{source}: checkpoint checksum mismatch")
-        if payload[:8] != CHECKPOINT_MAGIC:
-            raise ValueError(f"{source}: not a model checkpoint")
-        offset = 8 + _HEADER.size
-        if len(payload) < offset:
-            raise ValueError(f"{source}: checkpoint header is truncated")
-        fields = _HEADER.unpack_from(payload, 8)
-        if fields[0] != CHECKPOINT_VERSION:
-            raise ValueError(f"{source}: unsupported checkpoint version {fields[0]}")
-        if fields[8] not in (0, 1):
-            raise ValueError(f"{source}: use_context must be 0 or 1, got {fields[8]}")
+        with ``source``. After the seal's checks, the header fields are checked, and the
+        body length they imply is compared with the body's, before any tensor is sized."""
+        fields, body = unseal(raw, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, source, "checkpoint")
+        dims = dict(zip(_HEADER_FIELDS, fields))
+        if dims["use_context"] not in (0, 1):
+            raise ValueError(f"{source}: use_context must be 0 or 1, got {dims['use_context']}")
         try:
-            dims = dict(zip(_HEADER_FIELDS, fields[1:]))
             cfg = ModelConfig(**(dims | {"use_context": bool(dims["use_context"])}))
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
         expected = 4 * _param_count(cfg)
-        if len(payload) - offset != expected:
-            raise ValueError(f"{source}: checkpoint body is {len(payload) - offset} bytes, "
+        if len(body) != expected:
+            raise ValueError(f"{source}: checkpoint body is {len(body)} bytes, "
                              f"its header implies {expected}")
-        tensors = {}
+        flat, tensors = np.frombuffer(body, dtype="<f4"), {}
         for name, shape, _ in _param_spec(cfg):
             count = int(np.prod(shape))
-            data = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-            offset += 4 * count
-            tensors[name] = Tensor(data.astype(np.float64).reshape(shape))
+            tensors[name] = Tensor(flat[:count].astype(np.float64).reshape(shape))
+            flat = flat[count:]
         return cls(cfg, tensors)
 
 
@@ -220,28 +208,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         if not np.isfinite(t.data).all():
             raise NumericError("non-finite attention input")
     dk = q.shape[-1]
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, _swap_last(k))), 1.0 / math.sqrt(dk))
+    k_t = ad.transpose(k, (*range(k.data.ndim - 2), k.data.ndim - 1, k.data.ndim - 2))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dk))
     return ad.matmul(ad.softmax(scores, axis=-1), v)
-
-
-def _swap_last(t: Tensor):
-    axes = list(range(t.data.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
 
 
 def multi_head_attention(x: Tensor, wq, wk, wv, wo, num_heads: int) -> Tensor:
     """H parallel attentions on hidden_dim/H projections, concatenated, projected."""
     *batch, seq, dim = x.shape
     dh = dim // num_heads
+    perm = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)  # its own inverse
 
     def heads(m):
-        t = ad.reshape(ad.matmul(x, m), tuple(batch) + (seq, num_heads, dh))
-        perm = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
-        return ad.transpose(t, perm)
+        return ad.transpose(ad.reshape(ad.matmul(x, m), tuple(batch) + (seq, num_heads, dh)), perm)
 
     out = attention(heads(wq), heads(wk), heads(wv))
-    perm = tuple(range(len(batch))) + (len(batch) + 1, len(batch), len(batch) + 2)
     merged = ad.reshape(ad.transpose(out, perm), tuple(batch) + (seq, dim))
     return ad.matmul(merged, wo)
 
@@ -396,14 +377,13 @@ class AdamOptimizer:
 
 def _evaluate_loss(params: ModelParams, inputs, contexts, labels, batch_size: int) -> float:
     frozen = ModelParams(params.cfg, {n: Tensor(t.data) for n, t in params.items()})  # builds no graph
-    total, count = 0.0, 0
+    total = 0.0
     for lo in range(0, inputs.shape[0], batch_size):
         hi = min(lo + batch_size, inputs.shape[0])
         ctx = None if contexts is None else contexts[lo:hi]
         pred = forward(frozen, inputs[lo:hi], ctx)
         total += float(bce_loss(pred, labels[lo:hi]).item()) * (hi - lo)
-        count += hi - lo
-    return total / max(count, 1)
+    return total / max(inputs.shape[0], 1)
 
 
 def train(
@@ -418,8 +398,10 @@ def train(
 ) -> tuple[ModelParams, list[EpochLog]]:
     """ADAM training with step-decayed learning rate; deterministic given the seed.
 
-    Returns the parameters that scored the best validation loss (final parameters
-    when no validation set is given) plus the per-epoch loss log.
+    Returns the parameters of the epoch with the lowest validation loss, plus the
+    per-epoch loss log. With no validation set, each epoch's mean training loss (the
+    mean of the losses taken before its steps) stands in for the validation loss, in
+    that choice and in ``patience``, so the result is not the final parameters.
     """
     n = train_inputs.shape[0]
     if n == 0:
@@ -503,9 +485,7 @@ def gradient_check(
     i.e. absolute error for small entries and relative error for large ones.
     Intended for small models only; cost is two forward passes per parameter.
     """
-    params.set_trainable(True)
-    for _, t in params.items():
-        t.grad = None
+    params.set_trainable(True)  # also clears every gradient
     loss = bce_loss(forward(params, inputs, contexts), labels)
     loss.backward()
     analytic = {n: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())

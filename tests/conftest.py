@@ -1,3 +1,7 @@
+import resource
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from prefetchlab.trace import AddressConfig, MemoryAccess
@@ -22,3 +26,22 @@ def make_trace(blocks, pcs=None, cycle_step=1, addr_cfg=None):
 @pytest.fixture
 def trace_from_blocks():
     return make_trace
+
+
+@contextmanager
+def address_space_cap(extra=1 << 30):
+    """Lower this process's address-space limit to its current size plus ``extra``,
+    so code that sizes an array from a corrupt header fails fast instead of
+    taking the machine's memory."""
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -7,8 +7,10 @@ import pytest
 from prefetchlab.datasets import LabeledDataset, build_datasets, mean_cycles_per_access
 from prefetchlab.features import FeatureConfig
 from prefetchlab.labeling import LabelConfig, collect_future_deltas, deltas_to_bitmap
+from prefetchlab.model import ModelParams
 from prefetchlab.trace import generate_trace, split_trace
-from tests.conftest import make_trace
+from tests.conftest import address_space_cap, make_trace
+from tests.test_model import TINY
 
 
 @pytest.fixture
@@ -178,7 +180,7 @@ class TestDatasetCache:
         p = tmp_path / "cut.bin"
         bundle.test.save(p)
         p.write_bytes(p.read_bytes()[:-1])
-        with pytest.raises(ValueError, match="truncated dataset cache"):
+        with pytest.raises(ValueError, match="dataset cache checksum mismatch"):
             LabeledDataset.load(p)
 
     @pytest.mark.parametrize("where", ["byte 40", "middle", "3 from end"])
@@ -199,6 +201,70 @@ class TestDatasetCache:
         p.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValueError, match="not a dataset"):
             LabeledDataset.load(p)
+
+
+def craft_cache(hist, dim, bits, n, body=b""):
+    """Dataset cache bytes with the given header and a digest that matches."""
+    payload = b"PFDS" + struct.pack("<IIIIQ", 2, hist, dim, bits, n) + body
+    return payload + hashlib.sha256(payload).digest()
+
+
+class TestCraftedCacheHeader:
+    @pytest.mark.parametrize("raw", [
+        craft_cache(0, 0, 0, 2**40),
+        craft_cache(2**31 - 1, 1, 8, 0),
+        craft_cache(2**16, 2**16, 8, 1),
+        craft_cache(0, 10, 128, 1, b"\0" * 16),
+        craft_cache(5, 0, 8, 3, b"\0" * 3 * (5 * 2 * 4 + 1)),
+        craft_cache(5, 10, 0, 1, b"\0" * (5 * 10 * 4 + 5 * 2 * 4)),
+        craft_cache(2, 3, 10, 5),
+    ], ids=["zero-dims-2**40", "hist-2**31-1", "record-2**34", "hist-0", "dim-0", "bits-0",
+            "count-5-no-body"])
+    def test_rejected_naming_file(self, tmp_path, raw):
+        p = tmp_path / "crafted.bin"
+        p.write_bytes(raw)
+        with address_space_cap(), pytest.raises(ValueError) as exc:
+            LabeledDataset.load(p)
+        assert str(exc.value).startswith(f"{p}: ")
+
+
+class TestCrossLoad:
+    """The checkpoint and the dataset cache are both sealed files, checked in one order:
+    a damaged file fails the same named check in either loader."""
+
+    LOADERS = {"checkpoint": ModelParams.load, "dataset cache": LabeledDataset.load}
+
+    @pytest.fixture
+    def sealed(self, small_setup, addr_cfg, tmp_path):
+        trace, split, label_cfg = small_setup
+        bundle = build_datasets(trace, split, FeatureConfig("as", 6), label_cfg,
+                                addr_cfg, history_len=5)
+        bundle.test.save(tmp_path / "built.bin")
+        return {"checkpoint": ModelParams.init(TINY, seed=1).encode(),
+                "dataset cache": (tmp_path / "built.bin").read_bytes()}
+
+    @staticmethod
+    def flipped(raw):
+        bad = bytearray(raw)
+        bad[len(raw) // 2] ^= 0x10
+        return bytes(bad)
+
+    @pytest.mark.parametrize("case, check", [
+        ("junk", "not a {} file"),
+        ("cut", "{} checksum mismatch"),
+        ("flip", "{} checksum mismatch"),
+        ("other", "not a {} file"),
+    ])
+    def test_same_check_in_both_loaders(self, sealed, tmp_path, case, check):
+        for what, load in self.LOADERS.items():
+            own = sealed[what]
+            (other,) = (raw for name, raw in sealed.items() if name != what)
+            p = tmp_path / f"{case}.bin"
+            p.write_bytes({"junk": bytes(range(100)), "cut": own[:len(own) // 2],
+                           "flip": self.flipped(own), "other": other}[case])
+            with pytest.raises(ValueError) as exc:
+                load(p)
+            assert str(exc.value) == f"{p}: {check.format(what)}"
 
 
 class TestMeanCyclesPerAccess:

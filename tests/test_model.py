@@ -3,9 +3,7 @@ import gc
 import hashlib
 import itertools
 import math
-import resource
 import struct
-import sys
 import tracemalloc
 from contextlib import contextmanager
 
@@ -36,6 +34,7 @@ from prefetchlab.model import (
     train,
 )
 from prefetchlab.model import _param_count, _param_spec
+from tests.conftest import address_space_cap
 from tests.test_autodiff import reachable, retaining_backward
 
 TINY = ModelConfig(hidden_dim=8, num_heads=2, num_layers=2, output_dim=16,
@@ -501,25 +500,6 @@ def tiny_body():
 
 def with_field(i, value):
     return tuple(value if j == i else v for j, v in enumerate(TINY_HEADER))
-
-
-@contextmanager
-def address_space_cap(extra=1 << 30):
-    """Lower this process's address-space limit to its current size plus ``extra``,
-    so code that sizes a tensor from a corrupt header fails fast instead of
-    taking the machine's memory."""
-    if not sys.platform.startswith("linux"):
-        yield
-        return
-    with open("/proc/self/statm") as fh:
-        size = int(fh.read().split()[0]) * resource.getpagesize()
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    cap = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 class TestCheckpointHeader:
