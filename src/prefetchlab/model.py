@@ -324,18 +324,17 @@ def bce_loss(pred: Tensor, labels: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # ADAM's moment decay rates and denominator floor
+LR_DECAY = 0.5  # the learning rate's factor at each decay step
+
+
 @config
 class TrainConfig:
     learning_rate: float = field(1e-3, gt=0)
-    lr_decay: float = field(0.5, gt=0)
     lr_decay_every: int = field(10, ge=1)  # epochs per decay step
-    beta1: float = field(0.9, gt=0, lt=1)
-    beta2: float = field(0.999, gt=0, lt=1)
-    adam_eps: float = field(1e-8, gt=0)
     batch_size: int = field(256, ge=1)
     max_epochs: int = field(50, ge=1)
     seed: int = field(0, ge=0)
-    grad_clip: float | None = field(None, gt=0)
     patience: int | None = field(5, ge=0)  # early stop on validation loss; None disables
 
 
@@ -355,24 +354,17 @@ class AdamOptimizer:
         self._v = {n: np.zeros_like(t.data) for n, t in params.items()}
 
     def step(self, params: ModelParams, lr: float):
-        cfg = self.cfg
         self.step_count += 1
-        b1t = 1.0 - cfg.beta1 ** self.step_count
-        b2t = 1.0 - cfg.beta2 ** self.step_count
-        grads = [(n, t, t.grad) for n, t in params.items()]
-        if cfg.grad_clip is not None:
-            norm = math.sqrt(sum(float((g * g).sum()) for _, _, g in grads if g is not None))
-            if norm > cfg.grad_clip:
-                factor = cfg.grad_clip / norm
-                grads = [(n, t, None if g is None else g * factor) for n, t, g in grads]
-        for n, t, g in grads:
+        b1t = 1.0 - BETA1 ** self.step_count
+        b2t = 1.0 - BETA2 ** self.step_count
+        for n, t in params.items():
+            g = t.grad
             if g is None:
                 continue
-            m = self._m[n]
-            v = self._v[n]
-            m += (1.0 - cfg.beta1) * (g - m)
-            v += (1.0 - cfg.beta2) * (g * g - v)
-            t.data -= lr * (m / b1t) / (np.sqrt(v / b2t) + cfg.adam_eps)
+            m, v = self._m[n], self._v[n]
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            t.data -= lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def _evaluate_loss(params: ModelParams, inputs, contexts, labels, batch_size: int) -> float:
@@ -416,7 +408,7 @@ def train(
     since_best = 0
 
     for epoch in range(cfg.max_epochs):
-        lr = cfg.learning_rate * cfg.lr_decay ** (epoch // cfg.lr_decay_every)
+        lr = cfg.learning_rate * LR_DECAY ** (epoch // cfg.lr_decay_every)
         order = rng.permutation(n)
         epoch_loss, seen = 0.0, 0
         for bi, lo in enumerate(range(0, n, cfg.batch_size)):

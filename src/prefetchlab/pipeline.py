@@ -2,12 +2,13 @@
 
 Every stage reads its configuration plus upstream artifacts from a run
 directory, writes its outputs and a manifest (config hash, input/output hashes,
-package version), and is deterministic given config + seed, so rerunning a
-stage reproduces byte-identical artifacts. Run directories are content-addressed
-by config hash. A stage takes each upstream artifact through ``_Run.read``,
-which fails with a staleness error when the producing manifest names another
-stage or config or the file no longer matches the hash that manifest recorded,
-instead of silently mixing experiments. Outputs land atomically, manifest last.
+package version, and a digest of the rest), and is deterministic given config +
+seed, so rerunning a stage reproduces byte-identical artifacts. Run directories
+are content-addressed by config hash. A stage takes each upstream artifact
+through ``_Run.read``, which fails with a staleness error when the producing
+manifest does not match its digest, names another stage or config, or the file
+no longer matches the hash that manifest recorded, instead of silently mixing
+experiments. Outputs land atomically, manifest last.
 
 Stages: gen, preprocess, train, tune, eval, simulate, sweep, report.
 """
@@ -82,7 +83,6 @@ class TraceSource:
 @config
 class ThresholdConfig:
     grid_step: float = field(0.01, gt=0, lt=1)
-    max_degree: int | None = field(None, ge=0)
 
     def __post_init__(self):  # tune_threshold scores every threshold of this grid
         threshold_grid(self.grid_step)
@@ -108,12 +108,6 @@ class SimulateConfig:
     prefetchers: tuple[str, ...] = field(("model",), one_of=("best_offset", "model", "next_line", "stride"))
     top_k: int | None = field(None, ge=1)              # top-k mode for the model prefetcher; None = threshold
     timeline_interval: int | None = field(None, ge=1)  # per-interval miss-rate rows, None disables
-    next_line_degree: int = field(2, ge=1)
-    stride_table_size: int = field(256, ge=1)
-    stride_confirm: int = field(2, ge=0)
-    stride_degree: int = field(1, ge=1)
-    best_offset_round_length: int = field(4, ge=1)
-    best_offset_score_threshold: int = field(2, ge=0)
 
     def __post_init__(self):
         if not self.prefetchers:
@@ -140,10 +134,6 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_split_ratios(self.split)
-        block_bytes = 1 << self.address.block_offset_bits  # the simulator caches whole blocks
-        if self.cache.line_bytes != block_bytes:
-            raise ValueError(f"cache.line_bytes must equal 2 ** address.block_offset_bits = {block_bytes}, "
-                             f"got {self.cache.line_bytes}")
         for where, fc in [("features", self.features),
                           *((f"eval_modes[{i}]", fc) for i, fc in enumerate(self.eval_modes))]:
             try:
@@ -251,19 +241,27 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path, obj):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj))
+
+
+def _manifest_digest(manifest: dict) -> str:
+    """SHA-256 of a manifest as ``_write_json`` writes it, without its ``digest`` field."""
+    return hashlib.sha256(_json_text({k: v for k, v in manifest.items() if k != "digest"}).encode()).hexdigest()
 
 
 class _Run:
     """One stage's route into a run directory: checked reads, atomic writes, one manifest.
 
     ``read`` is the only way a stage takes an upstream artifact. It checks that the
-    producing stage's manifest names that stage and the current config, re-hashes the file
-    against the hash that manifest recorded, and records the hash as an input.
-    ``out`` hands out a partial path beside each output; ``finish`` hashes the
+    producing stage's manifest matches its own digest and names that stage and the current
+    config, re-hashes the file against the hash that manifest recorded, and records the hash
+    as an input. ``out`` hands out a partial path beside each output; ``finish`` hashes the
     outputs, moves them into place and writes the manifest last, so a manifest
     always describes a finished stage.
     """
@@ -281,8 +279,8 @@ class _Run:
         """Whether ``stage`` has a manifest here, i.e. finished in this run directory."""
         return os.path.exists(self.path(f"manifest_{stage}.json"))
 
-    def read(self, stage: str, name: str) -> str:
-        """Path of artifact ``name`` once it matches the hash ``stage`` recorded for it."""
+    def manifest(self, stage: str) -> dict:
+        """``stage``'s manifest, once it matches its digest and names ``stage`` and this config."""
         if not self.has(stage):
             raise StageDependencyError(f"stage '{stage}' has not produced artifacts in {self.dir}")
         manifest_name = f"manifest_{stage}.json"
@@ -293,12 +291,18 @@ class _Run:
         if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs"), dict):
             raise StaleArtifactsError(f"{manifest_name} is not a stage manifest: "
                                       "expected an object with an 'outputs' object")
+        if manifest.get("digest") != _manifest_digest(manifest):
+            raise StaleArtifactsError(f"{manifest_name} does not match its digest")
         if manifest.get("stage") != stage:
             raise StaleArtifactsError(f"{manifest_name} names stage {manifest.get('stage')!r}, not '{stage}'")
         if manifest.get("config_hash") != self.config_hash:
             raise StaleArtifactsError(f"artifacts of stage '{stage}' were built under config "
                                       f"{manifest.get('config_hash')!r}, current config is {self.config_hash!r}")
-        recorded = manifest["outputs"].get(name)
+        return manifest
+
+    def read(self, stage: str, name: str) -> str:
+        """Path of artifact ``name`` once it matches the hash ``stage`` recorded for it."""
+        recorded = self.manifest(stage)["outputs"].get(name)
         path = self.path(name)
         if recorded is None or not os.path.exists(path):
             raise StageDependencyError(f"{name} of stage '{stage}' is missing in {self.dir}")
@@ -309,11 +313,15 @@ class _Run:
         return path
 
     def trace(self):
+        """The trace: gen's, or the file, which must still be the one a finished preprocess read."""
         source = self.cfg.trace
-        if source.source == "file":
-            self.inputs[source.path] = _sha256_file(source.path)
-            return read_trace(source.path, source.format)
-        return read_trace(self.read("gen", "trace.csv.gz"))
+        if source.source != "file":
+            return read_trace(self.read("gen", "trace.csv.gz"))
+        digest = _sha256_file(source.path)
+        if self.has("preprocess") and self.manifest("preprocess")["inputs"].get(source.path) != digest:
+            raise StaleArtifactsError(f"{source.path} no longer matches the hash stage 'preprocess' recorded")
+        self.inputs[source.path] = digest
+        return read_trace(source.path, source.format)
 
     def dataset(self, fc: FeatureConfig, part: str) -> LabeledDataset:
         return LabeledDataset.load(self.read("preprocess", _dataset_name(fc, part)))
@@ -332,6 +340,7 @@ class _Run:
             "inputs": self.inputs,
             "outputs": {name: _sha256_file(p) for name, p in self.partials.items()},
         }
+        manifest["digest"] = _manifest_digest(manifest)
         _write_json(self.out(f"manifest_{self.stage}.json"), manifest)
         for name, partial in self.partials.items():  # insertion order: the manifest lands last
             os.replace(partial, self.path(name))
@@ -407,7 +416,7 @@ def stage_train(run: _Run) -> None:
 def _tune(cfg: ExperimentConfig, params: ModelParams, val: LabeledDataset) -> ThresholdReport:
     """F1-optimal threshold of ``params`` on the validation samples."""
     conf = predict(params, val.inputs, val.contexts)
-    return tune_threshold(conf, val.labels, cfg.threshold.grid_step, cfg.threshold.max_degree)
+    return tune_threshold(conf, val.labels, cfg.threshold.grid_step)
 
 
 def stage_tune(run: _Run) -> None:
@@ -461,16 +470,12 @@ def stage_eval(run: _Run) -> None:
 
 def _build_prefetcher(name, run: _Run):
     cfg, sim = run.cfg, run.cfg.simulate
-    if name == "next_line":
-        return NextLinePrefetcher(sim.next_line_degree, cfg.address)
+    if name == "next_line":  # degree 2; every other rule setting is its class default
+        return NextLinePrefetcher(2, cfg.address)
     if name == "stride":
-        return StridePrefetcher(sim.stride_table_size, sim.stride_confirm, sim.stride_degree, cfg.address)
+        return StridePrefetcher(addr_cfg=cfg.address)
     if name == "best_offset":
-        return BestOffsetPrefetcher(
-            round_length=sim.best_offset_round_length,
-            score_threshold=sim.best_offset_score_threshold,
-            addr_cfg=cfg.address,
-        )
+        return BestOffsetPrefetcher(addr_cfg=cfg.address)
     dictionary = None
     if cfg.features.needs_dictionary:
         pairs = _read_json(run.read("preprocess", "dictionaries.json"))[mode_tag(cfg.features)]["pairs"]

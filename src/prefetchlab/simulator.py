@@ -41,9 +41,9 @@ from prefetchlab.trace import CHUNK, AddressConfig, MemoryAccess, Trace, as_trac
 
 @config
 class CacheConfig:
+    """An LRU set-associative LLC whose lines hold whole blocks of ``2 ** block_offset_bits`` bytes."""
     sets: int = field(64, ge=1)
     ways: int = field(16, ge=1)
-    line_bytes: int = field(64, ge=1)
 
 
 @config

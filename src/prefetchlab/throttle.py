@@ -83,14 +83,11 @@ def tune_threshold(
     confidences: np.ndarray,
     labels: np.ndarray,
     grid_step: float = 0.01,
-    max_degree: int | None = None,
 ) -> ThresholdReport:
     """Grid-search the threshold with the best micro-F1 over validation samples.
 
-    Ties break toward the larger threshold (fewer prefetches). ``max_degree``
-    only affects the reported mean degree (an optional cap on bits per sample,
-    uncapped by default). A validation set with no positive labels yields a
-    degenerate report pinned at threshold 0.5.
+    Ties break toward the larger threshold (fewer prefetches). A validation set
+    with no positive labels yields a degenerate report pinned at threshold 0.5.
     """
     confidences = np.atleast_2d(np.asarray(confidences, dtype=np.float64))
     labels = np.atleast_2d(np.asarray(labels, dtype=bool))
@@ -100,7 +97,7 @@ def tune_threshold(
         raise ValueError("validation set is empty")
 
     if not labels.any():
-        return ThresholdReport(0.5, [], _mean_degree(confidences, 0.5, max_degree), True)
+        return ThresholdReport(0.5, [], _mean_degree(confidences, 0.5), True)
 
     grid = []
     best_f1 = -1.0
@@ -112,13 +109,8 @@ def tune_threshold(
         if f1 >= best_f1:
             best_f1 = f1
             best_threshold = float(t)
-    return ThresholdReport(
-        best_threshold, grid, _mean_degree(confidences, best_threshold, max_degree), False
-    )
+    return ThresholdReport(best_threshold, grid, _mean_degree(confidences, best_threshold), False)
 
 
-def _mean_degree(confidences: np.ndarray, threshold: float, max_degree: int | None) -> float:
-    degrees = (confidences >= threshold).sum(axis=1)
-    if max_degree is not None:
-        degrees = np.minimum(degrees, max_degree)
-    return float(degrees.mean())
+def _mean_degree(confidences: np.ndarray, threshold: float) -> float:
+    return float((confidences >= threshold).sum(axis=1).mean())

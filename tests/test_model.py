@@ -347,22 +347,10 @@ class TestTrain:
 
     def test_lr_step_decay_schedule(self):
         x, c, y = self.make_dataset(64)
-        cfg = TrainConfig(max_epochs=5, lr_decay_every=2, lr_decay=0.5,
+        cfg = TrainConfig(max_epochs=5, lr_decay_every=2,
                           learning_rate=1e-3, batch_size=64, seed=0, patience=None)
         _, log = train(TINY, x, c, y, cfg=cfg)
         assert [e.learning_rate for e in log] == [1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4]
-
-    def test_gradient_clipping_caps_step_size(self):
-        x, c, y = self.make_dataset(64)
-        cfg_free = TrainConfig(max_epochs=1, batch_size=64, seed=3, patience=None)
-        cfg_clip = TrainConfig(max_epochs=1, batch_size=64, seed=3, patience=None,
-                               grad_clip=1e-4)
-        init = ModelParams.init(TINY, seed=3)
-        p_free, _ = train(TINY, x, c, y, cfg=cfg_free)
-        p_clip, _ = train(TINY, x, c, y, cfg=cfg_clip)
-        move_free = np.abs(p_free["head_w"].data - init["head_w"].data).sum()
-        move_clip = np.abs(p_clip["head_w"].data - init["head_w"].data).sum()
-        assert 0 < move_clip < move_free
 
     def test_early_stopping_returns_best(self):
         x, c, y = self.make_dataset(128)

@@ -33,7 +33,7 @@ from prefetchlab.pipeline import (
     run_stage,
 )
 from prefetchlab.simulator import CacheConfig, LatencyModel
-from prefetchlab.trace import AddressConfig, block_addresses, generate_trace, split_trace
+from prefetchlab.trace import AddressConfig, block_addresses, generate_trace, split_trace, write_trace
 
 TINY_RAW = {
     "seed": 11,
@@ -228,6 +228,15 @@ PROBES = {
     "eval_modes[0].segment_bits=60": ({"eval_modes": [{"segment_bits": 60}]}, "eval_modes[0]"),
     "threshold.grid_step=0.7": ({"threshold": {"grid_step": 0.7}}, "threshold.grid_step"),
     "cache.line_bytes=128": ({"cache": {"line_bytes": 128}}, "cache.line_bytes"),
+    "train.beta1=0.8": ({"train": {"beta1": 0.8}}, "train.beta1"),
+    "train.beta2=0.99": ({"train": {"beta2": 0.99}}, "train.beta2"),
+    "train.lr_decay=0.1": ({"train": {"lr_decay": 0.1}}, "train.lr_decay"),
+    "simulate.stride_confirm=1": ({"simulate": {"stride_confirm": 1}}, "simulate.stride_confirm"),
+    "simulate.stride_degree=2": ({"simulate": {"stride_degree": 2}}, "simulate.stride_degree"),
+    "simulate.best_offset_round_length=2": ({"simulate": {"best_offset_round_length": 2}},
+                                            "simulate.best_offset_round_length"),
+    "simulate.best_offset_score_threshold=1": ({"simulate": {"best_offset_score_threshold": 1}},
+                                               "simulate.best_offset_score_threshold"),
 }
 
 
@@ -265,10 +274,10 @@ class TestConfigSchema:
             load_config(str(cfg_path))
 
     @pytest.mark.parametrize("raw, expected", [
-        (TINY_RAW, "0a4a4c81509ce00cf4b1eaa3f919d1327315571bbab5d1316e98c6885d39ddd9"),
-        (acceptance.TestDeterminism.RAW, "456f634f7fdac1b06068d2f803d5e0edf5ad178c353c0770a5b96bdd93c9b17d"),
-        (_demo08_raw(), "da9fdce00f3ba91486044eee592a521bf1a8cb5c31d84cdc7407a9313376e933"),
-        (_readme_raw(), "f9a825f86ab34efe19fde1e7052a94eba4bd5eea179994b1ad1fd5d37138c52e"),
+        (TINY_RAW, "d6ffcead15e57d3ddca527eed2e5129090439468f19a7d07a7039f6df3959d73"),
+        (acceptance.TestDeterminism.RAW, "bc4c13577920c21a03a8853b1d81337df648cafe7f03b7f2b95c1ead7c58f789"),
+        (_demo08_raw(), "52f88c90e560f684f0b92e9e4eaf4d6264d06b860e28390249f14305d30a2248"),
+        (_readme_raw(), "f9dc5f1b7efe5cb7f413750af3cc2c88fbc16c468568d959f2296ccab035c8ae"),
     ], ids=["TINY_RAW", "determinism", "demo08", "readme"])
     def test_config_hash_pinned(self, raw, expected):
         assert config_hash(ExperimentConfig.from_dict(raw)) == expected
@@ -279,7 +288,7 @@ class TestConfigSchema:
         lambda: FeatureConfig(hash_bits=40),
         lambda: LabelConfig(look_forward=2.5),
         lambda: ModelConfig(use_context="yes"),
-        lambda: TrainConfig(adam_eps=0),
+        lambda: TrainConfig(learning_rate=0),
         lambda: CacheConfig(sets=True),
         lambda: LatencyModel(1.5),
         lambda: LatencyCosts("1", 0, 0, 0),
@@ -390,6 +399,23 @@ class TestStages:
         with pytest.raises(StaleArtifactsError, match=name):
             run_stage(stage, tiny_cfg, clone)
 
+    def test_edited_trace_file_refused_after_preprocess(self, tmp_path):
+        # a file trace is read again by simulate and sweep: once preprocess has recorded
+        # its hash, another file under the same path would run a model that was trained
+        # and tuned on windows of the old one
+        trace_path = tmp_path / "trace.csv"
+        pattern = TINY_RAW["trace"]["pattern"]
+        write_trace(trace_path, generate_trace(pattern, 1500, 11, AddressConfig()))
+        cfg = ExperimentConfig.from_dict(dict(TINY_RAW, trace={"source": "file", "path": str(trace_path)}))
+        run_dir = str(tmp_path / "run")
+        for stage in ("preprocess", "train", "tune", "simulate"):
+            run_stage(stage, cfg, run_dir)
+        write_trace(trace_path, generate_trace(dict(pattern, stride=5), 1500, 11, AddressConfig()))
+        for stage in ("simulate", "sweep"):
+            with pytest.raises(StaleArtifactsError, match=re.escape(str(trace_path))):
+                run_stage(stage, cfg, run_dir)
+            assert not os.path.exists(os.path.join(run_dir, f"manifest_{stage}.json"))
+
     def test_checkpoint_fuzz_refused_by_tune(self, tiny_cfg, full_run, tmp_path):
         # one bit flipped in each byte class of model.ckpt, then the file cut at each
         # class boundary: tune refuses every one on the hash train recorded
@@ -413,33 +439,25 @@ class TestStages:
                                                  ("manifest_train.json", "tune")])
     def test_manifest_fuzz_refused_by_next_stage(self, tiny_cfg, full_run, tmp_path, manifest, stage):
         # one bit flipped in each byte class of the manifest, then the file cut at each
-        # class boundary: the next stage refuses with a typed error, never a JSON, key or
-        # numpy traceback. A flip in a field it does not read (the provenance fields
-        # inputs and package_version, or an output it does not use) may leave the
-        # manifest valid, and then the stage runs.
+        # class boundary: the next stage refuses every one, on the manifest's JSON or its
+        # digest, with a typed error naming the manifest, never a JSON, key or numpy
+        # traceback. Fields the stage does not read (inputs, package_version, an output
+        # it does not use) are covered by the digest too.
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
         path = os.path.join(clone, manifest)
         raw = pathlib.Path(path).read_bytes()
-        fields = json.loads(raw)
-        used = json.loads(pathlib.Path(full_run, f"manifest_{stage}.json").read_bytes())["inputs"]
-        unread = {"inputs", "package_version", *(f"inputs/{n}" for n in fields["inputs"]),
-                  *(f"outputs/{n}" for n in fields["outputs"] if n not in used)}
         cases = []
         for i, (name, lo, hi) in enumerate(manifest_byte_classes(raw)):
             bad = bytearray(raw)
             bad[(lo + hi) // 2] ^= 1 << (i % 8)
-            cases += [(f"flip-{name}", bytes(bad), name.split(" ", 1)[1] not in unread),
-                      (f"cut-{name}", raw[:lo], True)]
-        for case, data, must_refuse in cases:
+            cases += [(f"flip-{name}", bytes(bad)), (f"cut-{name}", raw[:lo])]
+        for case, data in cases:
             with open(path, "wb") as fh:
                 fh.write(data)
-            try:
+            with pytest.raises(StaleArtifactsError, match=re.escape(manifest)):
                 run_stage(stage, tiny_cfg, clone)
-            except (StaleArtifactsError, StageDependencyError):
-                assert not os.path.exists(os.path.join(clone, f"manifest_{stage}.json")), case
-            else:
-                assert not must_refuse, case
+            assert not os.path.exists(os.path.join(clone, f"manifest_{stage}.json")), case
 
     def test_malformed_manifest_refused(self, tiny_cfg, full_run, tmp_path):
         clone = str(tmp_path / "clone")
@@ -801,21 +819,21 @@ RUN_PINS = {
         "eval_model_delta.ckpt":
             "a6fc59e0f04efe293a802c3428bee481befd0c5692deb718be1f98edc728e69a",
         "manifest_eval.json":
-            "a9863047f21a2ca0eb8d178660744239eed5c7bf2fc57a58bcc73793163abc53",
+            "99bf8f16a33eea72ac933048953715191edee691304fda7839f07f3d90d68b7e",
         "manifest_gen.json":
-            "579e8cc171fea5bb712e88a964e629afd17a4e38535ec5f886004ea94afe6561",
+            "cb40cb61f6ed81d940badb92c311b04554757c490686bb51ab06c1b6c5d7e1af",
         "manifest_preprocess.json":
-            "d66242476be16142290d74779902be98e410608c4269c1294474a76ba0dcdbee",
+            "26320e36955adb85828532067cab45bf0979560faabb88ac4944bbdc8e6847f8",
         "manifest_report.json":
-            "33854515ba139320b2fd59eb6a736de16ffd8acf9e4611de363ceb418c5c2794",
+            "2b944dbaf2932fe0519230419f4b2208bfe3b7d72ba261f2a18af9d8678df03d",
         "manifest_simulate.json":
-            "50d799cd27bdefe44659598cc9765c854cced3252e4ea57307720057ca689934",
+            "63d903709b824e0462522298607efd63b480d68cf83c64dd198339bfd1dd8ce2",
         "manifest_sweep.json":
-            "73d8c10171fe46f15223b6a12e3e1308672a36d8e3ea206dad58d71a420a7be9",
+            "e61d046016ae0eef76def0f9d0a0d2fb1d76369315884b7be1b759a5ce0a3450",
         "manifest_train.json":
-            "1faeade6e16181972f19b9dd095c6a12cdc7dfa653f4f52b26b14ec970da96bf",
+            "377881841f4b5749b88fe8cccf7f5e7682b41728162daae0f5a0e8170e0e740b",
         "manifest_tune.json":
-            "7e0f3ef0d27e5a4c62d8ccb53a5b050dfad2c3439cb1e03f6c5a6b4d9ecdc25e",
+            "5bd0c25e39aac8ab1d74cea94e4d52c831ba6de3ff464be251d7e261362d24f0",
         "miss_timeline_model.csv":
             "bf37b6545cda239de2d0d6f1ec554748d7e115115afc5c65d33c355defc684ba",
         "miss_timeline_next_line.csv":
@@ -829,7 +847,7 @@ RUN_PINS = {
         "split.json":
             "2cb535c9c5c8c47d965c85a3305290ab6ad2be5a71f399c1967644da3dbbf6dc",
         "summary.json":
-            "01e179db4dafd63fde2625355aee008e0bf83e7f8447545c78d61074720e658f",
+            "6bc0e77080acbf261513e15e58ea1610d24de4aaa3256a4e6084b25c64e71af6",
         "sweep.svg":
             "ea0a7a3617697e46931a7030dc438ab529ea584f784b280b0ff51dbea1e4c359",
         "sweep_comparison.csv":
@@ -883,19 +901,19 @@ RUN_PINS = {
         "eval_model_page_offset.ckpt":
             "cff1567587bb005906245fac2e588dbcc4b7e6ab49dd246d675c457e80072468",
         "manifest_eval.json":
-            "238967c6c46696b6529e6ca88d5f3101ecfaf266b52d72eafa81ea98662e8835",
+            "2f5fb27274b6d16079cbf966ecbf27c46dbe523e07915c9a69bef7a298eb1891",
         "manifest_gen.json":
-            "ebd0a0e4d2029389727914e42776b9825f55971fea6a6cb53f36501ec7ff9250",
+            "5a9434d6e2bf749f1e5c043789cc293810f5dd1d7f20114c10ca65d992ceb35a",
         "manifest_preprocess.json":
-            "827632ca9a8afe06e9582cff4cce09be3b523b37888fd7e9e89e3e589b6dcd4a",
+            "88463b855efae81b21eb0d2c3b1623d8adcc69f8e9f73c97e29e3e26ff16aceb",
         "manifest_report.json":
-            "0ca50777cb59a7ed744483754eab4c266d180a517fc98e4c0ddb7c4e89fb9f39",
+            "c69243bfdb52e04bb3901b38744481f2382ffe07fc4fa0db4da199e54afbab83",
         "manifest_simulate.json":
-            "3948cca6ac32e981feb9df7da19a981aaca1f44e64780cffa796636d1bba14e7",
+            "7c573211367390895afb8f6687782317ab03edfd6fbebb7ff10ff75417df6af4",
         "manifest_train.json":
-            "e381e229dc6b6f5ccaf483ee27d30bc7a886ff5926de0ca3aa95b7b3c7deb922",
+            "caeb8576b9b41e68e7ffb41e6ac0957c89e47877581d484a230880642750b820",
         "manifest_tune.json":
-            "324363d26b3e51de870468542fe96d55a0153153d01099e7755817d1b56bd4f3",
+            "124845daa8a94ea8ba66cc112953083f08549f1c3e4f24e1468589e9a2aa4cdf",
         "model.ckpt":
             "d734f4040e47eba29392823bec14acb08ef651d6bf20fe34a88bf5296e1cba0a",
         "preprocess_meta.json":
@@ -905,7 +923,7 @@ RUN_PINS = {
         "split.json":
             "5d9ff6321c30ba989342100a77213e44522a1c3f751bc7b704a94489efa2a215",
         "summary.json":
-            "1febf03d502617c56391c64920f6279487b9d380528c768881cd6a2a5dcf94d6",
+            "d8cdfa948ae4bfea84f88fc62368cd9beea9a09a46148faca695157055ecef73",
         "threshold.json":
             "f8e2a6a662813c3301b1567c9292a9feaa24d5dbd122f62d529ebcd5155f4c1a",
         "threshold_f1.svg":
@@ -919,9 +937,9 @@ RUN_PINS = {
     },
     "latency-sweep": {
         "manifest_gen.json":
-            "e0595028d636f17b4fd763394d33e8723dcfc683d426bddb6e12850eac4d111e",
+            "a2fb37df08499a6a23eabfc0d6a9fba15b7a3c16ae43eb57ae61031aff5db74e",
         "manifest_sweep.json":
-            "e6a4b1b92b85805226f5f71d1f1d1dd7fed51409dbd5c4e792013ef69b5121cb",
+            "75d6d9a1b8f7cfec6e3581a4686cec4c609b3ebc5d92a9ae6704333bbd089fda",
         "sweep_comparison.csv":
             "1e23bd748a4bc1dcc505d061aa46b65e135ec5f96d9e77c4786925026e7c2023",
         "sweep_reports.json":
@@ -933,9 +951,9 @@ RUN_PINS = {
         "degree_hist.csv":
             "7a3111f493a9718610e19a80dc7b566fcad364937be801e8865c6e29b47da750",
         "manifest_gen.json":
-            "f35dd9b2f7cfd2ecbc2d7346a8a917617053b1775c5d7bbcc82a6403032c0d40",
+            "b2cbe0237221cc80759ed922db70ed45bb6290a41e15ffed30753ebf22883a6f",
         "manifest_simulate.json":
-            "936d14faf218f133855503d00fe7b7dbfdd83141538a3316378bdb538751e015",
+            "2ee2540f33a165c07e684f79c9d4ef03393ae74bdf4dabc765335e90b8ead5e6",
         "sim_reports.json":
             "e6bacc82be4ff3fae56fdfc48ebdeab76f8e5f217e49b38c5e994a49897c7d4c",
         "trace.csv.gz":

@@ -136,12 +136,6 @@ class TestTuneThreshold:
         expected = float((conf >= report.optimal_threshold).sum(axis=1).mean())
         assert report.mean_degree == expected
 
-    def test_max_degree_caps_reported_degree(self):
-        conf = np.full((4, 10), 0.9)
-        labels = np.ones((4, 10), dtype=bool)
-        report = tune_threshold(conf, labels, grid_step=0.1, max_degree=3)
-        assert report.mean_degree == 3.0
-
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
             tune_threshold(np.empty((0, 4)), np.empty((0, 4), dtype=bool))
