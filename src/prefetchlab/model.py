@@ -347,8 +347,7 @@ class EpochLog:
 
 
 class AdamOptimizer:
-    def __init__(self, params: ModelParams, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: ModelParams):
         self.step_count = 0
         self._m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self._v = {n: np.zeros_like(t.data) for n, t in params.items()}
@@ -399,7 +398,7 @@ def train(
     if n == 0:
         raise TrainingError("empty training set")
     params = ModelParams.init(model_cfg, seed=cfg.seed)
-    opt = AdamOptimizer(params, cfg)
+    opt = AdamOptimizer(params)
     rng = np.random.default_rng(cfg.seed)
     has_val = val_inputs is not None and val_inputs.shape[0] > 0
     log: list[EpochLog] = []

@@ -20,8 +20,7 @@ import hashlib
 import json
 import math
 import os
-import typing
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, replace
 
 from prefetchlab import __version__ as PACKAGE_VERSION
 from prefetchlab import plots, schema
@@ -89,29 +88,18 @@ class ThresholdConfig:
 
 
 @config
-class SweepConfig:
-    latencies: tuple[int, ...] = field((0, 50, 100, 200), ge=0)
-    throughputs: tuple[str, ...] = field(("L", "H"), one_of=("L", "H"))
-    distance: tuple[bool, ...] = (True, False)
-
-    def __post_init__(self):  # stage_sweep loops over each list, one report key per grid point
-        for name in ("latencies", "throughputs", "distance"):
-            values = getattr(self, name)
-            if not values:
-                raise ValueError(f"{name} must list at least one value, got []")
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
+class SweepConfig:  # stage_sweep loops over each list, one report key per grid point
+    latencies: tuple[int, ...] = field((0, 50, 100, 200), ge=0, distinct=True)
+    throughputs: tuple[str, ...] = field(("L", "H"), one_of=("L", "H"), distinct=True)
+    distance: tuple[bool, ...] = field((True, False), distinct=True)
 
 
 @config
-class SimulateConfig:
-    prefetchers: tuple[str, ...] = field(("model",), one_of=("best_offset", "model", "next_line", "stride"))
+class SimulateConfig:  # one simulation and one report key per prefetcher
+    prefetchers: tuple[str, ...] = field(("model",), one_of=("best_offset", "model", "next_line", "stride"),
+                                         distinct=True)
     top_k: int | None = field(None, ge=1)              # top-k mode for the model prefetcher; None = threshold
     timeline_interval: int | None = field(None, ge=1)  # per-interval miss-rate rows, None disables
-
-    def __post_init__(self):
-        if not self.prefetchers:
-            raise ValueError("prefetchers must list at least one value, got []")
 
 
 @config
@@ -148,7 +136,7 @@ class ExperimentConfig:
                            input_dim=fc.input_dim(self.address))
 
     def train_config(self) -> TrainConfig:
-        return _build(TrainConfig, self.train, "train", seed=self.seed)
+        return schema.build(TrainConfig, self.train, "train", seed=self.seed)
 
     def all_feature_modes(self) -> list[FeatureConfig]:
         """Primary mode first, then any distinct ablation modes."""
@@ -167,34 +155,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return _build(cls, raw, "")
-
-
-def _build(cls, raw: dict, where: str, **fixed):
-    """Build config class ``cls`` from a JSON mapping, recursing on its annotations: mappings
-    become config classes, lists tuples. Every error is a ``ConfigError`` naming the dotted
-    path of the bad value. ``fixed`` fields are the caller's and may not appear in ``raw``."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where or 'config'} must be a mapping, got {type(raw).__name__}")
-    prefix = f"{where}." if where else ""
-    annotations, kwargs = schema.hints(cls), dict(fixed)
-    for key, value in raw.items():
-        if key not in annotations or key in fixed:
-            raise ConfigError(f"unknown config key {f'{prefix}{key}'!r}")
-        kwargs[key] = _shape(annotations[key], value, prefix + key)
-    try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
-
-
-def _shape(hint, value, where: str):
-    if isinstance(hint, type) and is_dataclass(hint):
-        return _build(hint, value, where)
-    if typing.get_origin(hint) is tuple and isinstance(value, (list, tuple)):
-        element = typing.get_args(hint)[0]
-        return tuple(_shape(element, v, f"{where}[{i}]") for i, v in enumerate(value))
-    return value
+        try:
+            return schema.build(cls, raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:

@@ -634,7 +634,7 @@ class TestFreedGraph:
         after the first one."""
         x, c, y = tiny_batch(16, cfg=DEFAULT_DIMS, seed=3)
         params = ModelParams.init(DEFAULT_DIMS, seed=4)
-        opt = AdamOptimizer(params, TrainConfig())
+        opt = AdamOptimizer(params)
 
         def train_step():
             for _, t in params.items():

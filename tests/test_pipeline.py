@@ -22,12 +22,16 @@ from prefetchlab import cli, pipeline
 from prefetchlab.datasets import LabeledDataset, build_datasets
 from prefetchlab.features import FeatureConfig, SegmentationConfig
 from prefetchlab.labeling import LabelConfig
-from prefetchlab.model import LatencyCosts, ModelConfig, ModelParams, TrainConfig, TrainingError
+from prefetchlab.model import LatencyCosts, ModelConfig, ModelDims, ModelParams, TrainConfig, TrainingError
 from prefetchlab.pipeline import (
     ConfigError,
     ExperimentConfig,
+    SimulateConfig,
     StageDependencyError,
     StaleArtifactsError,
+    SweepConfig,
+    ThresholdConfig,
+    TraceSource,
     config_hash,
     load_config,
     run_stage,
@@ -224,6 +228,8 @@ PROBES = {
     "sweep.latencies=[0,0]": ({"sweep": {"latencies": [0, 0]}}, "sweep.latencies"),
     "sweep.throughputs=[L,L]": ({"sweep": {"throughputs": ["L", "L"]}}, "sweep.throughputs"),
     "sweep.distance=[true,true]": ({"sweep": {"distance": [True, True]}}, "sweep.distance"),
+    "simulate.prefetchers=[next_line,stride,next_line]": (
+        {"simulate": {"prefetchers": ["next_line", "stride", "next_line"]}}, "simulate.prefetchers"),
     "features.segment_bits=60": ({"features": {"segment_bits": 60}}, "features"),
     "eval_modes[0].segment_bits=60": ({"eval_modes": [{"segment_bits": 60}]}, "eval_modes[0]"),
     "threshold.grid_step=0.7": ({"threshold": {"grid_step": 0.7}}, "threshold.grid_step"),
@@ -261,16 +267,16 @@ class TestConfigSchema:
         for k in keys[:-1]:
             node = node[k]
         node[keys[-1]] = bad
-        with pytest.raises(ConfigError, match=re.escape(path)):
+        with pytest.raises(ConfigError, match="^" + re.escape(path)):
             ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("raw, path", list(PROBES.values()), ids=list(PROBES))
     def test_probe_raises_at_load(self, tmp_path, raw, path):
-        with pytest.raises(ConfigError, match=re.escape(path)):
+        with pytest.raises(ConfigError, match="^" + re.escape(path)):
             ExperimentConfig.from_dict(raw)
         cfg_path = tmp_path / "exp.json"
         cfg_path.write_text(json.dumps(raw))
-        with pytest.raises(ConfigError, match=re.escape(path)):
+        with pytest.raises(ConfigError, match="^" + re.escape(path)):
             load_config(str(cfg_path))
 
     @pytest.mark.parametrize("raw, expected", [
@@ -281,6 +287,18 @@ class TestConfigSchema:
     ], ids=["TINY_RAW", "determinism", "demo08", "readme"])
     def test_config_hash_pinned(self, raw, expected):
         assert config_hash(ExperimentConfig.from_dict(raw)) == expected
+
+    def test_constructors_take_json_shapes(self, tiny_cfg):
+        """Each section of TINY_RAW built from Python as JSON gives it, lists and mappings."""
+        raw = TINY_RAW
+        cfg = ExperimentConfig(
+            seed=raw["seed"], trace=TraceSource(**raw["trace"]), label=LabelConfig(**raw["label"]),
+            model=ModelDims(**raw["model"]), train=raw["train"],
+            threshold=ThresholdConfig(**raw["threshold"]), cache=CacheConfig(**raw["cache"]),
+            sweep=SweepConfig(**raw["sweep"]), simulate=SimulateConfig(**raw["simulate"]),
+            eval_modes=raw["eval_modes"])
+        assert cfg == tiny_cfg
+        assert config_hash(cfg) == config_hash(tiny_cfg)
 
     @pytest.mark.parametrize("make", [
         lambda: AddressConfig(page_size_bits=12.0),
