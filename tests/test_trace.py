@@ -1,5 +1,6 @@
 import errno
 import gzip
+import hashlib
 import re
 
 import numpy as np
@@ -552,6 +553,57 @@ class TestGenerateTrace:
     def test_cycle_step(self):
         trace = generate_trace({"name": "stride", "cycle_step": 25}, 5, seed=0)
         assert [a.cycle for a in trace] == [0, 25, 50, 75, 100]
+
+
+# Each pattern with its defaults, and with negative and wide parameters, at cycle_step 3.
+WIDE_SPECS = {
+    "stride": {"stride": -(2**64) - 3, "start_block": 2**70 + 5, "pc": 2**64 - 1},
+    "pointer_walk": {"page": -(2**66) - 5, "steps": [-(2**64) - 1, 3, 2**65 + 7]},
+    "page_skip": {"start_block": -7, "deltas": [2**64 + 1, -3, -(2**70)]},
+    "interleaved": {"streams": [{"pc": 2**64 - 1, "start_block": -(2**65), "stride": -1},
+                                {"start_block": 2**64 + 9, "stride": 2**63}, {}]},
+    "random": {"region_start_block": -(2**40) - 3, "region_blocks": 2**62 + 1, "pc": 0},
+    "region_walks": {"regions": [{"start_page": 2**64 + 5, "pages": 3, "walk": [-(2**64), 5, -1]},
+                                 {"start_page": 0, "pages": 2**40, "walk": []}]},
+}
+# SHA-256 over the dtype and bytes of the cycle, pc and vaddr columns of every length and seed
+# in TestPatternPins. The PRNG stream is numpy's, so the pins hold for the numpy version below.
+PATTERN_PIN_NUMPY = "2.4.6"
+PATTERN_PINS = {
+    ("interleaved", "defaults"): "3fd8d7af43208bb0532d1a9617786315932f3dac778ed74f5e0d8e55acd65bfc",
+    ("interleaved", "wide"): "eccc03b9ab0c84f194e1cedc09b5a735746e0c9da445aa9485e58e3043dfd303",
+    ("page_skip", "defaults"): "5f2695074990818c2f6bdd2ba0a6ac0a4c5a7d168bd32676d370ec1fdb2813c9",
+    ("page_skip", "wide"): "8d2d6dbb68c265ba3bbab41871428a644003c8bf350eb69beb4130f3526c1caa",
+    ("pointer_walk", "defaults"): "8d8a429a5a82e2b46ad01cde89065ace31dfe9e26973d9759412bbe0820214b5",
+    ("pointer_walk", "wide"): "d30fc7620d972f361a697d11d64a851ddf4f77ee214cd8421ec352487d9b017b",
+    ("random", "defaults"): "99681b9d1d36530a448ac6c2982d942cc524e5a1651b2ef489cedd99ef1a275d",
+    ("random", "wide"): "d24dc28acdeac35e6f7f69ab9b8a0711b41d68e4c748b551aa170c777ca3f66e",
+    ("region_walks", "defaults"): "d7ae9201ae4cb66414ea374092ae5abd75d49636bdf0a3dcd096f1ee8dc5cd70",
+    ("region_walks", "wide"): "6483d7d9ffe812f89b661fd4390b11eb698584fae910bb8a0f8d7425b1f09bf8",
+    ("stride", "defaults"): "3874f49a9a6b9adf5a551fb0dab7fa2f111f794bdbf57d68268b91fcc2793a04",
+    ("stride", "wide"): "cd16baf72509f1005c2c7abf570787bc0321284297c2d0dc1db69f4b6320f6ff",
+}
+
+
+class TestPatternPins:
+    """Every pattern's generated columns, byte for byte, against digests recorded before."""
+
+    def test_every_pattern_is_pinned(self):
+        assert {name for name, _ in PATTERN_PINS} == set(_GENERATORS) == set(WIDE_SPECS)
+
+    @pytest.mark.parametrize("name, kind", sorted(PATTERN_PINS))
+    def test_columns(self, name, kind):
+        spec = {"name": name} if kind == "defaults" else {"name": name, **WIDE_SPECS[name], "cycle_step": 3}
+        h = hashlib.sha256()
+        for length in (1, 7, CHUNK + 3, 20000):
+            for seed in (0, 1, 42):
+                trace = generate_trace(spec, length, seed)
+                for column in (trace.cycle, trace.pc, trace.vaddr):
+                    h.update(column.dtype.str.encode())
+                    h.update(column.tobytes())
+        assert h.hexdigest() == PATTERN_PINS[name, kind], (
+            f"{name} {kind}: the columns differ from the pinned bytes, recorded under numpy "
+            f"{PATTERN_PIN_NUMPY}; this run used numpy {np.__version__}")
 
 
 PARITY_CASES = [*sorted(_GENERATORS), "read_trace-gz", "slice", "list-slice"]
