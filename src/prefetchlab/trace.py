@@ -20,7 +20,7 @@ import numbers
 import operator
 import os
 import zlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -372,82 +372,44 @@ def split_trace(trace, ratios: tuple[float, float, float]) -> TraceSplit:
 # Synthetic trace generation
 # ---------------------------------------------------------------------------
 
-DEFAULT_PC = 0x400000
+
+def _u64(values, length=None):
+    """Integers modulo 2**64 as uint64 (the low bits that Python's ``&`` keeps of a negative or wide
+    one), repeated round-robin to ``length`` entries if that is given."""
+    column = np.array([int(v) % (1 << 64) for v in values], dtype=np.uint64)
+    return column if length is None else np.tile(column, -(-length // len(column)))[:length]
 
 
-def _emit(blocks, pcs, cycle_step, cfg: AddressConfig) -> Trace:
-    mask = cfg.block_space - 1
-    try:  # a negative block wraps to its two's complement, which the mask cuts as Python's & does
-        column = np.array(blocks, dtype=np.int64).view(np.uint64)
-    except OverflowError:  # a block beyond int64: mask it as a Python int first
-        column = np.array([b & mask for b in blocks], dtype=np.uint64)
-    vaddr = (column & np.uint64(mask)) << np.uint64(cfg.block_offset_bits)
-    cycle = np.arange(len(blocks), dtype=np.int64) * cycle_step  # check_pattern keeps it inside int64
-    return Trace(cycle, np.array(pcs, dtype=np.uint64), vaddr)
+# Each generator returns a uint64 block column, wrapped modulo 2**64, and the pcs to repeat round-robin.
+def _gen_stride(length, rng, cfg, pc, stride, start_block):
+    return _gen_page_skip(length, rng, cfg, pc, start_block, [stride])
 
 
-def _gen_stride(spec, length, rng, cfg):
-    k = int(spec.get("stride", 1))
-    start = int(spec.get("start_block", 1 << 20))
-    pc = int(spec.get("pc", DEFAULT_PC))
-    blocks = [start + i * k for i in range(length)]
-    return blocks, [pc] * length
+def _gen_pointer_walk(length, rng, cfg, pc, page, steps):
+    # Random walk confined to one page: only the block index moves, modulo the page's blocks.
+    start = _u64([rng.integers(0, 1 << cfg.block_index_bits)])
+    moves = _u64(steps)[rng.integers(0, len(steps), size=length - 1)]
+    walk = np.cumsum(np.concatenate((start, moves))) & np.uint64((1 << cfg.block_index_bits) - 1)
+    return (_u64([page]) << np.uint64(cfg.block_index_bits)) + walk, [pc]
 
 
-def _gen_pointer_walk(spec, length, rng, cfg):
-    # Random walk confined to one page: only the block index moves.
-    page = int(spec.get("page", 1 << 24))
-    pc = int(spec.get("pc", DEFAULT_PC))
-    steps = spec.get("steps", [-3, -2, -1, 1, 2, 3])
-    page_blocks = 1 << cfg.block_index_bits
-    idx = int(rng.integers(0, page_blocks))
-    blocks = []
-    base = page << cfg.block_index_bits
-    for _ in range(length):
-        blocks.append(base + idx)
-        idx = (idx + int(steps[int(rng.integers(0, len(steps)))])) % page_blocks
-    return blocks, [pc] * length
-
-
-def _gen_page_skip(spec, length, rng, cfg):
+def _gen_page_skip(length, rng, cfg, pc, start_block, deltas):
     # Repeating delta cycle; the default jump of 91 blocks crosses page boundaries.
-    deltas = spec.get("deltas", [2, 3, 91])
-    start = int(spec.get("start_block", 1 << 20))
-    pc = int(spec.get("pc", DEFAULT_PC))
-    blocks = [start]
-    for i in range(length - 1):
-        blocks.append(blocks[-1] + int(deltas[i % len(deltas)]))
-    return blocks, [pc] * length
+    return np.cumsum(np.concatenate((_u64([start_block]), _u64(deltas, length - 1)))), [pc]
 
 
-def _gen_interleaved(spec, length, rng, cfg):
-    # Round-robin over independent per-PC strided streams.
-    streams = spec.get(
-        "streams",
-        [
-            {"pc": DEFAULT_PC, "start_block": 1 << 20, "stride": 1},
-            {"pc": DEFAULT_PC + 0x40, "start_block": 1 << 22, "stride": 3},
-        ],
-    )
-    pos = [int(s.get("start_block", 1 << 20)) for s in streams]
-    blocks, pcs = [], []
-    for i in range(length):
-        j = i % len(streams)
-        blocks.append(pos[j])
-        pcs.append(int(streams[j].get("pc", DEFAULT_PC)))
-        pos[j] += int(streams[j].get("stride", 1))
-    return blocks, pcs
+def _gen_interleaved(length, rng, cfg, pc, streams):
+    # Round-robin over independent strided streams, each with its own pc.
+    starts, strides = (_u64([s[key] for s in streams], length) for key in ("start_block", "stride"))
+    turns = np.arange(length, dtype=np.uint64) // np.uint64(len(streams))
+    return starts + strides * turns, [s["pc"] for s in streams]
 
 
-def _gen_random(spec, length, rng, cfg):
-    start = int(spec.get("region_start_block", 1 << 20))
-    span = int(spec.get("region_blocks", 1 << 16))
-    pc = int(spec.get("pc", DEFAULT_PC))
-    blocks = (start + rng.integers(0, span, size=length)).tolist()
-    return blocks, [pc] * length
+def _gen_random(length, rng, cfg, pc, region_start_block, region_blocks):
+    return _u64([region_start_block]) + rng.integers(0, region_blocks, size=length).view(np.uint64), [pc]
 
 
-def _gen_region_walks(spec, length, rng, cfg):
+def _gen_region_walks(length, rng, cfg, pc, regions):
     """Random page hops into named regions, each followed by that region's intra-page walk.
 
     Hop deltas are effectively unique over the trace (landing pages are drawn at
@@ -455,34 +417,16 @@ def _gen_region_walks(spec, length, rng, cfg):
     out-of-vocabulary deltas later on. The walk that follows a hop is determined by
     the landing region, which is visible in the high bits of the address.
     """
-    regions = spec.get(
-        "regions",
-        [
-            {"start_page": 0x10000, "pages": 4096, "walk": [4] * 6},
-            {"start_page": 0x30000, "pages": 4096, "walk": [9] * 6},
-        ],
-    )
-    pc = int(spec.get("pc", DEFAULT_PC))
     # per region: first page, page count, and the walk's offsets from the landing block
     hops = [(int(r["start_page"]), int(r["pages"]),
-             list(itertools.accumulate(map(int, r["walk"]), initial=0))) for r in regions]
-    draw, shift, blocks = rng.integers, cfg.block_index_bits, []
-    while len(blocks) < length:  # two draws per hop, region then page: the PRNG stream fixes the trace
-        start, pages, offsets = hops[int(draw(0, len(hops)))]
-        b = (start + int(draw(0, pages))) << shift
-        blocks.extend([b + o for o in offsets])
-    del blocks[length:]
-    return blocks, [pc] * length
-
-
-_GENERATORS = {
-    "stride": _gen_stride,
-    "pointer_walk": _gen_pointer_walk,
-    "page_skip": _gen_page_skip,
-    "interleaved": _gen_interleaved,
-    "random": _gen_random,
-    "region_walks": _gen_region_walks,
-}
+             _u64(list(itertools.accumulate(map(int, r["walk"]), initial=0)))) for r in regions]
+    draw, landings, walks, n = rng.integers, [], [], 0
+    while n < length:  # two draws per hop, region then page: the PRNG stream fixes the trace
+        start, count, offsets = hops[int(draw(0, len(hops)))]
+        landings.append((start + int(draw(0, count))) << cfg.block_index_bits)
+        walks.append(offsets)
+        n += len(offsets)
+    return (np.repeat(_u64(landings), list(map(len, walks))) + np.concatenate(walks))[:length], [pc]
 
 
 def _ints(lo=-math.inf, hi=math.inf):
@@ -493,27 +437,46 @@ def _list_of(check, min_len=1):
     return lambda v: isinstance(v, (list, tuple)) and len(v) >= min_len and all(map(check, v))
 
 
-def _mapping(required=(), **checks):
-    return lambda m: (isinstance(m, dict) and all(k in m for k in required) and m.keys() <= checks.keys()
-                      and all(check(m[k]) for k, check in checks.items() if k in m))
+class _Param(NamedTuple):
+    """A pattern parameter: its default, its check, what the check asks for, and what completes a value."""
+
+    default: object
+    check: Callable[[object], bool]
+    what: str
+    fill: Callable = lambda value: value
 
 
-_INT, _PC = (_ints(), "an integer"), (_ints(0, 1 << 64), "an integer in [0, 2**64)")
-_INT_LIST = (_list_of(_ints()), "a non-empty list of integers")
-# generator -> optional parameter -> (check, what the value must be)
-_PARAMS = {
-    "stride": {"stride": _INT, "start_block": _INT},
-    "pointer_walk": {"page": _INT, "steps": _INT_LIST},
-    "page_skip": {"start_block": _INT, "deltas": _INT_LIST},
-    "interleaved": {"streams": (
-        _list_of(_mapping(pc=_PC[0], start_block=_ints(), stride=_ints())),
-        "a non-empty list of mappings with integer pc, start_block and stride, and no other key")},
-    "random": {"region_start_block": _INT, "region_blocks": (_ints(1), "an integer >= 1")},
-    "region_walks": {"regions": (
-        _list_of(_mapping(("start_page", "pages", "walk"),
-                          start_page=_ints(0), pages=_ints(1), walk=_list_of(_ints(), 0))),
-        "a non-empty list of mappings with start_page >= 0, pages >= 1, a walk list of integers "
-        "and no other key")},
+def _mappings(default, what, **fields):
+    # a list of mappings; each key has a (default, check), and a None default makes the key required
+    fits = lambda m: isinstance(m, dict) and m.keys() <= fields.keys() and all(
+        check(m[key]) if key in m else value is not None for key, (value, check) in fields.items())
+    fill = lambda ms: [{key: m.get(key, value) for key, (value, _) in fields.items()} for m in ms]
+    return _Param(default, _list_of(fits), what, fill)
+
+
+DEFAULT_PC = 0x400000
+_PC, _COUNT = _ints(0, 1 << 64), _ints(1, (1 << 63) + 1)  # a count: at most the widest rng.integers bound
+_int = functools.partial(_Param, check=_ints(), what="an integer")
+_int_list = functools.partial(_Param, check=_list_of(_ints()), what="a non-empty list of integers")
+_count = functools.partial(_Param, check=_COUNT, what="an integer in [1, 2**63]")
+# the keys of every pattern, then pattern name -> (generator, the parameters it reads)
+_COMMON = {"pc": _Param(DEFAULT_PC, _PC, "an integer in [0, 2**64)"),
+           "cycle_step": _Param(1, _ints(0, 1 << 63), "an integer in [0, 2**63)")}
+_GENERATORS = {
+    "stride": (_gen_stride, {"stride": _int(1), "start_block": _int(1 << 20)}),
+    "pointer_walk": (_gen_pointer_walk, {"page": _int(1 << 24), "steps": _int_list([-3, -2, -1, 1, 2, 3])}),
+    "page_skip": (_gen_page_skip, {"start_block": _int(1 << 20), "deltas": _int_list([2, 3, 91])}),
+    "interleaved": (_gen_interleaved, {"streams": _mappings(
+        [{}, {"pc": DEFAULT_PC + 0x40, "start_block": 1 << 22, "stride": 3}],  # {}: every key at its default
+        "a non-empty list of mappings with integer pc, start_block and stride, and no other key",
+        pc=(DEFAULT_PC, _PC), start_block=(1 << 20, _ints()), stride=(1, _ints()))}),
+    "random": (_gen_random, {"region_start_block": _int(1 << 20), "region_blocks": _count(1 << 16)}),
+    "region_walks": (_gen_region_walks, {"regions": _mappings(
+        [{"start_page": 0x10000, "pages": 4096, "walk": [4] * 6},
+         {"start_page": 0x30000, "pages": 4096, "walk": [9] * 6}],
+        "a non-empty list of mappings with start_page >= 0, pages in [1, 2**63], a walk list of "
+        "integers and no other key",
+        start_page=(None, _ints(0)), pages=(None, _COUNT), walk=(None, _list_of(_ints(), 0)))}),
 }
 
 
@@ -526,17 +489,16 @@ def check_pattern(spec, length: int) -> None:
     known = sorted(_GENERATORS)
     if not isinstance(spec, dict) or spec.get("name") not in known:  # list: an unhashable name is refused
         raise PatternError(f"pattern must be a mapping whose name is one of {known}, got {spec!r}")
-    step = (_ints(0, 1 << 63), "an integer in [0, 2**63)")
-    rules = {"pc": _PC, "cycle_step": step, **_PARAMS[spec["name"]]}
+    rules = {**_COMMON, **_GENERATORS[spec["name"]][1]}
     unknown = [key for key in spec if key != "name" and key not in rules]
     if unknown:
         raise PatternError(f"pattern {spec['name']}: unknown keys {unknown}; it reads {sorted(rules)}")
-    for key, (check, what) in rules.items():
-        if key in spec and not check(spec[key]):
-            raise PatternError(f"pattern {spec['name']}: {key} must be {what}, got {spec[key]!r}")
-    last = spec.get("cycle_step", 1) * (length - 1)
-    if last >> 63:
-        raise PatternError(f"pattern {spec['name']}: cycle_step {spec.get('cycle_step', 1)} over {length} "
+    for key, param in rules.items():
+        if key in spec and not param.check(spec[key]):
+            raise PatternError(f"pattern {spec['name']}: {key} must be {param.what}, got {spec[key]!r}")
+    step = spec.get("cycle_step", _COMMON["cycle_step"].default)
+    if (last := step * (length - 1)) >> 63:
+        raise PatternError(f"pattern {spec['name']}: cycle_step {step} over {length} "
                            f"accesses reaches cycle {last}, past 2**63 - 1")
 
 
@@ -554,6 +516,9 @@ def generate_trace(
         raise PatternError(f"length must be >= 1, got {length}")
     check_pattern(spec, length)
     cfg = addr_cfg or AddressConfig()
-    rng = np.random.default_rng(seed)
-    blocks, pcs = _GENERATORS[spec["name"]](spec, length, rng, cfg)
-    return _emit(blocks, pcs, int(spec.get("cycle_step", 1)), cfg)
+    generator, params = _GENERATORS[spec["name"]]
+    args = {key: param.fill(spec.get(key, param.default)) for key, param in {**_COMMON, **params}.items()}
+    cycle = np.arange(length, dtype=np.int64) * args.pop("cycle_step")  # check_pattern keeps it inside int64
+    blocks, pcs = generator(length, np.random.default_rng(seed), cfg, **args)
+    vaddr = (blocks & np.uint64(cfg.block_space - 1)) << np.uint64(cfg.block_offset_bits)
+    return Trace(cycle, _u64(pcs, length), vaddr)

@@ -1,6 +1,8 @@
 import ast
 import copy
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import importlib
 import json
@@ -220,6 +222,8 @@ PROBES = {
     "trace.pattern.cycle_step-past-int64": (
         {"trace": {"pattern": {"name": "stride", "cycle_step": 2**62}, "length": 3}}, "trace.pattern"),
     "trace.pattern.strid=3": ({"trace": {"pattern": {"name": "stride", "strid": 3}}}, "trace.pattern"),
+    "trace.pattern.region_blocks=2**63+1": (
+        {"trace": {"pattern": {"name": "random", "region_blocks": 2**63 + 1}}}, "trace.pattern"),
     "model.hidden_dim=30": ({"model": {"hidden_dim": 30}}, "model.hidden_dim"),
     "simulate.prefetchers=[]": ({"simulate": {"prefetchers": []}}, "simulate.prefetchers"),
     "sweep.latencies=[]": ({"sweep": {"latencies": []}}, "sweep.latencies"),
@@ -982,7 +986,22 @@ RUN_PINS = {
 
 def numpy_build() -> str:
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+    return ", ".join([f"numpy {np.__version__}", f"{blas['name']} {blas['version']}", *openblas_core()])
+
+
+def openblas_core() -> list[str]:
+    """The OpenBLAS kernel: ``OPENBLAS_CORETYPE`` where it is set, and the core that the library
+    bundled with numpy reports, where it can be read. Another kernel can move float bytes."""
+    forced = os.environ.get("OPENBLAS_CORETYPE")
+    core = [f"OPENBLAS_CORETYPE={forced}"] if forced else []
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_-*.so")
+    try:
+        corename = ctypes.CDLL(glob.glob(libs)[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):  # no bundled library, or one without the call
+        return core
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    name = corename()
+    return [*core, f"core {name.decode()}"] if name else core
 
 
 def run_digests(run_dir) -> dict:

@@ -489,6 +489,8 @@ class TestGenerateTrace:
         {"name": "random", "stride": 3},
         {"name": "interleaved", "streams": [{"pc": 1, "start_block": 0, "strid": 3}]},
         {"name": "region_walks", "regions": [{"start_page": 1, "pages": 4, "walk": [1], "wlak": [2]}]},
+        {"name": "random", "region_blocks": 2**63 + 1},
+        {"name": "region_walks", "regions": [{"start_page": 1, "pages": 2**63 + 1, "walk": [1]}]},
     ], ids=lambda spec: "-".join(map(str, spec.values())))
     def test_bad_parameters_rejected(self, spec):
         with pytest.raises(PatternError, match=f"^pattern {spec['name']}: "):
@@ -503,11 +505,26 @@ class TestGenerateTrace:
         with pytest.raises(PatternError, match=r"^pattern stride: cycle_step 4611686018427387904 over 3 "):
             generate_trace({"name": "stride", "cycle_step": 2**62}, 3, seed=0)
 
-    @pytest.mark.parametrize("start", [-3, 2**63 - 2, 2**70 + 5, -2**70])
+    @pytest.mark.parametrize("start", [-3, 2**63 - 2, 2**63, 2**70 + 5, -2**70])
     def test_block_outside_the_block_space_is_masked(self, addr_cfg, start):
         trace = generate_trace({"name": "stride", "start_block": start}, 4, seed=0)
-        mask = addr_cfg.block_space - 1
+        mask, page = addr_cfg.block_space - 1, 1 << addr_cfg.block_index_bits
         assert [a.vaddr for a in trace] == [((start + i) & mask) << addr_cfg.block_offset_bits for i in range(4)]
+        # one block parameter of each other pattern, with the blocks that one unit of it moves the
+        # trace: every block lands that far from where the parameter at 0 puts it, then is masked
+        for spec, unit in [
+            (lambda v: {"name": "page_skip", "start_block": v}, 1),
+            (lambda v: {"name": "pointer_walk", "page": v}, page),
+            (lambda v: {"name": "interleaved", "streams": [{"start_block": v}]}, 1),
+            (lambda v: {"name": "random", "region_start_block": v}, 1),
+            (lambda v: {"name": "region_walks", "regions": [{"start_page": v, "pages": 9, "walk": [1]}]}, page),
+        ]:
+            if start < 0 and spec(start)["name"] == "region_walks":
+                continue  # start_page must be >= 0
+            base = block_addresses(generate_trace(spec(0), 300, seed=7), addr_cfg).tolist()
+            trace = generate_trace(spec(start), 300, seed=7)
+            assert [a.vaddr for a in trace] == [
+                ((b + start * unit) & mask) << addr_cfg.block_offset_bits for b in base], spec(start)
 
     def test_bad_length(self):
         with pytest.raises(PatternError):
