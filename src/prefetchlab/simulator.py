@@ -12,21 +12,23 @@ unused, still resident unused, dropped on arrival (its block got fetched some
 other way first), or still in flight at the end of the run. A demand miss on a
 block whose prefetch is still in flight is additionally tallied late.
 
-Prefetchers implement three calls, all made by :func:`simulate`:
+Prefetchers implement two calls, both made by :func:`simulate`:
 
 - ``prepare(trace, blocks)`` once per run, before the first access, with the
   whole :class:`~prefetchlab.trace.Trace` and its uint64 block column; it starts
-  the prefetcher's state afresh. The model prefetcher encodes every trigger's
-  window here, so per-trigger work is an index.
-- ``observe`` on every demand access, in order.
-- ``predict`` only on triggers the throughput bound admits.
+  the prefetcher's state afresh. No prefetcher reads cache state, so each reads
+  the whole trace here: the rule prefetchers keep one decision per access, and
+  the model prefetcher encodes every trigger's window.
+- ``predict(access, block)`` only on triggers the throughput bound admits; it
+  indexes what ``prepare`` kept by ``access.ordinal``.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +38,7 @@ from prefetchlab.features import FeatureConfig, encode_windows
 from prefetchlab.labeling import LabelConfig, index_to_delta
 from prefetchlab.model import ModelParams, predict as model_predict
 from prefetchlab.schema import config, field
-from prefetchlab.trace import CHUNK, AddressConfig, MemoryAccess, Trace, as_trace, block_addresses
+from prefetchlab.trace import AddressConfig, MemoryAccess, Trace, as_trace, block_addresses, column_ints
 
 
 @config
@@ -91,19 +93,20 @@ class SimReport:
 
 
 class Prefetcher:
-    """Interface: prepare once per trace, observe every access, predict on admitted triggers."""
+    """Interface: prepare once per trace, then predict on admitted triggers."""
 
     name = "base"
 
     def prepare(self, trace: Trace, blocks: np.ndarray):
-        """Start afresh, once per simulation, on the trace and its uint64 block column."""
-
-    def observe(self, access: MemoryAccess, block: int):
-        pass
+        """Start afresh, once per simulation, on the whole trace and its uint64 block column."""
 
     def predict(self, access: MemoryAccess, block: int) -> list[int] | None:
-        """Blocks to prefetch, or None when no prediction is possible yet."""
+        """Blocks to prefetch at the trigger ``access``, or None when no prediction is possible yet."""
         raise NotImplementedError
+
+    def _unprepared(self) -> RuntimeError:
+        return RuntimeError(f"{type(self).__name__}.predict needs prepare(trace, blocks) first; "
+                            "simulate() calls it")
 
 
 class NextLinePrefetcher(Prefetcher):
@@ -123,7 +126,11 @@ class NextLinePrefetcher(Prefetcher):
 
 
 class StridePrefetcher(Prefetcher):
-    """Per-PC last-address/stride table; issues once a stride repeats enough times."""
+    """Per-PC last-address/stride table; issues once a stride repeats enough times.
+
+    ``prepare`` replays the table over the trace, in order, and keeps each access's
+    confirmed stride (0 for none) as it stands after that access.
+    """
 
     name = "stride"
 
@@ -138,33 +145,30 @@ class StridePrefetcher(Prefetcher):
         self.confirm = confirm
         self.degree = degree
         self.addr_cfg = addr_cfg or AddressConfig()
-        self._table: OrderedDict[int, list] = OrderedDict()  # pc -> [last, stride, count]
+        self._strides = None
 
     def prepare(self, trace, blocks):
-        self._table.clear()
-
-    def observe(self, access, block):
-        entry = self._table.get(access.pc)
-        if entry is None:
-            if len(self._table) >= self.table_size:
-                self._table.popitem(last=False)
-            self._table[access.pc] = [block, 0, 0]
-            return
-        last, stride, count = entry
-        delta = block - last
-        if delta == stride and delta != 0:
-            entry[2] = count + 1
-        else:
-            entry[1] = delta
-            entry[2] = 1 if delta != 0 else 0
-        entry[0] = block
-        self._table.move_to_end(access.pc)
+        table = {}  # pc -> (last block, stride, count), least recently used first
+        strides = self._strides = array.array("q")
+        for pc, block in zip(column_ints(trace.pc), column_ints(blocks)):
+            if pc in table:
+                last, stride, count = table.pop(pc)
+                delta = block - last
+                stride, count = (stride, count + 1) if delta == stride != 0 else (delta, int(delta != 0))
+            else:
+                if len(table) >= self.table_size:
+                    del table[next(iter(table))]
+                stride = count = 0
+            table[pc] = block, stride, count
+            # a stride of 2**63 blocks or more leaves even a 64-bit block space at its first step
+            strides.append(stride if count >= self.confirm and abs(stride) < 1 << 63 else 0)
 
     def predict(self, access, block):
-        entry = self._table.get(access.pc)
-        if entry is None or entry[2] < self.confirm or entry[1] == 0:
+        if self._strides is None:
+            raise self._unprepared()
+        stride, space = self._strides[access.ordinal], self.addr_cfg.block_space
+        if stride == 0:
             return []
-        stride, space = entry[1], self.addr_cfg.block_space
         targets = [block + stride * j for j in range(1, self.degree + 1)]
         targets = [t for t in targets if 0 <= t < space]
         return targets if stride > 0 else targets[::-1]
@@ -177,6 +181,8 @@ class BestOffsetPrefetcher(Prefetcher):
     a learning phase lasts ``round_length`` passes over the list, after which the
     best-scoring offset becomes active if its score clears the threshold. Ties
     prefer the smaller |offset| (timelier within the trigger's neighborhood).
+    ``prepare`` runs the learning over the trace, in order, and keeps each access's
+    active offset (0 for none) as it stands after that access.
     """
 
     name = "best_offset"
@@ -187,43 +193,34 @@ class BestOffsetPrefetcher(Prefetcher):
         self.round_length = round_length
         self.score_threshold = score_threshold
         self.addr_cfg = addr_cfg or AddressConfig()
-        self.prepare(None, None)
+        self._offsets = None
 
     def prepare(self, trace, blocks):
-        self._recent = deque()
-        self._recent_set = set()
-        self._scores = dict.fromkeys(self.OFFSETS, 0)
-        self._cursor = 0
-        self._rounds = 0
-        self.active_offset: int | None = None
-
-    def _push_recent(self, block):
-        if block in self._recent_set:
-            return
-        self._recent.append(block)
-        self._recent_set.add(block)
-        if len(self._recent) > self.RECENT_SIZE:
-            self._recent_set.discard(self._recent.popleft())
-
-    def observe(self, access, block):
-        candidate = self.OFFSETS[self._cursor]
-        if (block - candidate) in self._recent_set:
-            self._scores[candidate] += 1
-        self._cursor += 1
-        if self._cursor == len(self.OFFSETS):
-            self._cursor = 0
-            self._rounds += 1
-            if self._rounds >= self.round_length:
-                best = max(self._scores.items(), key=lambda kv: (kv[1], -abs(kv[0])))
-                self.active_offset = best[0] if best[1] >= self.score_threshold else None
-                self._scores = dict.fromkeys(self.OFFSETS, 0)
-                self._rounds = 0
-        self._push_recent(block)
+        recent = {}  # the last RECENT_SIZE distinct blocks, oldest first
+        scores, active = dict.fromkeys(self.OFFSETS, 0), 0
+        phase = len(self.OFFSETS) * max(self.round_length, 1)  # accesses per learning phase
+        offsets = self._offsets = array.array("b")
+        candidates = itertools.cycle(self.OFFSETS)  # one tested per access, round-robin
+        for i, (candidate, block) in enumerate(zip(candidates, column_ints(blocks)), 1):
+            if (block - candidate) in recent:
+                scores[candidate] += 1
+            if i % phase == 0:
+                best, score = max(scores.items(), key=lambda kv: (kv[1], -abs(kv[0])))
+                active = best if score >= self.score_threshold else 0
+                scores = dict.fromkeys(self.OFFSETS, 0)
+            if block not in recent:
+                recent[block] = None
+                if len(recent) > self.RECENT_SIZE:
+                    del recent[next(iter(recent))]
+            offsets.append(active)
 
     def predict(self, access, block):
-        if self.active_offset is None:
+        if self._offsets is None:
+            raise self._unprepared()
+        offset = self._offsets[access.ordinal]
+        if offset == 0:
             return []
-        target = block + self.active_offset
+        target = block + offset
         return [target] if 0 <= target < self.addr_cfg.block_space else []
 
 
@@ -292,8 +289,7 @@ class ModelPrefetcher(Prefetcher):
 
     def predict(self, access, block):
         if self._inputs is None:
-            raise RuntimeError("ModelPrefetcher.predict needs prepare(trace, blocks) first; "
-                               "simulate() calls it")
+            raise self._unprepared()
         window = access.ordinal - (self._warmup - 1)
         if window < 0:
             return None
@@ -323,19 +319,17 @@ def _baseline_misses(cfg: CacheConfig, block_bytes: bytes) -> int:
     nsets, ways = cfg.sets, cfg.ways
     sets = [{} for _ in range(nsets)]  # the LRU idiom of simulate, without prefetch flags
     misses = 0
-    blocks = np.frombuffer(block_bytes, dtype=np.uint64)
-    for start in range(0, len(blocks), CHUNK):  # a chunk at a time: no second whole-trace list
-        for b in blocks[start:start + CHUNK].tolist():
-            entries = sets[b % nsets]
-            if b in entries:
-                del entries[b]
-            else:
-                misses += 1
-                if len(entries) >= ways:
-                    for lru in entries:
-                        break
-                    del entries[lru]
-            entries[b] = None
+    for b in column_ints(np.frombuffer(block_bytes, dtype=np.uint64)):
+        entries = sets[b % nsets]
+        if b in entries:
+            del entries[b]
+        else:
+            misses += 1
+            if len(entries) >= ways:
+                for lru in entries:
+                    break
+                del entries[lru]
+        entries[b] = None
     return misses
 
 
@@ -371,8 +365,6 @@ def simulate(
     trace = as_trace(trace)
     block_array = block_addresses(trace, addr_cfg)
     baseline_misses = _baseline_misses(cache_cfg, block_array.tobytes())
-    blocks = itertools.chain.from_iterable(block_array[lo:lo + CHUNK].tolist()
-                                           for lo in range(0, len(trace), CHUNK))
 
     # The cache: one dict per set mapping block -> unused-prefetch flag, whose
     # insertion order is LRU order (least recent first). A hit pops and
@@ -381,7 +373,8 @@ def simulate(
     sets = [{} for _ in range(nsets)]
     if prefetcher is not None:
         prefetcher.prepare(trace, block_array)
-        observe, predict = prefetcher.observe, prefetcher.predict
+        predict = prefetcher.predict
+    new_record = tuple.__new__  # builds a MemoryAccess without its Python-level __new__
     log = None if event_log is None else event_log.append
     latency_cycles = latency.latency_cycles
     low_throughput = latency.throughput == "L"
@@ -396,8 +389,8 @@ def simulate(
     dropped_triggers = cold_start = 0
     degree_hist: dict[int, int] = {}
 
-    for access, block in zip(trace, blocks):
-        cycle = access.cycle
+    columns = map(column_ints, (trace.cycle, trace.pc, trace.vaddr, block_array))
+    for ordinal, cycle, pc, vaddr, block in zip(itertools.count(), *columns):
 
         # land prefetches whose latency has elapsed
         while pending and pending[0][1] <= cycle:
@@ -407,7 +400,7 @@ def simulate(
             if pblock in entries:
                 dropped_on_arrival += 1
                 if log is not None:
-                    log((access.ordinal, "prefetch_drop", pblock, None))
+                    log((ordinal, "prefetch_drop", pblock, None))
                 continue
             evicted = None
             if len(entries) >= ways:
@@ -417,7 +410,7 @@ def simulate(
                     useless_evicted += 1
             entries[pblock] = True
             if log is not None:
-                log((access.ordinal, "prefetch_insert", pblock, evicted))
+                log((ordinal, "prefetch_insert", pblock, evicted))
 
         entries = sets[block % nsets]
         hit = block in entries
@@ -426,7 +419,7 @@ def simulate(
                 useful += 1
             entries[block] = False
             if log is not None:
-                log((access.ordinal, "demand_hit", block, None))
+                log((ordinal, "demand_hit", block, None))
         else:
             demand_misses += 1
             if block in pending_set:
@@ -439,17 +432,14 @@ def simulate(
                     useless_evicted += 1
             entries[block] = False
             if log is not None:
-                log((access.ordinal, "demand_miss", block, evicted))
+                log((ordinal, "demand_miss", block, evicted))
 
-        if prefetcher is None:
-            continue
-        observe(access, block)
-        if miss_triggers and hit:
+        if prefetcher is None or (miss_triggers and hit):
             continue
         if low_throughput and cycle < busy_until:
             dropped_triggers += 1
             continue
-        predictions = predict(access, block)
+        predictions = predict(new_record(MemoryAccess, (ordinal, cycle, pc, vaddr)), block)
         if low_throughput:
             busy_until = cycle + latency_cycles
         if predictions is None:
@@ -473,7 +463,7 @@ def simulate(
                         useless_evicted += 1
                 entries[pblock] = True
                 if log is not None:
-                    log((access.ordinal, "prefetch_insert", pblock, evicted))
+                    log((ordinal, "prefetch_insert", pblock, evicted))
             else:
                 pending.append((pblock, ready))
                 pending_set.add(pblock)

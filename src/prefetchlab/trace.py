@@ -73,6 +73,12 @@ class MemoryAccess(NamedTuple):
 CHUNK = 4096  # records built per step when a trace is iterated or written
 
 
+def column_ints(column: np.ndarray):
+    """The entries of a 1-D numpy column as Python ints, converted ``CHUNK`` at a time."""
+    return itertools.chain.from_iterable(column[lo:lo + CHUNK].tolist()
+                                         for lo in range(0, len(column), CHUNK))
+
+
 class Trace(Sequence[MemoryAccess]):
     """A trace held as three read-only numpy columns with one entry per access.
 
@@ -398,7 +404,7 @@ def _gen_page_skip(length, rng, cfg, pc, start_block, deltas):
     return np.cumsum(np.concatenate((_u64([start_block]), _u64(deltas, length - 1)))), [pc]
 
 
-def _gen_interleaved(length, rng, cfg, pc, streams):
+def _gen_interleaved(length, rng, cfg, streams):
     # Round-robin over independent strided streams, each with its own pc.
     starts, strides = (_u64([s[key] for s in streams], length) for key in ("start_block", "stride"))
     turns = np.arange(length, dtype=np.uint64) // np.uint64(len(streams))
@@ -459,19 +465,22 @@ _PC, _COUNT = _ints(0, 1 << 64), _ints(1, (1 << 63) + 1)  # a count: at most the
 _int = functools.partial(_Param, check=_ints(), what="an integer")
 _int_list = functools.partial(_Param, check=_list_of(_ints()), what="a non-empty list of integers")
 _count = functools.partial(_Param, check=_COUNT, what="an integer in [1, 2**63]")
-# the keys of every pattern, then pattern name -> (generator, the parameters it reads)
-_COMMON = {"pc": _Param(DEFAULT_PC, _PC, "an integer in [0, 2**64)"),
-           "cycle_step": _Param(1, _ints(0, 1 << 63), "an integer in [0, 2**63)")}
+_pc_param = _Param(DEFAULT_PC, _PC, "an integer in [0, 2**64)")
+# the key of every pattern, then pattern name -> (generator, the parameters it reads)
+_COMMON = {"cycle_step": _Param(1, _ints(0, 1 << 63), "an integer in [0, 2**63)")}
 _GENERATORS = {
-    "stride": (_gen_stride, {"stride": _int(1), "start_block": _int(1 << 20)}),
-    "pointer_walk": (_gen_pointer_walk, {"page": _int(1 << 24), "steps": _int_list([-3, -2, -1, 1, 2, 3])}),
-    "page_skip": (_gen_page_skip, {"start_block": _int(1 << 20), "deltas": _int_list([2, 3, 91])}),
-    "interleaved": (_gen_interleaved, {"streams": _mappings(
+    "stride": (_gen_stride, {"pc": _pc_param, "stride": _int(1), "start_block": _int(1 << 20)}),
+    "pointer_walk": (_gen_pointer_walk, {"pc": _pc_param, "page": _int(1 << 24),
+                                         "steps": _int_list([-3, -2, -1, 1, 2, 3])}),
+    "page_skip": (_gen_page_skip, {"pc": _pc_param, "start_block": _int(1 << 20),
+                                   "deltas": _int_list([2, 3, 91])}),
+    "interleaved": (_gen_interleaved, {"streams": _mappings(  # no top-level pc: each stream has its own
         [{}, {"pc": DEFAULT_PC + 0x40, "start_block": 1 << 22, "stride": 3}],  # {}: every key at its default
         "a non-empty list of mappings with integer pc, start_block and stride, and no other key",
         pc=(DEFAULT_PC, _PC), start_block=(1 << 20, _ints()), stride=(1, _ints()))}),
-    "random": (_gen_random, {"region_start_block": _int(1 << 20), "region_blocks": _count(1 << 16)}),
-    "region_walks": (_gen_region_walks, {"regions": _mappings(
+    "random": (_gen_random, {"pc": _pc_param, "region_start_block": _int(1 << 20),
+                             "region_blocks": _count(1 << 16)}),
+    "region_walks": (_gen_region_walks, {"pc": _pc_param, "regions": _mappings(
         [{"start_page": 0x10000, "pages": 4096, "walk": [4] * 6},
          {"start_page": 0x30000, "pages": 4096, "walk": [9] * 6}],
         "a non-empty list of mappings with start_page >= 0, pages in [1, 2**63], a walk list of "
@@ -482,7 +491,7 @@ _GENERATORS = {
 
 def check_pattern(spec, length: int) -> None:
     """The pattern rule: a mapping whose ``name`` is a known generator, whose other
-    keys are ``pc``, ``cycle_step`` or parameters that generator reads, and whose
+    keys are ``cycle_step`` or parameters that generator reads, and whose
     parameters, where given, have the types and ranges that generator uses. The
     last cycle of a ``length``-record trace, ``cycle_step * (length - 1)``, must
     fit in int64."""

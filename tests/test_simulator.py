@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import itertools
 import json
+from collections import OrderedDict, deque
 
 import numpy as np
 import pytest
@@ -523,6 +525,19 @@ class TestPerfectOracleCoverage:
         assert report.accuracy == 1.0
 
 
+def prepared(pf, records, addr_cfg) -> Trace:
+    """``records`` as a Trace, after ``pf.prepare`` on it."""
+    trace = as_trace(records)
+    pf.prepare(trace, block_addresses(trace, addr_cfg))
+    return trace
+
+
+def predictions(pf, records, addr_cfg) -> list:
+    """What ``pf`` predicts at each access of ``records``, after one ``prepare`` on them."""
+    trace = prepared(pf, records, addr_cfg)
+    return [pf.predict(access, block) for access, block in zip(trace, block_addresses(trace, addr_cfg).tolist())]
+
+
 class TestRulePrefetchers:
     def test_next_line_definition(self, addr_cfg):
         pf = NextLinePrefetcher(2, addr_cfg)
@@ -530,47 +545,41 @@ class TestRulePrefetchers:
 
     def test_stride_state_machine_hand_trace(self, addr_cfg):
         # stride-3 stream: first issue happens at the third access, then every access
-        trace = make_trace([100, 103, 106, 109, 112])
         pf = StridePrefetcher(confirm=2, degree=1, addr_cfg=addr_cfg)
-        issued = []
-        for acc in trace:
-            block = acc.vaddr >> 6
-            pf.observe(acc, block)
-            issued.append(pf.predict(acc, block))
+        issued = predictions(pf, make_trace([100, 103, 106, 109, 112]), addr_cfg)
         assert issued == [[], [], [109], [112], [115]]
 
     def test_stride_resets_on_break(self, addr_cfg):
-        trace = make_trace([100, 103, 106, 200, 203, 206])
         pf = StridePrefetcher(confirm=2, addr_cfg=addr_cfg)
-        out = []
-        for acc in trace:
-            block = acc.vaddr >> 6
-            pf.observe(acc, block)
-            out.append(pf.predict(acc, block))
+        out = predictions(pf, make_trace([100, 103, 106, 200, 203, 206]), addr_cfg)
         assert out[3] == []  # break destroys confidence
         assert out[5] == [209]  # re-confirmed after two stride-3 jumps
 
     def test_stride_table_capacity(self, addr_cfg):
-        pf = StridePrefetcher(table_size=2, addr_cfg=addr_cfg)
-        for i, pc in enumerate([0x1, 0x2, 0x3]):
-            acc = make_trace([i], pcs=[pc])[0]
-            pf.observe(acc, i)
-        assert len(pf._table) == 2
+        # pc 1 walks +3, and pcs 2 and 3 come between its second and third access: a 2-entry
+        # table drops pc 1, its least recent entry, for pc 3, so pc 1 confirms two accesses later
+        trace = make_trace([0, 3, 50, 60, 6, 9, 12], pcs=[1, 1, 2, 3, 1, 1, 1])
+        out = {size: predictions(StridePrefetcher(table_size=size, addr_cfg=addr_cfg), trace, addr_cfg)
+               for size in (2, 3)}
+        assert out[3] == [[], [], [], [], [9], [12], [15]]
+        assert out[2] == [[], [], [], [], [], [], [15]]
 
     def test_best_offset_converges_to_stride(self, addr_cfg):
         trace = make_trace([1000 + 3 * i for i in range(200)])
         pf = BestOffsetPrefetcher(round_length=2, score_threshold=2, addr_cfg=addr_cfg)
-        for acc in trace:
-            pf.observe(acc, acc.vaddr >> 6)
-        assert pf.active_offset == 3
+        assert predictions(pf, trace, addr_cfg)[-1] == [1000 + 3 * 199 + 3]  # offset 3 is active
 
     def test_best_offset_stays_quiet_on_random(self, addr_cfg):
         rng = np.random.default_rng(11)
         trace = make_trace(rng.integers(0, 10**9, size=400).tolist())
         pf = BestOffsetPrefetcher(round_length=2, score_threshold=3, addr_cfg=addr_cfg)
-        for acc in trace:
-            pf.observe(acc, acc.vaddr >> 6)
-        assert pf.active_offset is None
+        assert predictions(pf, trace, addr_cfg) == [[]] * len(trace)
+
+    def test_stride_wider_than_int64_predicts_nothing(self):
+        # with no offset bits a block is a whole 64-bit address, so a stride can reach 2**63 in size
+        cfg = AddressConfig(block_offset_bits=0)
+        trace = make_trace([0, 2**63 + 5, 2**64 - 1, 0], addr_cfg=cfg)
+        assert predictions(StridePrefetcher(confirm=1, addr_cfg=cfg), trace, cfg) == [[]] * 4
 
     SMALL = AddressConfig(addr_bits=16, page_size_bits=8, block_offset_bits=4)  # 4096 blocks
 
@@ -585,18 +594,162 @@ class TestRulePrefetchers:
     @pytest.mark.parametrize("stride", [-7, -1, 1, 5])
     @pytest.mark.parametrize("degree", [1, 3])
     def test_stride_equals_prefetch_addresses(self, block, stride, degree):
+        # the hand trace confirms ``stride`` at its third access, which then predicts from ``block``
         pf = StridePrefetcher(confirm=2, degree=degree, addr_cfg=self.SMALL)
-        access = MemoryAccess(0, 0, 0x400000, block << 4)
-        pf._table[access.pc] = [block, stride, 2]
+        records = make_trace([2000, 2000 + stride, 2000 + 2 * stride], addr_cfg=self.SMALL)
+        trace = prepared(pf, records, self.SMALL)
         deltas = [stride * j for j in range(1, degree + 1)]
-        assert pf.predict(access, block) == sorted(prefetch_addresses(block, deltas, self.SMALL))
+        assert pf.predict(trace[2], block) == sorted(prefetch_addresses(block, deltas, self.SMALL))
 
     @pytest.mark.parametrize("block", [0, 1, 2, 2000, 4094, 4095])
     @pytest.mark.parametrize("offset", [-32, -1, 1, 24])
     def test_best_offset_equals_prefetch_addresses(self, block, offset):
-        pf = BestOffsetPrefetcher(addr_cfg=self.SMALL)
-        pf.active_offset = offset
-        assert pf.predict(None, block) == sorted(prefetch_addresses(block, [offset], self.SMALL))
+        # a stream of stride ``offset`` makes ``offset`` active at the end of its second learning
+        # phase, whose last access then predicts from ``block`` (in the first phase, an offset
+        # tested before the stream has reached its length scores a miss)
+        pf = BestOffsetPrefetcher(round_length=2, addr_cfg=self.SMALL)
+        n, start = 2 * pf.round_length * len(pf.OFFSETS), 0 if offset > 0 else 4095
+        trace = prepared(pf, make_trace([start + offset * i for i in range(n)], addr_cfg=self.SMALL), self.SMALL)
+        assert pf.predict(trace[n - 1], block) == sorted(prefetch_addresses(block, [offset], self.SMALL))
+
+
+class ReferenceStride:
+    """The stride state machine as it ran per access: ``observe`` then ``predict``."""
+
+    def __init__(self, table_size=256, confirm=2, degree=1, addr_cfg=None):
+        self.table_size, self.confirm, self.degree = table_size, confirm, degree
+        self.addr_cfg = addr_cfg or AddressConfig()
+        self._table = OrderedDict()  # pc -> [last, stride, count]
+
+    def observe(self, access, block):
+        entry = self._table.get(access.pc)
+        if entry is None:
+            if len(self._table) >= self.table_size:
+                self._table.popitem(last=False)
+            self._table[access.pc] = [block, 0, 0]
+            return
+        last, stride, count = entry
+        delta = block - last
+        if delta == stride and delta != 0:
+            entry[2] = count + 1
+        else:
+            entry[1] = delta
+            entry[2] = 1 if delta != 0 else 0
+        entry[0] = block
+        self._table.move_to_end(access.pc)
+
+    def predict(self, access, block):
+        entry = self._table.get(access.pc)
+        if entry is None or entry[2] < self.confirm or entry[1] == 0:
+            return []
+        stride, space = entry[1], self.addr_cfg.block_space
+        targets = [block + stride * j for j in range(1, self.degree + 1)]
+        targets = [t for t in targets if 0 <= t < space]
+        return targets if stride > 0 else targets[::-1]
+
+
+class ReferenceBestOffset:
+    """The best-offset state machine as it ran per access: ``observe`` then ``predict``."""
+
+    OFFSETS, RECENT_SIZE = BestOffsetPrefetcher.OFFSETS, 64
+
+    def __init__(self, round_length=4, score_threshold=2, addr_cfg=None):
+        self.round_length, self.score_threshold = round_length, score_threshold
+        self.addr_cfg = addr_cfg or AddressConfig()
+        self._recent, self._recent_set = deque(), set()
+        self._scores = dict.fromkeys(self.OFFSETS, 0)
+        self._cursor = self._rounds = 0
+        self.active_offset = None
+
+    def observe(self, access, block):
+        candidate = self.OFFSETS[self._cursor]
+        if (block - candidate) in self._recent_set:
+            self._scores[candidate] += 1
+        self._cursor += 1
+        if self._cursor == len(self.OFFSETS):
+            self._cursor = 0
+            self._rounds += 1
+            if self._rounds >= self.round_length:
+                best = max(self._scores.items(), key=lambda kv: (kv[1], -abs(kv[0])))
+                self.active_offset = best[0] if best[1] >= self.score_threshold else None
+                self._scores = dict.fromkeys(self.OFFSETS, 0)
+                self._rounds = 0
+        if block not in self._recent_set:
+            self._recent.append(block)
+            self._recent_set.add(block)
+            if len(self._recent) > self.RECENT_SIZE:
+                self._recent_set.discard(self._recent.popleft())
+
+    def predict(self, access, block):
+        if self.active_offset is None:
+            return []
+        target = block + self.active_offset
+        return [target] if 0 <= target < self.addr_cfg.block_space else []
+
+
+class ObservedReplay(Prefetcher):
+    """Replays a fresh reference state machine over the trace, ``observe`` then ``predict`` on
+    every access in order, and answers each trigger with that access's prediction. ``predict``
+    reads only the state, so predicting on every access equals predicting on the admitted ones."""
+
+    def __init__(self, machine):
+        self.machine = machine
+
+    def prepare(self, trace, blocks):
+        machine = self.machine()
+        self._predictions = []
+        for access, block in zip(trace, blocks.tolist()):
+            machine.observe(access, block)
+            self._predictions.append(machine.predict(access, block))
+
+    def predict(self, access, block):
+        return self._predictions[access.ordinal]
+
+
+class TestObservedReplayEquivalence:
+    """The stride and best-offset decisions taken in ``prepare`` replay exactly as the per-access
+    ``observe``-then-``predict`` state machines do, report and event log alike."""
+
+    SEEDS = (3, 19, 40)
+    PATTERNS = {
+        "random": {"name": "random", "region_blocks": 64},  # deltas repeat, so strides confirm
+        "region_walks": {"name": "region_walks", "regions": TestGoldenReports.REGIONS},
+        "region_walks-5pcs": {"name": "region_walks", "regions": TestGoldenReports.REGIONS},
+    }
+    PREFETCHERS = {  # name -> (prefetcher under test, reference state machine), given addr_cfg
+        "stride": (StridePrefetcher, ReferenceStride),
+        "stride-small-table": (functools.partial(StridePrefetcher, table_size=3, confirm=1, degree=3),
+                               functools.partial(ReferenceStride, table_size=3, confirm=1, degree=3)),
+        "best_offset": (BestOffsetPrefetcher, ReferenceBestOffset),
+    }
+    CACHES = (CacheConfig(sets=4, ways=2), CacheConfig(sets=32, ways=8))
+    LATENCIES = tuple(itertools.product((0, 50), ("L", "H")))
+
+    def trace(self, pattern, seed):
+        trace = generate_trace(self.PATTERNS[pattern], 2000, seed=seed)
+        if pattern.endswith("5pcs"):  # pcs drawn from five, so the small table evicts
+            pcs = 0x400000 + 0x40 * np.random.default_rng(seed).integers(0, 5, size=len(trace))
+            trace = Trace(trace.cycle, pcs, trace.vaddr)
+        return trace
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    @pytest.mark.parametrize("name", sorted(PREFETCHERS))
+    def test_reports_and_event_logs_equal(self, addr_cfg, name, pattern, seed):
+        trace = self.trace(pattern, seed)
+        under_test, machine = self.PREFETCHERS[name]
+        issued = 0
+        for cache, (cycles, throughput), stream in itertools.product(
+                self.CACHES, self.LATENCIES, ("access", "miss")):
+            args = (trace, cache, LatencyModel(cycles, throughput), addr_cfg, stream)
+            logs = [], []
+            got = simulate(args[0], under_test(addr_cfg=addr_cfg), *args[1:], event_log=logs[0])
+            want = simulate(args[0], ObservedReplay(lambda: machine(addr_cfg=addr_cfg)), *args[1:],
+                            event_log=logs[1])
+            assert got == want, (cache, cycles, throughput, stream)
+            assert logs[0] == logs[1], (cache, cycles, throughput, stream)
+            issued += got.prefetches_issued
+        assert issued > 0
 
 
 class TestModelPrefetcher:
@@ -682,12 +835,11 @@ class TestModelPrefetcher:
         assert logs[0][0][0] == 0
 
     def test_predict_without_prepare_raises(self, addr_cfg):
-        pf = self.top_k_prefetcher(addr_cfg)
-        trace = make_trace(list(range(100, 110)))
-        for access in trace:
-            pf.observe(access, access.vaddr >> addr_cfg.block_offset_bits)
-        with pytest.raises(RuntimeError, match="prepare"):
-            pf.predict(trace[-1], trace[-1].vaddr >> addr_cfg.block_offset_bits)
+        access = make_trace([100])[0]
+        for pf in (self.top_k_prefetcher(addr_cfg), StridePrefetcher(addr_cfg=addr_cfg),
+                   BestOffsetPrefetcher(addr_cfg=addr_cfg)):
+            with pytest.raises(RuntimeError, match=rf"^{type(pf).__name__}\.predict needs prepare\("):
+                pf.predict(access, 100)
 
     def test_one_input_encoding_per_simulate(self, addr_cfg, monkeypatch):
         calls, encode_inputs = [], features.encode_inputs

@@ -488,6 +488,7 @@ class TestGenerateTrace:
         {"name": "stride", "strid": 3},
         {"name": "random", "stride": 3},
         {"name": "interleaved", "streams": [{"pc": 1, "start_block": 0, "strid": 3}]},
+        {"name": "interleaved", "pc": 5},
         {"name": "region_walks", "regions": [{"start_page": 1, "pages": 4, "walk": [1], "wlak": [2]}]},
         {"name": "random", "region_blocks": 2**63 + 1},
         {"name": "region_walks", "regions": [{"start_page": 1, "pages": 2**63 + 1, "walk": [1]}]},
