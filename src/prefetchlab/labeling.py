@@ -94,7 +94,7 @@ def label_bitmaps(blocks: np.ndarray, triggers: np.ndarray, cfg: LabelConfig) ->
     The loop runs over the ``look_forward`` window offsets, setting one bit per
     trigger at each offset; a window that runs past the trace end is cut short.
     """
-    blocks = np.asarray(blocks, dtype=np.uint64).astype(np.int64)
+    blocks = np.asarray(blocks, dtype=np.uint64)
     triggers = np.asarray(triggers, dtype=np.int64)
     n_trace = blocks.shape[0]
     bound = cfg.delta_bound
@@ -103,8 +103,11 @@ def label_bitmaps(blocks: np.ndarray, triggers: np.ndarray, cfg: LabelConfig) ->
     for offset in range(cfg.skip + 1, cfg.skip + cfg.look_forward + 1):
         live = triggers + offset < n_trace
         t = triggers[live]
-        d = blocks[t + offset] - blocks[t]
-        keep = (d != 0) & (d >= -bound) & (d <= bound)
-        d = d[keep]
-        labels[rows[live][keep], np.where(d < 0, d + bound, d + bound - 1)] = True
+        future, base = blocks[t + offset], blocks[t]
+        # |delta| as uint64, so a jump across a 2**64 block space cannot wrap into a small delta
+        ahead = future > base
+        dist = np.where(ahead, future - base, base - future)
+        keep = (dist != 0) & (dist <= bound)
+        dist = dist[keep].astype(np.int64)
+        labels[rows[live][keep], np.where(ahead[keep], dist + bound - 1, bound - dist)] = True
     return labels

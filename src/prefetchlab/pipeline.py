@@ -428,13 +428,14 @@ def stage_eval(run: _Run) -> None:
             "f1": f1,
             "reused_main_model": reused_main,
         })
+        del params, tuned, test, test_conf  # the next mode's fit must not run beside this mode's model
     _write_json(run.out("eval_metrics.json"), {"modes": rows})
     _write_csv(run.out("eval_metrics.csv"), list(rows[0]), (r.values() for r in rows))
 
 
 def _build_prefetcher(name, run: _Run):
     cfg, sim = run.cfg, run.cfg.simulate
-    if name == "next_line":  # degree 2; every other rule setting is its class default
+    if name == "next_line":  # degree 2; stride and best-offset take their tuning from class constants
         return NextLinePrefetcher(2, cfg.address)
     if name == "stride":
         return StridePrefetcher(addr_cfg=cfg.address)

@@ -108,6 +108,11 @@ class Prefetcher:
         return RuntimeError(f"{type(self).__name__}.predict needs prepare(trace, blocks) first; "
                             "simulate() calls it")
 
+    def _step(self, block: int, step: int) -> list[int]:
+        """``[block + step]`` for a nonzero step that lands in the block space, else ``[]``."""
+        target = block + step
+        return [target] if step and 0 <= target < self.addr_cfg.block_space else []
+
 
 class NextLinePrefetcher(Prefetcher):
     """Blocks +1 .. +degree after every trigger."""
@@ -126,24 +131,18 @@ class NextLinePrefetcher(Prefetcher):
 
 
 class StridePrefetcher(Prefetcher):
-    """Per-PC last-address/stride table; issues once a stride repeats enough times.
+    """Per-PC last-address/stride table of ``TABLE_SIZE`` entries; once a PC repeats
+    one stride ``CONFIRM`` times, each of its accesses predicts one block, a stride ahead.
 
     ``prepare`` replays the table over the trace, in order, and keeps each access's
     confirmed stride (0 for none) as it stands after that access.
     """
 
     name = "stride"
+    TABLE_SIZE = 256  # PCs tracked; a new PC drops the least recently seen
+    CONFIRM = 2  # repeats of a stride before it predicts
 
-    def __init__(
-        self,
-        table_size: int = 256,
-        confirm: int = 2,
-        degree: int = 1,
-        addr_cfg: AddressConfig | None = None,
-    ):
-        self.table_size = table_size
-        self.confirm = confirm
-        self.degree = degree
+    def __init__(self, addr_cfg: AddressConfig | None = None):
         self.addr_cfg = addr_cfg or AddressConfig()
         self._strides = None
 
@@ -156,30 +155,25 @@ class StridePrefetcher(Prefetcher):
                 delta = block - last
                 stride, count = (stride, count + 1) if delta == stride != 0 else (delta, int(delta != 0))
             else:
-                if len(table) >= self.table_size:
+                if len(table) >= self.TABLE_SIZE:
                     del table[next(iter(table))]
                 stride = count = 0
             table[pc] = block, stride, count
-            # a stride of 2**63 blocks or more leaves even a 64-bit block space at its first step
-            strides.append(stride if count >= self.confirm and abs(stride) < 1 << 63 else 0)
+            # confirmed twice, a stride s spans blocks b, b+s, b+2s of [0, 2**64): |s| < 2**63 fits int64
+            strides.append(stride if count >= self.CONFIRM else 0)
 
     def predict(self, access, block):
         if self._strides is None:
             raise self._unprepared()
-        stride, space = self._strides[access.ordinal], self.addr_cfg.block_space
-        if stride == 0:
-            return []
-        targets = [block + stride * j for j in range(1, self.degree + 1)]
-        targets = [t for t in targets if 0 <= t < space]
-        return targets if stride > 0 else targets[::-1]
+        return self._step(block, self._strides[access.ordinal])
 
 
 class BestOffsetPrefetcher(Prefetcher):
     """Offset prefetcher that scores candidate offsets against recent requests.
 
     One candidate offset of the fixed ``OFFSETS`` is tested per access round-robin;
-    a learning phase lasts ``round_length`` passes over the list, after which the
-    best-scoring offset becomes active if its score clears the threshold. Ties
+    a learning phase lasts ``ROUND_LENGTH`` passes over the list, after which the
+    best-scoring offset becomes active if its score reaches ``SCORE_THRESHOLD``. Ties
     prefer the smaller |offset| (timelier within the trigger's neighborhood).
     ``prepare`` runs the learning over the trace, in order, and keeps each access's
     active offset (0 for none) as it stands after that access.
@@ -188,17 +182,17 @@ class BestOffsetPrefetcher(Prefetcher):
     name = "best_offset"
     OFFSETS = (*(d for k in range(1, 9) for d in (k, -k)), 12, -12, 16, -16, 24, -24, 32, -32)
     RECENT_SIZE = 64  # recent blocks an offset is scored against
+    ROUND_LENGTH = 4  # passes over OFFSETS per learning phase
+    SCORE_THRESHOLD = 2  # least score that makes a phase's best offset active
 
-    def __init__(self, round_length: int = 4, score_threshold: int = 2, addr_cfg: AddressConfig | None = None):
-        self.round_length = round_length
-        self.score_threshold = score_threshold
+    def __init__(self, addr_cfg: AddressConfig | None = None):
         self.addr_cfg = addr_cfg or AddressConfig()
         self._offsets = None
 
     def prepare(self, trace, blocks):
         recent = {}  # the last RECENT_SIZE distinct blocks, oldest first
         scores, active = dict.fromkeys(self.OFFSETS, 0), 0
-        phase = len(self.OFFSETS) * max(self.round_length, 1)  # accesses per learning phase
+        phase = len(self.OFFSETS) * self.ROUND_LENGTH  # accesses per learning phase
         offsets = self._offsets = array.array("b")
         candidates = itertools.cycle(self.OFFSETS)  # one tested per access, round-robin
         for i, (candidate, block) in enumerate(zip(candidates, column_ints(blocks)), 1):
@@ -206,7 +200,7 @@ class BestOffsetPrefetcher(Prefetcher):
                 scores[candidate] += 1
             if i % phase == 0:
                 best, score = max(scores.items(), key=lambda kv: (kv[1], -abs(kv[0])))
-                active = best if score >= self.score_threshold else 0
+                active = best if score >= self.SCORE_THRESHOLD else 0
                 scores = dict.fromkeys(self.OFFSETS, 0)
             if block not in recent:
                 recent[block] = None
@@ -217,11 +211,7 @@ class BestOffsetPrefetcher(Prefetcher):
     def predict(self, access, block):
         if self._offsets is None:
             raise self._unprepared()
-        offset = self._offsets[access.ordinal]
-        if offset == 0:
-            return []
-        target = block + offset
-        return [target] if 0 <= target < self.addr_cfg.block_space else []
+        return self._step(block, self._offsets[access.ordinal])
 
 
 class OraclePrefetcher(Prefetcher):

@@ -11,7 +11,7 @@ from prefetchlab.labeling import (
     label_bitmaps,
     prefetch_addresses,
 )
-from prefetchlab.trace import block_address, block_addresses, generate_trace
+from prefetchlab.trace import AddressConfig, block_address, block_addresses, generate_trace
 
 
 def collect_oracle(trace, trigger, cfg, addr_cfg):
@@ -154,15 +154,19 @@ class TestPrefetchAddresses:
 
 
 class TestLabelBitmaps:
-    def test_matches_scalar_route(self, trace_from_blocks, addr_cfg):
-        rng = np.random.default_rng(2)
-        blocks = (2000 + rng.integers(-100, 100, size=300).cumsum()).clip(0)
-        trace = trace_from_blocks(blocks.tolist())
-        cfg = LabelConfig(look_forward=12, delta_bound=32, skip=1)
-        triggers = np.arange(0, 300, 7)
-        labels = label_bitmaps(blocks.astype(np.uint64), triggers, cfg)
+    @pytest.mark.parametrize("blocks, cfg, triggers, addr_cfg", [
+        pytest.param((2000 + np.random.default_rng(2).integers(-100, 100, size=300).cumsum()).clip(0).tolist(),
+                     LabelConfig(look_forward=12, delta_bound=32, skip=1), range(0, 300, 7), AddressConfig(),
+                     id="random-walk"),
+        # with no offset bits the block space is 2**64, so a far jump must not wrap into a near delta
+        pytest.param([0, 2**64 - 1, 5], LabelConfig(look_forward=2, delta_bound=8), range(3),
+                     AddressConfig(block_offset_bits=0), id="64-bit-block-space"),
+    ])
+    def test_matches_scalar_route(self, trace_from_blocks, blocks, cfg, triggers, addr_cfg):
+        trace = trace_from_blocks(blocks, addr_cfg=addr_cfg)
+        labels = label_bitmaps(np.array(blocks, dtype=np.uint64), np.array(triggers), cfg)
         for row, t in enumerate(triggers):
-            expect = deltas_to_bitmap(collect_future_deltas(trace, int(t), cfg, addr_cfg), cfg)
+            expect = deltas_to_bitmap(collect_future_deltas(trace, t, cfg, addr_cfg), cfg)
             assert np.array_equal(labels[row], expect)
 
     @pytest.mark.parametrize("pattern", [{"name": "random", "region_blocks": 300},

@@ -353,11 +353,15 @@ class TestTrain:
         assert [e.learning_rate for e in log] == [1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4]
 
     def test_early_stopping_returns_best(self):
+        # validated on the training inputs with complemented labels, the loss must rise as the
+        # model learns, so training stops ``patience + 1`` epochs after its best one
         x, c, y = self.make_dataset(128)
-        xv, cv, yv = self.make_dataset(64, seed=9)
         cfg = TrainConfig(max_epochs=30, batch_size=64, seed=0, patience=2)
-        _, log = train(TINY, x, c, y, xv, cv, yv, cfg=cfg)
-        assert len(log) <= 30
+        params, log = train(TINY, x, c, y, x, c, 1 - y, cfg=cfg)
+        val_losses = [e.val_loss for e in log]
+        best = val_losses.index(min(val_losses))
+        assert len(log) == best + cfg.patience + 2 < cfg.max_epochs
+        assert model_module._evaluate_loss(params, x, c, 1 - y, cfg.batch_size) == min(val_losses)
 
     def test_validation_loss_builds_no_graph(self, monkeypatch):
         x, c, y = self.make_dataset(64)

@@ -189,6 +189,8 @@ PROBES = {
     "trace.pattern=unknown": ({"trace": {"pattern": {"name": "nope"}}}, "trace.pattern"),
     "seed=-1": ({"seed": -1}, "seed"),
     "address.addr_bits=128": ({"address": {"addr_bits": 128}}, "address.addr_bits"),
+    "address.block_offset_bits=12": ({"address": {"block_offset_bits": 12}},
+                                     "address.block_offset_bits < page_size_bits < addr_bits must hold"),
     "label.look_forward=2.5": ({"label": {"look_forward": 2.5}}, "label.look_forward"),
     "features.hash_bits=40": ({"features": {"hash_bits": 40}}, "features.hash_bits"),
     "eval_modes[0].hash_bits=x": ({"eval_modes": [{"hash_bits": "x"}]}, "eval_modes[0].hash_bits"),
@@ -248,6 +250,11 @@ PROBES = {
     "simulate.best_offset_score_threshold=1": ({"simulate": {"best_offset_score_threshold": 1}},
                                                "simulate.best_offset_score_threshold"),
 }
+
+
+def _redigested(manifest):
+    """``manifest`` with the digest of its edited fields, so only its content can be refused."""
+    return dict(manifest, digest=pipeline._manifest_digest(manifest))
 
 
 def _demo08_raw():
@@ -421,6 +428,14 @@ class TestStages:
         with pytest.raises(StaleArtifactsError, match=name):
             run_stage(stage, tiny_cfg, clone)
 
+    def test_missing_artifact_refused(self, tiny_cfg, full_run, tmp_path):
+        # an output its manifest lists, gone from the run directory
+        clone = str(tmp_path / "clone")
+        shutil.copytree(full_run, clone)
+        os.remove(os.path.join(clone, "model.ckpt"))
+        with pytest.raises(StageDependencyError, match=re.escape("model.ckpt of stage 'train' is missing")):
+            run_stage("tune", tiny_cfg, clone)
+
     def test_edited_trace_file_refused_after_preprocess(self, tmp_path):
         # a file trace is read again by simulate and sweep: once preprocess has recorded
         # its hash, another file under the same path would run a model that was trained
@@ -489,20 +504,21 @@ class TestStages:
         with pytest.raises(StaleArtifactsError, match="manifest_train.json"):
             run_stage("tune", tiny_cfg, clone)
 
-    @pytest.mark.parametrize("edit", [
-        lambda m: [],
-        lambda m: {k: v for k, v in m.items() if k != "outputs"},
-        lambda m: dict(m, outputs=list(m["outputs"])),
-        lambda m: dict(m, stage="train"),
-    ], ids=["list", "no-outputs", "outputs-not-object", "other-stage"])
-    def test_misshapen_manifest_refused(self, tiny_cfg, full_run, tmp_path, edit):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [], "is not a stage manifest"),
+        (lambda m: {k: v for k, v in m.items() if k != "outputs"}, "is not a stage manifest"),
+        (lambda m: dict(m, outputs=list(m["outputs"])), "is not a stage manifest"),
+        (lambda m: dict(m, stage="train"), "does not match its digest"),
+        (lambda m: _redigested(dict(m, stage="train")), "names stage 'train', not 'gen'"),
+    ], ids=["list", "no-outputs", "outputs-not-object", "other-stage", "other-stage-redigested"])
+    def test_misshapen_manifest_refused(self, tiny_cfg, full_run, tmp_path, edit, message):
         clone = str(tmp_path / "clone")
         shutil.copytree(full_run, clone)
         path = os.path.join(clone, "manifest_gen.json")
         manifest = json.loads(pathlib.Path(path).read_text())
         with open(path, "w") as fh:
             json.dump(edit(manifest), fh)
-        with pytest.raises(StaleArtifactsError, match="manifest_gen.json"):
+        with pytest.raises(StaleArtifactsError, match=re.escape(f"manifest_gen.json {message}")):
             run_stage("simulate", tiny_cfg, clone)
 
     def test_failed_stage_leaves_earlier_outputs(self, tiny_cfg, full_run, tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import json
@@ -545,41 +544,45 @@ class TestRulePrefetchers:
 
     def test_stride_state_machine_hand_trace(self, addr_cfg):
         # stride-3 stream: first issue happens at the third access, then every access
-        pf = StridePrefetcher(confirm=2, degree=1, addr_cfg=addr_cfg)
+        pf = StridePrefetcher(addr_cfg)
         issued = predictions(pf, make_trace([100, 103, 106, 109, 112]), addr_cfg)
         assert issued == [[], [], [109], [112], [115]]
 
     def test_stride_resets_on_break(self, addr_cfg):
-        pf = StridePrefetcher(confirm=2, addr_cfg=addr_cfg)
+        pf = StridePrefetcher(addr_cfg)
         out = predictions(pf, make_trace([100, 103, 106, 200, 203, 206]), addr_cfg)
         assert out[3] == []  # break destroys confidence
         assert out[5] == [209]  # re-confirmed after two stride-3 jumps
 
     def test_stride_table_capacity(self, addr_cfg):
-        # pc 1 walks +3, and pcs 2 and 3 come between its second and third access: a 2-entry
-        # table drops pc 1, its least recent entry, for pc 3, so pc 1 confirms two accesses later
-        trace = make_trace([0, 3, 50, 60, 6, 9, 12], pcs=[1, 1, 2, 3, 1, 1, 1])
-        out = {size: predictions(StridePrefetcher(table_size=size, addr_cfg=addr_cfg), trace, addr_cfg)
-               for size in (2, 3)}
-        assert out[3] == [[], [], [], [], [9], [12], [15]]
-        assert out[2] == [[], [], [], [], [], [], [15]]
+        # pc 1 walks +3, and other pcs come between its second and third access: TABLE_SIZE - 1
+        # of them leave pc 1 in the table, while TABLE_SIZE of them fill it, so the last drops
+        # pc 1, its least recent entry, and pc 1 confirms two accesses later
+        def last_three(others):
+            trace = make_trace([0, 3, *range(1000, 1000 + 50 * others, 50), 6, 9, 12],
+                               pcs=[1, 1, *range(2, 2 + others), 1, 1, 1])
+            return predictions(StridePrefetcher(addr_cfg), trace, addr_cfg)[-3:]
+
+        assert last_three(StridePrefetcher.TABLE_SIZE - 1) == [[9], [12], [15]]
+        assert last_three(StridePrefetcher.TABLE_SIZE) == [[], [], [15]]
 
     def test_best_offset_converges_to_stride(self, addr_cfg):
         trace = make_trace([1000 + 3 * i for i in range(200)])
-        pf = BestOffsetPrefetcher(round_length=2, score_threshold=2, addr_cfg=addr_cfg)
+        pf = BestOffsetPrefetcher(addr_cfg)
         assert predictions(pf, trace, addr_cfg)[-1] == [1000 + 3 * 199 + 3]  # offset 3 is active
 
     def test_best_offset_stays_quiet_on_random(self, addr_cfg):
         rng = np.random.default_rng(11)
         trace = make_trace(rng.integers(0, 10**9, size=400).tolist())
-        pf = BestOffsetPrefetcher(round_length=2, score_threshold=3, addr_cfg=addr_cfg)
+        pf = BestOffsetPrefetcher(addr_cfg)
         assert predictions(pf, trace, addr_cfg) == [[]] * len(trace)
 
     def test_stride_wider_than_int64_predicts_nothing(self):
-        # with no offset bits a block is a whole 64-bit address, so a stride can reach 2**63 in size
+        # with no offset bits a block is a whole 64-bit address, so a stride can reach 2**63 in
+        # size; none that wide repeats, and the widest that confirms, 2**63 - 1, leaves the space
         cfg = AddressConfig(block_offset_bits=0)
-        trace = make_trace([0, 2**63 + 5, 2**64 - 1, 0], addr_cfg=cfg)
-        assert predictions(StridePrefetcher(confirm=1, addr_cfg=cfg), trace, cfg) == [[]] * 4
+        trace = make_trace([0, 2**63 + 5, 2**64 - 1, 0, 2**63 - 1, 2**64 - 2], addr_cfg=cfg)
+        assert predictions(StridePrefetcher(cfg), trace, cfg) == [[]] * 6
 
     SMALL = AddressConfig(addr_bits=16, page_size_bits=8, block_offset_bits=4)  # 4096 blocks
 
@@ -590,41 +593,50 @@ class TestRulePrefetchers:
         want = sorted(prefetch_addresses(block, range(1, degree + 1), self.SMALL))
         assert pf.predict(None, block) == want
 
-    @pytest.mark.parametrize("block", [0, 1, 2, 2000, 4094, 4095])
-    @pytest.mark.parametrize("stride", [-7, -1, 1, 5])
-    @pytest.mark.parametrize("degree", [1, 3])
-    def test_stride_equals_prefetch_addresses(self, block, stride, degree):
-        # the hand trace confirms ``stride`` at its third access, which then predicts from ``block``
-        pf = StridePrefetcher(confirm=2, degree=degree, addr_cfg=self.SMALL)
-        records = make_trace([2000, 2000 + stride, 2000 + 2 * stride], addr_cfg=self.SMALL)
-        trace = prepared(pf, records, self.SMALL)
-        deltas = [stride * j for j in range(1, degree + 1)]
-        assert pf.predict(trace[2], block) == sorted(prefetch_addresses(block, deltas, self.SMALL))
+    WIDE = AddressConfig(addr_bits=18, page_size_bits=8, block_offset_bits=4)  # 16384 blocks
+    FULL = AddressConfig(block_offset_bits=0)  # 2**64 blocks, where a step can reach 2**63 and more
 
-    @pytest.mark.parametrize("block", [0, 1, 2, 2000, 4094, 4095])
+    # a negative block counts back from the top of the block space
+    @pytest.mark.parametrize("block", [0, 1, 2, 2000, -2, -1])
+    @pytest.mark.parametrize("stride", [-7, -1, 1, 5])
+    @pytest.mark.parametrize("space", ["SMALL", "FULL"])
+    def test_stride_equals_prefetch_addresses(self, block, stride, space):
+        # the hand trace confirms ``stride`` at its third access, which then predicts from ``block``
+        cfg = getattr(self, space)
+        block %= cfg.block_space
+        pf = StridePrefetcher(cfg)
+        trace = prepared(pf, make_trace([2000, 2000 + stride, 2000 + 2 * stride], addr_cfg=cfg), cfg)
+        assert pf.predict(trace[2], block) == sorted(prefetch_addresses(block, [stride], cfg))
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 2000, -2, -1])
     @pytest.mark.parametrize("offset", [-32, -1, 1, 24])
-    def test_best_offset_equals_prefetch_addresses(self, block, offset):
+    @pytest.mark.parametrize("space", ["WIDE", "FULL"])
+    def test_best_offset_equals_prefetch_addresses(self, block, offset, space):
         # a stream of stride ``offset`` makes ``offset`` active at the end of its second learning
         # phase, whose last access then predicts from ``block`` (in the first phase, an offset
-        # tested before the stream has reached its length scores a miss)
-        pf = BestOffsetPrefetcher(round_length=2, addr_cfg=self.SMALL)
-        n, start = 2 * pf.round_length * len(pf.OFFSETS), 0 if offset > 0 else 4095
-        trace = prepared(pf, make_trace([start + offset * i for i in range(n)], addr_cfg=self.SMALL), self.SMALL)
-        assert pf.predict(trace[n - 1], block) == sorted(prefetch_addresses(block, [offset], self.SMALL))
+        # tested before the stream has reached its length scores a miss); two phases of a
+        # 32-stride stream span 8160 blocks, more than SMALL holds
+        cfg = getattr(self, space)
+        block %= cfg.block_space
+        pf = BestOffsetPrefetcher(cfg)
+        n, start = 2 * pf.ROUND_LENGTH * len(pf.OFFSETS), 0 if offset > 0 else cfg.block_space - 1
+        trace = prepared(pf, make_trace([start + offset * i for i in range(n)], addr_cfg=cfg), cfg)
+        assert pf.predict(trace[n - 1], block) == sorted(prefetch_addresses(block, [offset], cfg))
 
 
 class ReferenceStride:
     """The stride state machine as it ran per access: ``observe`` then ``predict``."""
 
-    def __init__(self, table_size=256, confirm=2, degree=1, addr_cfg=None):
-        self.table_size, self.confirm, self.degree = table_size, confirm, degree
+    TABLE_SIZE, CONFIRM = 256, 2
+
+    def __init__(self, addr_cfg=None):
         self.addr_cfg = addr_cfg or AddressConfig()
         self._table = OrderedDict()  # pc -> [last, stride, count]
 
     def observe(self, access, block):
         entry = self._table.get(access.pc)
         if entry is None:
-            if len(self._table) >= self.table_size:
+            if len(self._table) >= self.TABLE_SIZE:
                 self._table.popitem(last=False)
             self._table[access.pc] = [block, 0, 0]
             return
@@ -640,21 +652,18 @@ class ReferenceStride:
 
     def predict(self, access, block):
         entry = self._table.get(access.pc)
-        if entry is None or entry[2] < self.confirm or entry[1] == 0:
+        if entry is None or entry[2] < self.CONFIRM or entry[1] == 0:
             return []
-        stride, space = entry[1], self.addr_cfg.block_space
-        targets = [block + stride * j for j in range(1, self.degree + 1)]
-        targets = [t for t in targets if 0 <= t < space]
-        return targets if stride > 0 else targets[::-1]
+        target = block + entry[1]
+        return [target] if 0 <= target < self.addr_cfg.block_space else []
 
 
 class ReferenceBestOffset:
     """The best-offset state machine as it ran per access: ``observe`` then ``predict``."""
 
-    OFFSETS, RECENT_SIZE = BestOffsetPrefetcher.OFFSETS, 64
+    OFFSETS, RECENT_SIZE, ROUND_LENGTH, SCORE_THRESHOLD = BestOffsetPrefetcher.OFFSETS, 64, 4, 2
 
-    def __init__(self, round_length=4, score_threshold=2, addr_cfg=None):
-        self.round_length, self.score_threshold = round_length, score_threshold
+    def __init__(self, addr_cfg=None):
         self.addr_cfg = addr_cfg or AddressConfig()
         self._recent, self._recent_set = deque(), set()
         self._scores = dict.fromkeys(self.OFFSETS, 0)
@@ -669,9 +678,9 @@ class ReferenceBestOffset:
         if self._cursor == len(self.OFFSETS):
             self._cursor = 0
             self._rounds += 1
-            if self._rounds >= self.round_length:
+            if self._rounds >= self.ROUND_LENGTH:
                 best = max(self._scores.items(), key=lambda kv: (kv[1], -abs(kv[0])))
-                self.active_offset = best[0] if best[1] >= self.score_threshold else None
+                self.active_offset = best[0] if best[1] >= self.SCORE_THRESHOLD else None
                 self._scores = dict.fromkeys(self.OFFSETS, 0)
                 self._rounds = 0
         if block not in self._recent_set:
@@ -715,11 +724,10 @@ class TestObservedReplayEquivalence:
         "random": {"name": "random", "region_blocks": 64},  # deltas repeat, so strides confirm
         "region_walks": {"name": "region_walks", "regions": TestGoldenReports.REGIONS},
         "region_walks-5pcs": {"name": "region_walks", "regions": TestGoldenReports.REGIONS},
+        "region_walks-cold-pcs": {"name": "region_walks", "regions": TestGoldenReports.REGIONS},
     }
     PREFETCHERS = {  # name -> (prefetcher under test, reference state machine), given addr_cfg
         "stride": (StridePrefetcher, ReferenceStride),
-        "stride-small-table": (functools.partial(StridePrefetcher, table_size=3, confirm=1, degree=3),
-                               functools.partial(ReferenceStride, table_size=3, confirm=1, degree=3)),
         "best_offset": (BestOffsetPrefetcher, ReferenceBestOffset),
     }
     CACHES = (CacheConfig(sets=4, ways=2), CacheConfig(sets=32, ways=8))
@@ -727,8 +735,12 @@ class TestObservedReplayEquivalence:
 
     def trace(self, pattern, seed):
         trace = generate_trace(self.PATTERNS[pattern], 2000, seed=seed)
-        if pattern.endswith("5pcs"):  # pcs drawn from five, so the small table evicts
-            pcs = 0x400000 + 0x40 * np.random.default_rng(seed).integers(0, 5, size=len(trace))
+        if pattern.endswith("pcs"):  # pcs drawn from five
+            rng = np.random.default_rng(seed)
+            pcs = 0x400000 + 0x40 * rng.integers(0, 5, size=len(trace))
+            if pattern.endswith("cold-pcs"):  # half the accesses from a thousand more: the table evicts
+                cold = rng.random(len(trace)) < 0.5
+                pcs[cold] = 0x500000 + 0x40 * rng.integers(0, 1000, size=cold.sum())
             trace = Trace(trace.cycle, pcs, trace.vaddr)
         return trace
 

@@ -211,6 +211,7 @@ READ_REJECTED = {
     "pc_vaddr-one-field": ("0x1,0x2\n0x3\n", "pc_vaddr", "line 2: expected 2 fields, got 1"),
     "decreasing-cycle": ("# h\n0,5,0x1,0x40\n\n1,4,0x2,0x80\n", "csv", "line 4: cycle 4 decreases"),
     "bad-hex": ("0,0,0x1,0xZZ\n", "csv", "line 1: invalid literal for int() with base 16: '0xZZ'"),
+    "pc_vaddr-bad-hex": ("0x1,0x40\n0xG,0x80\n", "pc_vaddr", "line 2: invalid literal for int() with base 16: '0xG'"),
     "bad-cycle-keeps-inner-spaces": ("0, 1.5 ,0x1,0x40\r\n", "csv",
                                      "line 1: invalid literal for int() with base 10: ' 1.5 '"),
     "past-the-first-read-chunk": ("".join(f"{i},{i},0x1,0x40\n" for i in range(5000)) + "5000,x,0x1,0x40\n",
@@ -254,6 +255,12 @@ class TestReadEdgeCases:
         p.write_bytes(text.encode())
         with pytest.raises(TraceParseError, match=re.escape(f"t.csv: parse error at {message}") + "$"):
             read_trace(p, fmt=fmt)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_bytes(b"0,0,0x1,0x40\n")
+        with pytest.raises(TraceParseError, match=r"^unknown trace format 'xml'$"):
+            read_trace(p, fmt="xml")
 
     @pytest.mark.parametrize("fields, message", list(LIST_REJECTED.values()), ids=list(LIST_REJECTED))
     def test_list_rejected_with_record(self, addr_cfg, fields, message):
