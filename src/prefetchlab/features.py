@@ -256,10 +256,23 @@ class FeatureConfig:
 
 def _token_values(blocks: np.ndarray, cfg: FeatureConfig, addr_cfg: AddressConfig) -> np.ndarray:
     """Per-access values a dictionary mode tokenizes: the jump into each access
-    (0 for the first, which has none) or its page."""
+    (0 for the first, which has none) or its page. A jump of 2**63 blocks or more,
+    which only a 2**64 block space holds, fits no int64 value and raises."""
     if cfg.mode == "delta":
+        # |jump| as uint64, so a jump across a 2**64 block space cannot wrap into a small one
+        cur, prev = blocks[1:], blocks[:-1]
+        ahead = cur > prev
+        dist = np.where(ahead, cur - prev, prev - cur)
+        wide = np.flatnonzero(dist >= np.uint64(1 << 63))
+        if wide.size:
+            i = int(wide[0]) + 1
+            raise ValueError(
+                f"access {i}: the jump from block {int(blocks[i - 1])} to block {int(blocks[i])} "
+                "spans 2**63 blocks or more, beyond an int64 token value"
+            )
+        dist = dist.astype(np.int64)
         jumps = np.zeros(len(blocks), dtype=np.int64)
-        jumps[1:] = blocks[1:].astype(np.int64) - blocks[:-1].astype(np.int64)
+        jumps[1:] = np.where(ahead, dist, -dist)
         return jumps
     return page_of_block(blocks, addr_cfg)
 

@@ -45,8 +45,6 @@ from prefetchlab.trace import (
     split_trace, write_trace
 )
 
-STAGES = ("gen", "preprocess", "train", "tune", "eval", "simulate", "sweep", "report")
-
 
 class ConfigError(Exception):
     """The experiment configuration is malformed or inconsistent."""
@@ -640,6 +638,7 @@ _STAGE_FUNCS = {
     "sweep": stage_sweep,
     "report": stage_report,
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_stage(stage: str, cfg: ExperimentConfig, run_dir) -> dict:

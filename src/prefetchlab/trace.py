@@ -222,9 +222,7 @@ def block_addresses(trace: Sequence[MemoryAccess], cfg: AddressConfig) -> np.nda
 
 
 def page_of_block(block, cfg: AddressConfig):
-    """Page address of a block address (int or ndarray)."""
-    if isinstance(block, np.ndarray):
-        return block >> np.uint64(cfg.block_index_bits)
+    """Page address of a block address (int or uint64 ndarray)."""
     return block >> cfg.block_index_bits
 
 

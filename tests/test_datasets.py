@@ -166,6 +166,14 @@ class TestDatasetCache:
         loaded = LabeledDataset.load(path)
         assert loaded.inputs.shape == (0, 3, 2) and loaded.labels.shape == (0, 12)
 
+    @pytest.mark.parametrize("short", ["inputs", "contexts", "labels", "triggers"])
+    def test_arrays_disagreeing_on_sample_count_rejected(self, short):
+        arrays = {"inputs": np.zeros((2, 3, 2), np.float32), "contexts": np.zeros((2, 3, 2), np.float32),
+                  "labels": np.zeros((2, 12), bool), "triggers": np.arange(2)}
+        arrays[short] = arrays[short][:1]
+        with pytest.raises(ValueError, match="dataset arrays disagree on sample count"):
+            LabeledDataset(**arrays)
+
     @pytest.mark.parametrize("size", [4, 14, 27])
     def test_short_header_rejected(self, tmp_path, size):
         p = tmp_path / "short.bin"

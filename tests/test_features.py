@@ -38,6 +38,10 @@ def slice_oracle(block, segment_bits, total_bits):
     return [int(p, 2) for p in pieces]
 
 
+FULL = AddressConfig(block_offset_bits=0)  # a 2**64 block space
+TOP = FULL.block_space
+
+
 class TestSegmentation:
     def test_zero_block(self, addr_cfg):
         seg = segment_address(0, SegmentationConfig(6), addr_cfg)
@@ -100,12 +104,18 @@ class TestSegmentation:
         seg = segment_address(block, SegmentationConfig(1), addr_cfg)
         assert "".join(map(str, seg.segments)) == bin(block)[2:].zfill(58)
 
-    def test_segment_out_of_range_rejected(self, addr_cfg):
-        cfg = SegmentationConfig(6)
-        segs = list(segment_address(0x41, cfg, addr_cfg).segments)
-        segs[3] = 64
-        with pytest.raises(ValueError, match="out of range"):
-            desegment(segs, cfg, addr_cfg)
+    @pytest.mark.parametrize("vector, segs, match", [
+        pytest.param(False, [0, 0, 0, 64, 0, 0, 0, 0, 1, 1], r"segment 3 value 64 out of range \[0, 63\]",
+                     id="scalar-above"),
+        pytest.param(False, [0] * 9, "expected 10 segments, got 9", id="scalar-count"),
+        pytest.param(True, [[0] * 11], "expected 10 segments, got 11", id="vector-count"),
+        pytest.param(True, [[0] * 9 + [64]], r"segment 9 holds values outside \[0, 63\]", id="vector-above"),
+        pytest.param(True, [[-1] + [0] * 9], r"segment 0 holds values outside \[0, 15\]", id="vector-below"),
+    ])
+    def test_malformed_segments_rejected(self, addr_cfg, vector, segs, match):
+        desegment_fn = desegment_blocks if vector else desegment
+        with pytest.raises(ValueError, match=match):
+            desegment_fn(np.array(segs) if vector else segs, SegmentationConfig(6), addr_cfg)
 
     def test_block_too_wide_rejected(self, addr_cfg):
         with pytest.raises(ValueError, match="does not fit"):
@@ -213,6 +223,28 @@ class TestEncoders:
         assert delta.lookup(133) == delta.oov_token == 2
         assert page.lookup(900 >> addr_cfg.block_index_bits) == page.oov_token == 2
         assert grow_dictionaries(blocks, FeatureConfig("as"), addr_cfg, train_stop=3) == {}
+
+    @pytest.mark.parametrize("blocks", [
+        pytest.param([TOP - 1, TOP - 3, TOP - 2, TOP - 10, TOP - 1], id="small-jumps-near-the-top"),
+        pytest.param([TOP - 1, TOP - 1 - (2**63 - 1), TOP - 1], id="widest-int64-jumps"),
+    ])
+    def test_delta_jumps_in_a_64_bit_block_space(self, blocks):
+        jumps = [b - a for a, b in zip(blocks, blocks[1:])]  # Python ints: no wrap
+        delta = grow_dictionaries(np.array(blocks, dtype=np.uint64), FeatureConfig("delta"), FULL,
+                                  train_stop=len(blocks))["delta"]
+        assert [value for value, _ in delta.to_pairs()] == list(dict.fromkeys(jumps))
+
+    @pytest.mark.parametrize("blocks, index", [
+        pytest.param([0, TOP - 1, TOP - 2], 1, id="across-the-space"),
+        pytest.param([5, 6, 6 + 2**63], 2, id="2**63-up"),
+    ])
+    def test_delta_jump_beyond_int64_rejected(self, blocks, index):
+        blocks = np.array(blocks, dtype=np.uint64)
+        match = rf"access {index}: the jump from block {blocks[index - 1]} to block {blocks[index]} "
+        with pytest.raises(ValueError, match=match):
+            grow_dictionaries(blocks, FeatureConfig("delta"), FULL, train_stop=len(blocks))
+        with pytest.raises(ValueError, match=match):
+            encode_inputs(blocks, FeatureConfig("delta"), FULL, TokenDictionary([]))
 
 
 PARITY_PATTERNS = {

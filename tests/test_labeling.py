@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,11 @@ class TestBitmapMapping:
             deltas_to_bitmap({129}, self.CFG)
         with pytest.raises(ValueError):
             deltas_to_bitmap({0}, self.CFG)
+
+    @pytest.mark.parametrize("shape", [(255,), (257,), (1, 256)])
+    def test_bitmap_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"bitmap shape {shape} != (256,)")):
+            bitmap_to_deltas(np.zeros(shape, dtype=bool), self.CFG)
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):

@@ -261,6 +261,8 @@ class TestForward:
             predict(params, np.zeros((2, 3, 5)), np.zeros((2, 3, 2)))
         with pytest.raises(ValueError):
             predict(params, np.zeros((2, 4, 5)), None)
+        with pytest.raises(ValueError, match=r"context shape \(2, 3, 2\) != \(2, 4, 2\)"):
+            predict(params, np.zeros((2, 4, 5)), np.zeros((2, 3, 2)))
 
     def test_nonfinite_input_rejected(self):
         params = ModelParams.init(TINY, seed=0)
@@ -344,6 +346,9 @@ class TestTrain:
         with pytest.raises(TrainingError, match=r"epoch \d+, batch \d+"):
             with np.errstate(all="ignore"):
                 train(TINY, x, c, y, cfg=cfg)
+        y[5, 0] = np.nan  # a NaN label meets no check before the loss value
+        with pytest.raises(TrainingError, match=r"^loss diverged at epoch 0, batch 0$"):
+            train(TINY, x, c, y, cfg=TrainConfig(max_epochs=1, batch_size=64, seed=0))
 
     def test_lr_step_decay_schedule(self):
         x, c, y = self.make_dataset(64)

@@ -100,6 +100,11 @@ class TestSimulateBasics:
         with pytest.raises(ValueError):
             simulate([], None, CacheConfig(), LatencyModel(), addr_cfg)
 
+    @pytest.mark.parametrize("stream", ["misses", "Access", ""])
+    def test_unknown_trigger_stream_rejected(self, addr_cfg, stream):
+        with pytest.raises(ValueError, match=rf"^trigger_stream must be 'access' or 'miss', got '{stream}'$"):
+            simulate(make_trace([1, 2]), None, CacheConfig(), LatencyModel(), addr_cfg, trigger_stream=stream)
+
     def test_no_prefetcher_run(self, addr_cfg):
         trace = make_trace(list(range(100)))
         report = simulate(trace, None, CacheConfig(sets=4, ways=2), LatencyModel(), addr_cfg)
@@ -542,6 +547,11 @@ class TestRulePrefetchers:
         pf = NextLinePrefetcher(2, addr_cfg)
         assert pf.predict(None, 10) == [11, 12]
 
+    @pytest.mark.parametrize("degree", [0, -1])
+    def test_next_line_degree_below_one_rejected(self, addr_cfg, degree):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            NextLinePrefetcher(degree, addr_cfg)
+
     def test_stride_state_machine_hand_trace(self, addr_cfg):
         # stride-3 stream: first issue happens at the third access, then every access
         pf = StridePrefetcher(addr_cfg)
@@ -800,6 +810,12 @@ class TestModelPrefetcher:
                             addr_cfg, threshold=0.5, top_k=3)
         with pytest.raises(ValueError):
             ModelPrefetcher(params, FeatureConfig("as", 6), LabelConfig(32, 32), addr_cfg)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.5, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, addr_cfg, threshold):
+        params = ModelParams.init(self.CFG, seed=4)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+            ModelPrefetcher(params, FeatureConfig("as", 6), LabelConfig(32, 32), addr_cfg, threshold=threshold)
 
     def top_k_prefetcher(self, addr_cfg):
         params = ModelParams.init(self.CFG, seed=6)

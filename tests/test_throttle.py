@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prefetchlab.labeling import LabelConfig, bitmap_to_deltas
 from prefetchlab.throttle import (
     binarize,
     micro_metrics,
@@ -140,6 +141,11 @@ class TestTuneThreshold:
         with pytest.raises(ValueError):
             tune_threshold(np.empty((0, 4)), np.empty((0, 4), dtype=bool))
 
+    @pytest.mark.parametrize("conf_shape, label_shape", [((2, 4), (2, 5)), ((2, 4), (3, 4)), ((4,), (2, 4))])
+    def test_shape_mismatch_rejected(self, conf_shape, label_shape):
+        with pytest.raises(ValueError, match="shapes differ"):
+            tune_threshold(np.full(conf_shape, 0.5), np.ones(label_shape, dtype=bool))
+
     def test_report_serializes(self):
         conf = np.array([[0.7, 0.4]])
         labels = np.array([[True, False]])
@@ -159,3 +165,14 @@ class TestMicroMetrics:
     def test_empty_everything(self):
         z = np.zeros((3, 4), dtype=bool)
         assert micro_metrics(z, z) == (1.0, 1.0, 1.0)
+
+    def test_one_row_equals_set_metrics_on_its_deltas(self):
+        # set_metrics, the scalar twin no pipeline stage calls, is the reference here
+        cfg = LabelConfig(delta_bound=4)
+        rng = np.random.default_rng(11)
+        pred = rng.random((2000, cfg.bitmap_size)) < rng.random((2000, 1))
+        labels = rng.random((2000, cfg.bitmap_size)) < rng.random((2000, 1))
+        pred[:2], labels[1:3] = False, False  # empty prediction, both empty, empty label
+        for p, lab in zip(pred, labels):
+            assert micro_metrics(p[None], lab[None]) == set_metrics(
+                bitmap_to_deltas(p, cfg), bitmap_to_deltas(lab, cfg))
