@@ -119,7 +119,10 @@ class ExperimentConfig:
     sweep: SweepConfig = SweepConfig()
 
     def __post_init__(self):
-        check_split_ratios(self.split)
+        if self.trace.source == "generate":  # the length is known: every part must hold a record
+            split_trace(self.trace.length, self.split)
+        else:
+            check_split_ratios(self.split)
         for where, fc in [("features", self.features),
                           *((f"eval_modes[{i}]", fc) for i, fc in enumerate(self.eval_modes))]:
             try:

@@ -361,15 +361,19 @@ def split_trace(trace, ratios: tuple[float, float, float]) -> TraceSplit:
     """Split a trace (or a record count) into contiguous train/validation/test ranges.
 
     Boundary indices are floor(cumulative fraction * n); a 1e-9 nudge absorbs
-    floating point error, matching the tolerance allowed on the ratio sum.
+    floating point error, matching the tolerance allowed on the ratio sum. A part
+    left empty raises ``SplitError`` naming it, since no stage can train, tune or
+    score on zero samples.
     """
     n = trace if isinstance(trace, int) else len(trace)
     check_split_ratios(ratios)
-    if n < 3:
-        raise SplitError(f"trace with {n} records is too short to split")
     b1 = int(math.floor(ratios[0] * n + 1e-9))
     b2 = int(math.floor((ratios[0] + ratios[1]) * n + 1e-9))
-    return TraceSplit(range(0, b1), range(b1, b2), range(b2, n))
+    parts = {"train": range(0, b1), "validation": range(b1, b2), "test": range(b2, n)}
+    empty = [name for name, part in parts.items() if not part]
+    if empty:
+        raise SplitError(f"split {tuple(ratios)} of {n} records leaves these parts empty: {', '.join(empty)}")
+    return TraceSplit(**parts)
 
 
 # ---------------------------------------------------------------------------

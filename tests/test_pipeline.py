@@ -39,7 +39,9 @@ from prefetchlab.pipeline import (
     run_stage,
 )
 from prefetchlab.simulator import CacheConfig, LatencyModel
-from prefetchlab.trace import AddressConfig, block_addresses, generate_trace, split_trace, write_trace
+from prefetchlab.trace import (
+    AddressConfig, SplitError, block_addresses, generate_trace, split_trace, write_trace
+)
 
 TINY_RAW = {
     "seed": 11,
@@ -240,6 +242,9 @@ PROBES = {
     "eval_modes[0].segment_bits=60": ({"eval_modes": [{"segment_bits": 60}]}, "eval_modes[0]"),
     "threshold.grid_step=0.7": ({"threshold": {"grid_step": 0.7}}, "threshold.grid_step"),
     "cache.line_bytes=128": ({"cache": {"line_bytes": 128}}, "cache.line_bytes"),
+    "trace.length=5": ({"trace": {"length": 5}}, "split"),
+    "split=[0.5,0.5-1e-12,1e-12]": (
+        {"trace": {"length": 300}, "split": [0.5, 0.5 - 1e-12, 1e-12]}, "split"),
     "train.beta1=0.8": ({"train": {"beta1": 0.8}}, "train.beta1"),
     "train.beta2=0.99": ({"train": {"beta2": 0.99}}, "train.beta2"),
     "train.lr_decay=0.1": ({"train": {"lr_decay": 0.1}}, "train.lr_decay"),
@@ -549,6 +554,16 @@ class TestStages:
         )
         with pytest.raises(ConfigError):
             run_stage("gen", cfg, str(tmp_path))
+
+    def test_file_trace_too_short_to_split(self, tmp_path):
+        # a file trace's length is known only when preprocess reads it
+        trace_path = tmp_path / "trace.csv"
+        write_trace(trace_path, generate_trace(TINY_RAW["trace"]["pattern"], 5, 0, AddressConfig()))
+        cfg = ExperimentConfig.from_dict(dict(TINY_RAW, trace={"source": "file", "path": str(trace_path)}))
+        run_dir = tmp_path / "run"
+        with pytest.raises(SplitError, match="of 5 records leaves these parts empty: validation$"):
+            run_stage("preprocess", cfg, str(run_dir))
+        assert not (run_dir / "manifest_preprocess.json").exists()
 
     def test_unknown_stage(self, tiny_cfg, tmp_path):
         with pytest.raises(ConfigError):

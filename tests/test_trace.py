@@ -430,6 +430,18 @@ class TestSplitTrace:
         with pytest.raises(SplitError):
             split_trace(2, (0.4, 0.1, 0.5))
 
+    @pytest.mark.parametrize("n, ratios, empty", [
+        (5, (0.4, 0.1, 0.5), "validation"),
+        (3, (0.4, 0.1, 0.5), "validation"),
+        (2, (0.4, 0.1, 0.5), "train"),
+        (0, (0.4, 0.1, 0.5), "train, validation, test"),
+        (300, (0.5, 0.5 - 1e-12, 1e-12), "test"),
+    ])
+    def test_empty_part_named(self, n, ratios, empty):
+        # an empty test part would be scored as perfect on zero samples
+        with pytest.raises(SplitError, match=f"of {n} records leaves these parts empty: {empty}$"):
+            split_trace(n, ratios)
+
     def test_bad_ratios(self):
         # (True, 1e-10, 1e-10) would sum to 1 within 1e-9 if bools counted as numbers
         for ratios in [(0.5, 0.2, 0.2), (0.5, -0.1, 0.6), ("a", "b", "c"), (True, 1e-10, 1e-10),
