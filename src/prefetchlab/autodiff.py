@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just enough machinery for the attention predictor: broadcasting elementwise ops,
-batched matmul, softmax, layer norm, shape ops, and reductions, plus two fused
+batched matmul, softmax, layer norm, shape ops and a mean, plus two fused
 nodes for the model's hot path: ``linear`` (x W + b) and ``multi_head_attention``
 (projections, scaled dot-product attention and the head merge in one node).
 Gradients are exact for every op (the whole point: they are validated against
@@ -521,18 +521,3 @@ def mean(a, axis=None) -> Tensor:
 
     return _attach(out, (na,), bw)
 
-
-def sum_(a, axis=None) -> Tensor:
-    a = _wrap(a)
-    out = Tensor(a.data.sum(axis=axis))
-    if not a.requires_grad:
-        return out
-    na, a_shape = _node_of(a), a.data.shape
-
-    def bw(g):
-        if axis is None:
-            _accum(na, np.broadcast_to(g, a_shape).copy())
-        else:
-            _accum(na, np.broadcast_to(np.expand_dims(g, axis), a_shape).copy())
-
-    return _attach(out, (na,), bw)

@@ -344,15 +344,7 @@ def stage_preprocess(run: _Run) -> None:
             "entries": bundle.dictionary_sizes(),
             "pairs": {name: d.to_pairs() for name, d in bundle.dictionaries.items()},
         }
-    _write_json(run.out("split.json"), split.as_dict())
     _write_json(run.out("dictionaries.json"), dict_report)
-    _write_json(
-        run.out("preprocess_meta.json"),
-        {
-            "records": len(trace),
-            "mean_cycles_per_access_train": mean_cycles_per_access(trace, split.train),
-        },
-    )
 
 
 def _fit(cfg: ExperimentConfig, fc: FeatureConfig, train_ds: LabeledDataset, val_ds: LabeledDataset):
@@ -389,8 +381,6 @@ def stage_tune(run: _Run) -> None:
     params = ModelParams.load(run.read("train", "model.ckpt"))
     report = _tune(cfg, params, run.dataset(cfg.features, "validation"))
     _write_json(run.out("threshold.json"), report.to_dict())
-    _write_csv(run.out("threshold_grid.csv"), ["threshold", "precision", "recall", "f1"],
-               report.grid)
 
 
 def _model(run: _Run, fc: FeatureConfig, label_cfg: LabelConfig, train_ds, val: LabeledDataset):
@@ -431,7 +421,6 @@ def stage_eval(run: _Run) -> None:
         })
         del params, tuned, test, test_conf  # the next mode's fit must not run beside this mode's model
     _write_json(run.out("eval_metrics.json"), {"modes": rows})
-    _write_csv(run.out("eval_metrics.csv"), list(rows[0]), (r.values() for r in rows))
 
 
 def _build_prefetcher(name, run: _Run):
@@ -456,11 +445,6 @@ def _build_prefetcher(name, run: _Run):
     )
 
 
-def _hist_source(cfg: ExperimentConfig) -> str:
-    """The prefetcher whose degree histogram a run reports: the model, else the first configured."""
-    return "model" if "model" in cfg.simulate.prefetchers else cfg.simulate.prefetchers[0]
-
-
 def stage_simulate(run: _Run) -> None:
     cfg = run.cfg
     trace = run.trace()
@@ -478,8 +462,6 @@ def stage_simulate(run: _Run) -> None:
             _write_csv(run.out(f"miss_timeline_{name}.csv"), ["access", "misses", "miss_rate"],
                        timeline.rows())
     _write_json(run.out("sim_reports.json"), reports)
-    _write_csv(run.out("degree_hist.csv"), ["degree", "count"],
-               sorted(reports[_hist_source(cfg)]["degree_hist"].items(), key=lambda kv: int(kv[0])))
 
 
 def _relabel(ds: LabeledDataset, blocks, label_cfg: LabelConfig) -> LabeledDataset:
@@ -597,7 +579,8 @@ def stage_report(run: _Run) -> None:
         run.out("coverage_accuracy.svg"),
         "Prefetch accuracy and coverage", "value",
     )
-    hist_source = _hist_source(run.cfg)
+    prefetchers = run.cfg.simulate.prefetchers  # the model's degree histogram, else the first's
+    hist_source = "model" if "model" in prefetchers else prefetchers[0]
     hist = {int(k): v for k, v in sim_reports[hist_source]["degree_hist"].items()}
     degrees = sorted(hist)
     plots.svg_bar_chart(

@@ -202,13 +202,6 @@ class TraceSplit:
     validation: range
     test: range
 
-    def as_dict(self):
-        return {
-            "train": [self.train.start, self.train.stop],
-            "validation": [self.validation.start, self.validation.stop],
-            "test": [self.test.start, self.test.stop],
-        }
-
 
 def block_address(vaddr: int, cfg: AddressConfig) -> int:
     """Byte address -> block address (offset bits dropped, masked to block width)."""

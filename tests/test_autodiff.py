@@ -31,9 +31,9 @@ def check_op(build, shapes, seed=0, h=1e-6, tol=1e-7):
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
 
     out = build(*tensors)
-    # reduce to a scalar with fixed weights so every output entry matters
+    # seed backward with fixed weights, the gradient of the weighted sum, so every output entry matters
     weights = rng.uniform(0.5, 1.5, size=out.shape)
-    ad.sum_(ad.mul(out, Tensor(weights))).backward()
+    out.backward(weights)
     analytic = [t.grad for t in tensors]
 
     def scalar():
@@ -67,7 +67,7 @@ class TestElementwise:
         a = rng.uniform(-1, 1, size=(5, 5))
         a[np.abs(a) < 1e-3] = 0.5  # keep clear of the kink
         t = Tensor(a, requires_grad=True)
-        ad.sum_(ad.relu(t)).backward()
+        ad.relu(t).backward()  # a seed of ones: the gradient of the sum
         assert np.array_equal(t.grad, (a > 0).astype(float))
 
     def test_sigmoid(self):
@@ -83,7 +83,7 @@ class TestElementwise:
 
     def test_clip_gradient_masks_clamped_region(self):
         a = Tensor(np.array([0.1, 0.5, 0.9]), requires_grad=True)
-        ad.sum_(ad.clip(a, 0.2, 0.8)).backward()
+        ad.clip(a, 0.2, 0.8).backward()
         assert np.array_equal(a.grad, [0.0, 1.0, 0.0])
 
 
@@ -191,10 +191,10 @@ class TestShapeOps:
         check_op(lambda a: a[:, 0, :], [(3, 4, 5)])
         check_op(lambda a: a[1:, :2], [(4, 4)])
 
-    def test_mean_and_sum(self):
+    def test_mean(self):
         check_op(lambda a: ad.mean(a), [(3, 4)])
         check_op(lambda a: ad.mean(a, axis=1), [(3, 4)])
-        check_op(lambda a: ad.sum_(a, axis=0), [(3, 4)])
+        check_op(lambda a: ad.mean(a, axis=0), [(3, 4)])
 
 
 # every op, as (build, input shapes); the first input is the one a gradient reaches
@@ -218,7 +218,6 @@ OPS = {
     "broadcast_to": (lambda a: ad.broadcast_to(a, (4, 2, 3)), [(1, 2, 3)]),
     "getitem": (lambda a: a[:, 1:], [(2, 3)]),
     "mean": (ad.mean, [(2, 3)]),
-    "sum": (ad.sum_, [(2, 3)]),
 }
 
 
@@ -232,7 +231,7 @@ class TestGraph:
     def test_constants_carry_no_grad(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         c = Tensor(np.ones((2, 2)))
-        out = ad.sum_(ad.mul(a, c))
+        out = ad.mean(ad.mul(a, c))
         out.backward()
         assert c.grad is None and a.grad is not None
 
@@ -271,10 +270,10 @@ class TestGraph:
 
     def test_operator_sugar(self):
         a = Tensor(np.full((2, 2), 3.0), requires_grad=True)
-        out = ad.sum_((1.0 - a) * 2.0 + a)
+        out = ad.mean((1.0 - a) * 2.0 + a)
         out.backward()
-        assert np.allclose(a.grad, -1.0)
-        assert out.item() == ((1 - 3) * 2 + 3) * 4
+        assert np.allclose(a.grad, -1.0 / 4)
+        assert out.item() == (1 - 3) * 2 + 3
 
 
 def retaining_backward(root):
@@ -322,7 +321,7 @@ class TestFreedGraph:
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         h = ad.relu(ad.linear(a, w))
-        out = ad.sum_(ad.add(ad.mul(h, h), ad.matmul(a, w)))
+        out = ad.mean(ad.add(ad.mul(h, h), ad.matmul(a, w)))
         return a, w, h, out
 
     def test_leaf_grads_match_retaining_loop(self):
@@ -356,7 +355,7 @@ class TestFreedGraph:
         before = a.grad.copy(), w.grad.copy()
         with pytest.raises(RuntimeError, match="earlier backward"):
             # the fresh matmul's backward would run before h's is reached
-            ad.sum_(ad.add(ad.matmul(a, w), ad.scale(h, 2.0))).backward()
+            ad.mean(ad.add(ad.matmul(a, w), ad.scale(h, 2.0))).backward()
         # refused before any gradient moved
         assert np.array_equal(a.grad, before[0]) and np.array_equal(w.grad, before[1])
 

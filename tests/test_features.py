@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from prefetchlab import simulator
 from prefetchlab.datasets import build_datasets
 from prefetchlab.features import (
     CapacityError,
@@ -22,8 +21,8 @@ from prefetchlab.features import (
     segment_blocks,
     tokenize,
 )
-from prefetchlab.labeling import LabelConfig
-from prefetchlab.model import ModelConfig, ModelParams
+from prefetchlab.labeling import LabelConfig, bitmap_to_deltas, prefetch_addresses
+from prefetchlab.model import ModelConfig, ModelParams, predict as model_predict
 from prefetchlab.simulator import CacheConfig, LatencyModel, ModelPrefetcher, simulate
 from prefetchlab.trace import AddressConfig, generate_trace, split_trace
 
@@ -254,52 +253,58 @@ PARITY_PATTERNS = {
 
 
 class TestOnlineOfflineParity:
-    """The model prefetcher feeds the model the rows the offline datasets store."""
+    """The model prefetcher feeds the model the rows the offline datasets store, and acts on
+    what the model says for them: rows and decisions, however many rows a model call carries."""
 
     HISTORY = 5
+    THRESHOLD = 0.5
 
     @pytest.mark.parametrize("mode", ["as", "delta", "page_offset"])
     @pytest.mark.parametrize("pattern", sorted(PARITY_PATTERNS))
-    def test_every_trigger_matches_its_dataset_row(self, pattern, mode, addr_cfg, monkeypatch):
+    def test_every_trigger_matches_its_dataset_row(self, pattern, mode, addr_cfg):
         trace = generate_trace(PARITY_PATTERNS[pattern], 600, seed=2)
         feature_cfg = FeatureConfig(mode)
         label_cfg = LabelConfig(look_forward=8, delta_bound=32)
         bundle = build_datasets(trace, split_trace(trace, (0.5, 0.2, 0.3)), feature_cfg,
                                 label_cfg, addr_cfg, self.HISTORY)
-        stored = {int(t): (ds, i) for ds in (bundle.train, bundle.validation, bundle.test)
-                  for i, t in enumerate(ds.triggers)}
-
-        seen = []
-        model_predict = simulator.model_predict
-
-        class RecordingPrefetcher(ModelPrefetcher):
-            def predict(self, access, block):
-                self.ordinal = access.ordinal
-                return super().predict(access, block)
-
-        def recording_predict(params, inputs, contexts):
-            seen.append((pf.ordinal, inputs, contexts))
-            return model_predict(params, inputs, contexts)
-
-        monkeypatch.setattr(simulator, "model_predict", recording_predict)
         model_cfg = ModelConfig(hidden_dim=8, num_heads=2, num_layers=1,
                                 output_dim=label_cfg.bitmap_size, history_len=self.HISTORY,
                                 input_dim=feature_cfg.input_dim(addr_cfg))
-        pf = RecordingPrefetcher(ModelParams.init(model_cfg, seed=0), feature_cfg, label_cfg,
-                                 addr_cfg, threshold=0.5,
+        params = ModelParams.init(model_cfg, seed=0)
+        # the reference decisions: model.predict over each whole split, as tune and eval run it.
+        # No confidence lies near the threshold, so a batch of one decides the same.
+        stored = {}
+        for ds in (bundle.train, bundle.validation, bundle.test):
+            conf = model_predict(params, ds.inputs, ds.contexts)
+            assert np.abs(conf - self.THRESHOLD).min() > 1e-9
+            for i, t in enumerate(ds.triggers):
+                stored[int(t)] = (ds, i, conf[i] >= self.THRESHOLD)
+
+        returned = {}
+
+        class RecordingPrefetcher(ModelPrefetcher):
+            def predict(self, access, block):
+                blocks = super().predict(access, block)
+                if blocks is not None:
+                    returned[access.ordinal] = (block, blocks)
+                return blocks
+
+        pf = RecordingPrefetcher(params, feature_cfg, label_cfg, addr_cfg, threshold=self.THRESHOLD,
                                  dictionary=next(iter(bundle.dictionaries.values()), None))
         report = simulate(trace, pf, CacheConfig(sets=16, ways=4), LatencyModel(), addr_cfg)
 
-        assert [o for o, _, _ in seen] == sorted(stored)
+        assert sorted(returned) == sorted(stored)
         # warm-up: the first trigger with a prediction is the datasets' first trigger
-        assert report.cold_start_triggers == seen[0][0] == bundle.train.triggers[0]
-        for o, inputs, contexts in seen:  # one (1, N, S) batch per trigger: its dataset row
-            ds, i = stored[o]
-            assert inputs.dtype == contexts.dtype == np.float32
-            assert inputs.shape == (1, self.HISTORY, model_cfg.input_dim)
-            assert contexts.shape == (1, self.HISTORY, 2)
-            assert np.array_equal(inputs[0], ds.inputs[i])
-            assert np.array_equal(contexts[0], ds.contexts[i])
+        assert report.cold_start_triggers == bundle.train.triggers[0]
+        first_row = feature_cfg.warmup(self.HISTORY) - 1
+        for o, (block, blocks) in returned.items():
+            ds, i, bits = stored[o]
+            for online, offline in ((pf._inputs[o - first_row], ds.inputs[i]),
+                                    (pf._contexts[o - first_row], ds.contexts[i])):
+                assert online.dtype == offline.dtype and online.shape == offline.shape
+                assert np.array_equal(online, offline), o
+            deltas = bitmap_to_deltas(bits, label_cfg)
+            assert blocks == sorted(prefetch_addresses(block, deltas, addr_cfg)), o
 
 
 class TestTokenDictionary:

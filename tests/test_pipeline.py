@@ -12,6 +12,7 @@ import pkgutil
 import re
 import shutil
 import weakref
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 import prefetchlab
 import tests.test_acceptance as acceptance
 from tests.test_model import byte_classes
-from prefetchlab import cli, pipeline
+from prefetchlab import cli, pipeline, plots
 from prefetchlab.datasets import LabeledDataset, build_datasets
 from prefetchlab.features import FeatureConfig, SegmentationConfig
 from prefetchlab.labeling import LabelConfig
@@ -685,7 +686,7 @@ class TestStages:
         assert (clone / "summary.json").exists()
 
     def test_degree_histogram_without_model_is_first_configured(self, tmp_path):
-        # simulate's csv and report's plot both show the first prefetcher in config order
+        # report's plot shows the first prefetcher in config order: its title and its bars
         raw = dict(TINY_RAW, trace=dict(TINY_RAW["trace"], length=600),
                    simulate={"prefetchers": ["stride", "next_line"]})
         cfg = ExperimentConfig.from_dict(raw)
@@ -694,9 +695,17 @@ class TestStages:
         reports = json.loads((tmp_path / "sim_reports.json").read_text())
         hist = reports["stride"]["degree_hist"]
         assert hist != reports["next_line"]["degree_hist"]
-        rows = (tmp_path / "degree_hist.csv").read_text().splitlines()
-        assert rows == ["degree,count", *(f"{d},{hist[d]}" for d in sorted(hist, key=int))]
-        assert "Prefetch degree histogram (stride)" in (tmp_path / "degree_hist.svg").read_text()
+        svg = (tmp_path / "degree_hist.svg").read_text()
+        assert "Prefetch degree histogram (stride)" in svg
+        ns = "{http://www.w3.org/2000/svg}"
+        root = ET.fromstring(svg)
+        bars = [float(r.get("height")) for r in root.iter(f"{ns}rect") if r.get("fill") not in ("white", "none")]
+        label_y = str(plots.HEIGHT - plots.MARGIN_B + 16)
+        labels = [t.text for t in root.iter(f"{ns}text") if t.get("y") == label_y]
+        degrees = sorted(hist, key=int)
+        assert labels == degrees
+        counts = [hist[d] for d in degrees]  # a bar's height is its count times one scale
+        assert np.allclose(np.array(bars) * max(counts) / max(bars), counts, rtol=1e-5, atol=0)
 
     @pytest.mark.parametrize("mode", ["delta", "page_offset"])
     def test_dictionary_mode_simulates_with_the_preprocess_dictionary(self, mode, tmp_path, monkeypatch):
@@ -859,46 +868,38 @@ RUN_PINS = {
             "635ab3330cda617934a9130601a5d5eddd0fa3bf970fa45060732f6f16d94ccd",
         "dataset_delta_validation.bin":
             "4b4f3ce33b0b1b8246f8731ea7dc7d863a468d505a224a941ec7a2fea4af34aa",
-        "degree_hist.csv":
-            "82f5941f14aeb807106202302faae45312fbcfc7411b2a8607380787e7f1dca5",
         "degree_hist.svg":
             "9218b044aa76d86c0988d5fc5440a1c520128d838dfc3c088e115a06c764a9a2",
         "dictionaries.json":
             "dc22a1ed2835efce1f09725a809fd806020009f1efaf79e0b053dd761e0c913b",
-        "eval_metrics.csv":
-            "c9b7a202da2efa471e766bcb4046bdd455cc61eb83b58bc06047cacaa5f803c1",
         "eval_metrics.json":
             "258a7a2702eef1dfa9c3ae9ac6b217cbe2452b61110a76432fd54fbb4ee408f1",
         "eval_model_delta.ckpt":
             "a6fc59e0f04efe293a802c3428bee481befd0c5692deb718be1f98edc728e69a",
         "manifest_eval.json":
-            "99bf8f16a33eea72ac933048953715191edee691304fda7839f07f3d90d68b7e",
+            "5b879247f0c1ba51ff00f7c8aded1e2d745c5ea249cc4c66ee39620754273b81",
         "manifest_gen.json":
             "cb40cb61f6ed81d940badb92c311b04554757c490686bb51ab06c1b6c5d7e1af",
         "manifest_preprocess.json":
-            "26320e36955adb85828532067cab45bf0979560faabb88ac4944bbdc8e6847f8",
+            "379e3e17b0217313fe35226ab85012e15256264508105f5212b7aa0e92c416f1",
         "manifest_report.json":
             "2b944dbaf2932fe0519230419f4b2208bfe3b7d72ba261f2a18af9d8678df03d",
         "manifest_simulate.json":
-            "63d903709b824e0462522298607efd63b480d68cf83c64dd198339bfd1dd8ce2",
+            "6e2a6625b63c3c6f2f49085384223abaf20ea3bef112efffebadafa7e9f97555",
         "manifest_sweep.json":
             "e61d046016ae0eef76def0f9d0a0d2fb1d76369315884b7be1b759a5ce0a3450",
         "manifest_train.json":
             "377881841f4b5749b88fe8cccf7f5e7682b41728162daae0f5a0e8170e0e740b",
         "manifest_tune.json":
-            "5bd0c25e39aac8ab1d74cea94e4d52c831ba6de3ff464be251d7e261362d24f0",
+            "560e3849a7fdc9236a309cdee8dbeb07a3dca94a0d02b87b1af1c9e6b308e006",
         "miss_timeline_model.csv":
             "bf37b6545cda239de2d0d6f1ec554748d7e115115afc5c65d33c355defc684ba",
         "miss_timeline_next_line.csv":
             "fbcfe108cf0b688dc1ca969e1145e5f84661e7bf775102cc1100233b2f6179ff",
         "model.ckpt":
             "6bcf221b4ee987163a9066826c6349ae13068615dd4f0dbda3ada2d935daae84",
-        "preprocess_meta.json":
-            "4d014469d0f2f2593c19b24c227af07941dce307dc8ef096aa4128d39c7c90f8",
         "sim_reports.json":
             "0378e726fe160fc7bef056e545dfc63fcb325be233e2af88b94fb9ce444167ca",
-        "split.json":
-            "2cb535c9c5c8c47d965c85a3305290ab6ad2be5a71f399c1967644da3dbbf6dc",
         "summary.json":
             "6bc0e77080acbf261513e15e58ea1610d24de4aaa3256a4e6084b25c64e71af6",
         "sweep.svg":
@@ -911,8 +912,6 @@ RUN_PINS = {
             "41d47ba4bfd6e6a627b578cd1feb58a8ca8b81df355ca57648220dc8e0cfed1b",
         "threshold_f1.svg":
             "7b40650bef8000df833527dd9addd8f73bfe05dfb15367bc1a67c3a05ae3ac2a",
-        "threshold_grid.csv":
-            "ada22f790a90543bafe6f42818113ee95f4975efe862c49593bf6cf90ca933aa",
         "trace.csv.gz":
             "c6c7f18fce57f61c8f5ed898fa8e2d85b843cce50689e61e1f1b81acae34d24b",
         "training_log.csv":
@@ -939,14 +938,10 @@ RUN_PINS = {
             "7ba38bb404d9a1df6fc37e8cbd4111f5ffdce444378037de7c405821be2808fc",
         "dataset_page_offset_validation.bin":
             "e9ee6a34cf8299435b327302bf91f5200ee293e294c416c045361783cbf1b7d3",
-        "degree_hist.csv":
-            "8a6dea7271554c93109df6a1c47f4172b13470760fb4fc6bd80f05bdfe8ac2e9",
         "degree_hist.svg":
             "87e944f572e8abd167443f68331eda538cd3a7034b150e4f499b70a1f1322527",
         "dictionaries.json":
             "4e7bff3d86a3ea8c861bb1d3fa5c9574a0dfa199dfefa127ffa2d7d9473e2112",
-        "eval_metrics.csv":
-            "e61777d939ab14c3baea25b5ebb5da6b4cca7f07f85dfade1fb16dfaa4a1d90b",
         "eval_metrics.json":
             "7feaacd539f8c027a0617dc35274f9103e371587e78c3989aa8f56d5b7f4563b",
         "eval_model_delta.ckpt":
@@ -954,35 +949,29 @@ RUN_PINS = {
         "eval_model_page_offset.ckpt":
             "cff1567587bb005906245fac2e588dbcc4b7e6ab49dd246d675c457e80072468",
         "manifest_eval.json":
-            "2f5fb27274b6d16079cbf966ecbf27c46dbe523e07915c9a69bef7a298eb1891",
+            "c164ae511834b5fc60c78ca190334bce1dcbf4b5e58c8ca27aa1923f79116223",
         "manifest_gen.json":
             "5a9434d6e2bf749f1e5c043789cc293810f5dd1d7f20114c10ca65d992ceb35a",
         "manifest_preprocess.json":
-            "88463b855efae81b21eb0d2c3b1623d8adcc69f8e9f73c97e29e3e26ff16aceb",
+            "092b9413687b12d700addc1d293cd31e6093003b8d9c8e720d776e1cbd24f0c9",
         "manifest_report.json":
             "c69243bfdb52e04bb3901b38744481f2382ffe07fc4fa0db4da199e54afbab83",
         "manifest_simulate.json":
-            "7c573211367390895afb8f6687782317ab03edfd6fbebb7ff10ff75417df6af4",
+            "2473db67818b2c2c58566773d241aef065ff9241ae11e1115fa47bef23eb4d57",
         "manifest_train.json":
             "caeb8576b9b41e68e7ffb41e6ac0957c89e47877581d484a230880642750b820",
         "manifest_tune.json":
-            "124845daa8a94ea8ba66cc112953083f08549f1c3e4f24e1468589e9a2aa4cdf",
+            "8d17df1cdd98b6663543f1b4b0503227d1172bd6721e7193175165d612237191",
         "model.ckpt":
             "d734f4040e47eba29392823bec14acb08ef651d6bf20fe34a88bf5296e1cba0a",
-        "preprocess_meta.json":
-            "602e76a8edf6a3f0ec413be3a22d881ac8750e62663076366ea34ac141209bf8",
         "sim_reports.json":
             "93dd7263780816f53b042ed562f4ea5915ac9d9c1a8838df7ca394d46019d03f",
-        "split.json":
-            "5d9ff6321c30ba989342100a77213e44522a1c3f751bc7b704a94489efa2a215",
         "summary.json":
             "d8cdfa948ae4bfea84f88fc62368cd9beea9a09a46148faca695157055ecef73",
         "threshold.json":
             "f8e2a6a662813c3301b1567c9292a9feaa24d5dbd122f62d529ebcd5155f4c1a",
         "threshold_f1.svg":
             "3af1694c49f9828e88877593bdbe4e75a07ca29ba334d75b7057f69433baa8da",
-        "threshold_grid.csv":
-            "f619ab805e7b6ed719e1fbf49c2a174b52ba41886ff52ff99306cdac7113332d",
         "trace.csv.gz":
             "a35fd994319fe58211c0bb935e4366644fbfe4088840752c141db30bfd33f95d",
         "training_log.csv":
@@ -1001,12 +990,10 @@ RUN_PINS = {
             "9ae2c0e824994769b81c2a9f869835cf7b3a6bc46dce9818d68081a9edde07a0",
     },
     "rules-llc": {
-        "degree_hist.csv":
-            "7a3111f493a9718610e19a80dc7b566fcad364937be801e8865c6e29b47da750",
         "manifest_gen.json":
             "b2cbe0237221cc80759ed922db70ed45bb6290a41e15ffed30753ebf22883a6f",
         "manifest_simulate.json":
-            "2ee2540f33a165c07e684f79c9d4ef03393ae74bdf4dabc765335e90b8ead5e6",
+            "4777a3041515c805dd31f71b1f83a5ca80ad3b2e15f3d93914ca8f99fc3e329e",
         "sim_reports.json":
             "e6bacc82be4ff3fae56fdfc48ebdeab76f8e5f217e49b38c5e994a49897c7d4c",
         "trace.csv.gz":
@@ -1040,23 +1027,64 @@ def run_digests(run_dir) -> dict:
             for name in sorted(os.listdir(run_dir))}
 
 
+def readme_run_directory_rows() -> dict[str, str]:
+    """README's "Run directory" table: each row's file name, as a pattern in which a
+    ``<placeholder>`` stands for one word, mapped to the name as the row gives it."""
+    text = pathlib.Path(REPO, "README.md").read_text()
+    table = text.split("\n## Run directory\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+    return {re.sub(r"<\w+>", r"\\w+", re.escape(n)): n for n in names}
+
+
+@pytest.fixture(scope="module")
+def workload_run(tmp_path_factory):
+    """The run directory of a benchmark workload, built once for the tests that read it."""
+    built = {}
+
+    def run_dir(name):
+        if name not in built:
+            raw, stages = WORKLOAD_RUNS[name]
+            cfg = ExperimentConfig.from_dict(raw)
+            built[name] = tmp_path_factory.mktemp(name)
+            for stage in stages:
+                run_stage(stage, cfg, str(built[name]))
+        return built[name]
+
+    return run_dir
+
+
 class TestPinnedRunBytes:
     """Every run-directory file of four runs, byte for byte, against digests recorded before."""
 
     @staticmethod
     def check(name, run_dir):
         got, want = run_digests(run_dir), RUN_PINS[name]
-        moved = sorted(f for f in got.keys() | want.keys() if got.get(f) != want.get(f))
-        assert not moved, (f"{name}: {moved} differ from the pinned bytes, recorded under "
-                           f"{PIN_BUILD}; this run used {numpy_build()}")
+        missing = sorted(want.keys() - got.keys())
+        unpinned = sorted(got.keys() - want.keys())
+        moved = sorted(f for f in got.keys() & want.keys() if got[f] != want[f])
+        assert not (missing or unpinned or moved), (
+            f"{name}: missing from the run {missing}, not pinned {unpinned}, bytes moved {moved}; "
+            f"the pins were recorded under {PIN_BUILD}, this run used {numpy_build()}")
 
     def test_tiny_raw(self, full_run):
         self.check("TINY_RAW", full_run)
 
     @pytest.mark.parametrize("name", sorted(WORKLOAD_RUNS))
-    def test_workload(self, name, tmp_path):
-        raw, stages = WORKLOAD_RUNS[name]
-        cfg = ExperimentConfig.from_dict(raw)
-        for stage in stages:
-            run_stage(stage, cfg, str(tmp_path))
-        self.check(name, tmp_path)
+    def test_workload(self, name, workload_run):
+        self.check(name, workload_run(name))
+
+    def test_every_file_is_a_listed_output_with_a_readme_row(self, full_run, workload_run):
+        rows = readme_run_directory_rows()
+        seen = set()
+        for name, run_dir in [("TINY_RAW", full_run), *((n, workload_run(n)) for n in sorted(WORKLOAD_RUNS))]:
+            files = set(os.listdir(run_dir))
+            manifests = {f for f in files if re.fullmatch(r"manifest_\w+\.json", f)}
+            listed = set().union(*(json.loads(pathlib.Path(run_dir, m).read_text())["outputs"]
+                                   for m in manifests))
+            unlisted = sorted(files - manifests - listed)
+            assert not unlisted, f"{name}: no manifest lists {unlisted}"
+            no_row = sorted(f for f in files if not any(re.fullmatch(p, f) for p in rows))
+            assert not no_row, f"{name}: README's run-directory table has no row for {no_row}"
+            seen |= {p for p in rows for f in files if re.fullmatch(p, f)}
+        stale = sorted(rows[p] for p in rows.keys() - seen)
+        assert not stale, f"README's run-directory table has rows that no run writes: {stale}"
