@@ -218,6 +218,7 @@ OPS = {
     "broadcast_to": (lambda a: ad.broadcast_to(a, (4, 2, 3)), [(1, 2, 3)]),
     "getitem": (lambda a: a[:, 1:], [(2, 3)]),
     "mean": (ad.mean, [(2, 3)]),
+    "mean_axis": (lambda a: ad.mean(a, axis=1), [(2, 3)]),
 }
 
 
